@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Iterable, Iterator
 
 from treecount import counting, enumeration, sampling, verifier
 from treecount.core import (
@@ -23,6 +23,7 @@ from treecount.core import (
     TreeCountError,
     degree_of,
     degree_sequence,
+    int_to_text,
     prufer_to_text,
     read_prufer_lines,
     read_trees,
@@ -32,30 +33,12 @@ from treecount.core import (
 TREE_FORMATS = ("edges", "prufer", "json", "csv")
 
 
-class OutputEnvelope(NamedTuple):
-    """A chosen output format plus the (lazy) payload lines."""
-
-    format: str
-    payload: Iterable[str]
-
-
-def _write(env: OutputEnvelope, out: IO[str]) -> None:
-    for chunk in env.payload:
-        out.write(chunk)
-
-
 def _parse_degrees(text: str) -> DegreeSequence:
     try:
         degrees = tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise OutOfRange(f"degrees must be comma-separated integers, got {text!r}") from None
     return degree_sequence(degrees)
-
-
-def _prufer_line(tree: LabeledTree) -> str:
-    if tree.n == 1:
-        return ""
-    return prufer_to_text(enumeration.prufer_encode(tree))
 
 
 def _tree_lines(
@@ -74,7 +57,8 @@ def _tree_lines(
         if fmt == "edges":
             yield tree_to_text(tree)
         elif fmt == "prufer":
-            yield _prufer_line(tree) + "\n"
+            # a one-vertex tree has no sequence: encoding refuses it
+            yield prufer_to_text(enumeration.prufer_encode(tree)) + "\n"
         elif fmt == "json":
             yield json.dumps({"n": tree.n, "edges": [list(e) for e in tree.edges]}) + "\n"
         else:
@@ -112,14 +96,15 @@ def cmd_count(args, stdin: IO[str], stdout: IO[str]) -> int:
         payload = {"subject": "degv1", "n": args.n, "k": args.k}
         value = counting.count_trees_deg_v1(args.n, args.k)
 
+    digits = int_to_text(value)
     if args.format == "json":
-        payload["count"] = str(value)
+        payload["count"] = digits
         lines = [json.dumps(payload) + "\n"]
     elif args.format == "csv":
-        lines = ["count\n", f"{value}\n"]
+        lines = ["count\n", f"{digits}\n"]
     else:
-        lines = [f"{value}\n"]
-    _write(OutputEnvelope(args.format, lines), stdout)
+        lines = [f"{digits}\n"]
+    stdout.writelines(lines)
     return 0
 
 
@@ -129,6 +114,8 @@ def cmd_count(args, stdin: IO[str], stdout: IO[str]) -> int:
 
 def cmd_enumerate(args, stdin: IO[str], stdout: IO[str]) -> int:
     n = args.n
+    if args.limit is not None and args.limit < 0:
+        raise OutOfRange(f"--limit must be >= 0, got {args.limit}")
     if args.degrees is not None:
         d = _parse_degrees(args.degrees)
         if len(d.degrees) != n:
@@ -145,8 +132,7 @@ def cmd_enumerate(args, stdin: IO[str], stdout: IO[str]) -> int:
         )
     else:
         trees = enumeration.enumerate_all_trees(n)
-    lines = _tree_lines(trees, args.format, want_count=args.count, limit=args.limit)
-    _write(OutputEnvelope(args.format, lines), stdout)
+    stdout.writelines(_tree_lines(trees, args.format, want_count=args.count, limit=args.limit))
     return 0
 
 
@@ -156,24 +142,18 @@ def cmd_enumerate(args, stdin: IO[str], stdout: IO[str]) -> int:
 
 def cmd_prufer(args, stdin: IO[str], stdout: IO[str]) -> int:
     if args.direction == "encode":
+        seqs = map(enumeration.prufer_encode, read_trees(stdin))
         if args.format == "json":
             lines: Iterator[str] = (
-                json.dumps(
-                    {"n": seq.n, "symbols": list(seq.symbols)}
-                )
-                + "\n"
-                for seq in map(enumeration.prufer_encode, read_trees(stdin))
+                json.dumps({"n": seq.n, "symbols": list(seq.symbols)}) + "\n" for seq in seqs
             )
         else:
-            lines = (
-                prufer_to_text(enumeration.prufer_encode(tree)) + "\n"
-                for tree in read_trees(stdin)
-            )
+            lines = (prufer_to_text(seq) + "\n" for seq in seqs)
     else:
         decoded = map(enumeration.prufer_decode, read_prufer_lines(stdin))
         fmt = "json" if args.format == "json" else "edges"
         lines = _tree_lines(decoded, fmt)
-    _write(OutputEnvelope(args.format, lines), stdout)
+    stdout.writelines(lines)
     return 0
 
 
@@ -188,7 +168,7 @@ def cmd_sample(args, stdin: IO[str], stdout: IO[str]) -> int:
         trees = sampling.sample_tree_with_degrees(d, cfg)
     else:
         trees = sampling.sample_uniform_tree(args.n, cfg)
-    _write(OutputEnvelope(args.format, _tree_lines(trees, args.format)), stdout)
+    stdout.writelines(_tree_lines(trees, args.format))
     return 0
 
 
@@ -221,14 +201,15 @@ def _table_lines(reports) -> Iterator[str]:
     if rows:
         yield "counterexamples:\n"
         for rid, f in rows:
-            yield f"  {rid} {f.parameters}: expected {f.expected}, got {f.got}\n"
+            rec = f.to_record()
+            yield f"  {rid} {f.parameters}: expected {rec['expected']}, got {rec['got']}\n"
 
 
 def _verify_exit(reports) -> int:
     capped = mismatched = False
     for r in reports:
         for f in r.failures:
-            if str(f.got).startswith("CapExceeded"):
+            if isinstance(f.got, str) and f.got.startswith("CapExceeded"):
                 capped = True
             else:
                 mismatched = True
@@ -266,7 +247,7 @@ def cmd_verify(args, stdin: IO[str], stdout: IO[str]) -> int:
         lines: Iterable[str] = [json.dumps(doc, indent=2) + "\n"]
     else:
         lines = _table_lines(reports)
-    _write(OutputEnvelope("json" if as_json else "table", lines), stdout)
+    stdout.writelines(lines)
     return _verify_exit(reports)
 
 

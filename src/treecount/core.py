@@ -108,7 +108,7 @@ class PruferSequence(NamedTuple):
 # Construction and validation
 
 
-def _acyclic(n: int, edges: list[Edge]) -> bool:
+def _acyclic(n: int, edges: Iterable[Edge]) -> bool:
     # union-find with path halving; n-1 acyclic edges imply connectivity
     parent = list(range(n + 1))
     for u, v in edges:
@@ -271,6 +271,20 @@ def as_integer(value: Union[int, Fraction]) -> int:
     if value.denominator != 1:
         raise NonIntegralResult(f"{value} is not an integer")
     return int(value)
+
+
+def int_to_text(value: int) -> str:
+    """The decimal digits of an int of any size, converted in pieces below
+    the interpreter's process-wide int-to-str digit limit (4300 by
+    default), which is left as it is."""
+    # 2000 bits is at most 603 digits, below the smallest limit Python accepts (640)
+    if value.bit_length() <= 2000:
+        return str(value)
+    if value < 0:
+        return "-" + int_to_text(-value)
+    half = value.bit_length() * 3 // 20  # log10(2) > 0.3, so hi is nonzero
+    hi, lo = divmod(value, 10**half)
+    return int_to_text(hi) + int_to_text(lo).zfill(half)
 
 
 # ---------------------------------------------------------------------------

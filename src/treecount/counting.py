@@ -61,14 +61,8 @@ def count_total_trees(n: int) -> int:
 def count_trees_with_degrees(d: DegreeSequence) -> int:
     """(n-2)! / prod((d_i - 1)!) labeled trees with degree vector d."""
     validate_degrees(d.degrees)
-    total = 0
-    out = 1
-    for deg in d.degrees:
-        total += deg - 1
-        out *= binomial(total, deg - 1)
-    # total ends at n-2 by the degree-sum invariant, so out is the full
-    # multinomial coefficient
-    return out
+    # the parts d_i - 1 sum to n-2 by the degree-sum invariant
+    return multinomial(deg - 1 for deg in d.degrees)
 
 
 def _check_deg_v1_args(n: int, k: int) -> None:

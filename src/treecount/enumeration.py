@@ -29,6 +29,7 @@ from treecount.core import (
     LabeledTree,
     OutOfRange,
     PruferSequence,
+    _acyclic,
     validate_degrees,
 )
 
@@ -71,7 +72,7 @@ class Forest(NamedTuple):
 
 
 def _decode_edges(n: int, symbols: Iterable[int]) -> tuple[Edge, ...]:
-    # pointer-based decode, n >= 3; the smallest current leaf is tracked in
+    # pointer-based decode, n >= 2; the smallest current leaf is tracked in
     # leaf, the scan frontier in ptr
     deg = [1] * (n + 1)
     for s in symbols:
@@ -101,8 +102,6 @@ def prufer_decode(seq: PruferSequence) -> LabeledTree:
     n = seq.n
     if n == 1:
         return LabeledTree(1, ())
-    if n == 2:
-        return LabeledTree(2, ((1, 2),))
     return LabeledTree(n, _decode_edges(n, seq.symbols))
 
 
@@ -147,28 +146,9 @@ def _all_trees_stream(n: int) -> Iterator[LabeledTree]:
     if n == 1:
         yield LabeledTree(1, ())
         return
-    if n == 2:
-        yield LabeledTree(2, ((1, 2),))
-        return
     decode = _decode_edges
     for symbols in product(range(1, n + 1), repeat=n - 2):
         yield LabeledTree(n, decode(n, symbols))
-
-
-def _is_spanning_tree(n: int, edges: tuple[Edge, ...]) -> bool:
-    # n-1 edges without a cycle are automatically connected
-    parent = list(range(n + 1))
-    for u, v in edges:
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        if u == v:
-            return False
-        parent[u] = v
-    return True
 
 
 def enumerate_all_trees_by_edges(n: int) -> Iterator[LabeledTree]:
@@ -182,12 +162,9 @@ def enumerate_all_trees_by_edges(n: int) -> Iterator[LabeledTree]:
 
 
 def _edge_subset_stream(n: int) -> Iterator[LabeledTree]:
-    if n == 1:
-        yield LabeledTree(1, ())
-        return
     all_edges = list(combinations(range(1, n + 1), 2))
     for subset in combinations(all_edges, n - 1):
-        if _is_spanning_tree(n, subset):
+        if _acyclic(n, subset):
             yield LabeledTree(n, subset)
 
 
@@ -204,9 +181,6 @@ def enumerate_trees_with_degrees(d: DegreeSequence) -> Iterator[LabeledTree]:
 
 def _degree_filtered_stream(degrees: tuple[int, ...]) -> Iterator[LabeledTree]:
     n = len(degrees)
-    if n == 2:
-        yield LabeledTree(2, ((1, 2),))
-        return
     pool = [[v, c - 1] for v, c in enumerate(degrees, start=1) if c > 1]
     for symbols in _multiset_sequences(pool, n - 2):
         yield LabeledTree(n, _decode_edges(n, symbols))
@@ -239,9 +213,6 @@ def deg_v1_histogram(n: int) -> dict[int, int]:
     if n > PRUFER_ENUM_CAP:
         raise CapExceeded(f"n={n} beyond the sweep cap {PRUFER_ENUM_CAP}")
     hist = {k: 0 for k in range(1, n)}
-    if n == 2:
-        hist[1] = 1
-        return hist
     for symbols in product(range(1, n + 1), repeat=n - 2):
         hist[symbols.count(1) + 1] += 1
     return hist

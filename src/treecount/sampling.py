@@ -18,8 +18,8 @@ from __future__ import annotations
 import random
 from typing import Iterator, NamedTuple
 
-from treecount.core import DegreeSequence, LabeledTree, OutOfRange, validate_degrees
-from treecount.enumeration import _decode_edges
+from treecount.core import DegreeSequence, LabeledTree, OutOfRange, PruferSequence, validate_degrees
+from treecount.enumeration import prufer_decode
 
 
 class SamplerConfig(NamedTuple):
@@ -58,13 +58,9 @@ def sample_uniform_tree(n: int, cfg: SamplerConfig) -> Iterator[LabeledTree]:
 def _uniform_stream(n: int, cfg: SamplerConfig) -> Iterator[LabeledTree]:
     rng = random.Random(cfg.seed)
     for _ in range(cfg.count):
-        if n == 1:
-            yield LabeledTree(1, ())
-        elif n == 2:
-            yield LabeledTree(2, ((1, 2),))
-        else:
-            symbols = tuple(_below(rng, n) + 1 for _ in range(n - 2))
-            yield LabeledTree(n, _decode_edges(n, symbols))
+        # no draws for n <= 2, whose sequence is empty
+        symbols = tuple(_below(rng, n) + 1 for _ in range(n - 2))
+        yield prufer_decode(PruferSequence(n, symbols))
 
 
 def sample_tree_with_degrees(
@@ -83,9 +79,6 @@ def _degree_stream(degrees: tuple[int, ...], cfg: SamplerConfig) -> Iterator[Lab
     n = len(degrees)
     base = [v for v, deg in enumerate(degrees, start=1) for _ in range(deg - 1)]
     for _ in range(cfg.count):
-        if n == 2:
-            yield LabeledTree(2, ((1, 2),))
-            continue
         symbols = base[:]
         _shuffle(rng, symbols)
-        yield LabeledTree(n, _decode_edges(n, symbols))
+        yield prufer_decode(PruferSequence(n, tuple(symbols)))

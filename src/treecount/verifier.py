@@ -12,29 +12,21 @@ tests inject a corrupted formula and watch the counterexamples surface.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import product
 from time import perf_counter
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from treecount import counting, enumeration
 from treecount.core import (
     CapExceeded,
     DegreeSequence,
     OutOfRange,
+    PruferSequence,
     as_integer,
     binomial,
-)
-
-IDENTITY_IDS = (
-    "THEOREM_1",
-    "DEG_V1_TOTALITY",
-    "LEMMA_1",
-    "EQ_20_RECURSION",
-    "DOUBLE_COUNT_PAIRS",
-    "L3_EXPANSION",
-    "SUPERVERTEX_MARGINAL",
-    "BINOMIAL_COLLAPSE",
-    "PRUFER_ROUNDTRIP",
+    int_to_text,
 )
 
 # Default grid tops: enumeration-backed checks stay within the module
@@ -61,9 +53,13 @@ class Failure:
     def to_record(self) -> dict:
         return {
             "parameters": self.parameters,
-            "expected": str(self.expected),
-            "got": str(self.got),
+            "expected": _text(self.expected),
+            "got": _text(self.got),
         }
+
+
+def _text(value: object) -> str:
+    return int_to_text(value) if isinstance(value, int) else str(value)
 
 
 @dataclass(frozen=True)
@@ -92,8 +88,54 @@ class IdentityReport:
         }
 
 
+# A case of an identity check is (where, expected, legs): legs is a tuple
+# of (suffix, got) pairs, each of which must equal expected.
+_Case = tuple[tuple, object, tuple[tuple[str, object], ...]]
+
+
+def _check_grid(cap: tuple[str, int] | None = None, /, **tops: int) -> None:
+    """Raise OutOfRange unless every grid top is at least 2, and
+    CapExceeded when the one top lies beyond the (kind, limit) cap."""
+    if min(tops.values()) < 2:
+        need = " and ".join(f"{name} >= 2" for name in tops)
+        raise OutOfRange(f"need {need}, got {', '.join(map(str, tops.values()))}")
+    if cap is not None:
+        kind, limit = cap
+        ((name, top),) = tops.items()
+        if top > limit:
+            raise CapExceeded(f"{name}={top} beyond the {kind} cap {limit}")
+
+
+def _run(
+    identity_id: str, grid: str, label: Callable[..., str], cases: Iterable[_Case]
+) -> IdentityReport:
+    """Walk every case, timing the walk.  A case counts once in checked
+    however many legs it has; a failing leg is reported under
+    label(*where) + suffix, which is built only on failure."""
+    start = perf_counter()
+    failures = []
+    checked = 0
+    for where, expected, legs in cases:
+        checked += 1
+        for suffix, got in legs:
+            if got != expected:
+                failures.append(Failure(label(*where) + suffix, expected, got))
+    return IdentityReport(identity_id, grid, checked, tuple(failures), perf_counter() - start)
+
+
+def _run_totals(identity_id: str, n_max: int, legs: Callable[[int], tuple]) -> IdentityReport:
+    """Every leg of legs(n) against the total n^(n-2), for n = 2..n_max."""
+    _check_grid(n_max=n_max)
+    cases = (((n,), counting.count_total_trees(n), legs(n)) for n in range(2, n_max + 1))
+    return _run(identity_id, f"n=2..{n_max}", lambda n: f"n={n}", cases)
+
+
 def _ilen(stream: Iterable) -> int:
     return sum(1 for _ in stream)
+
+
+def _parts_label(m: int, comp) -> str:
+    return f"m={m},a={','.join(map(str, comp.parts))}"
 
 
 def verify_theorem1(
@@ -101,26 +143,21 @@ def verify_theorem1(
 ) -> IdentityReport:
     """Degree-sequence formula against filtered enumeration, for every
     valid degree sequence with n <= n_max."""
-    if n_max < 2:
-        raise OutOfRange(f"need n_max >= 2, got {n_max}")
-    if n_max > enumeration.PRUFER_ENUM_CAP:
-        raise CapExceeded(
-            f"n_max={n_max} beyond the sweep cap {enumeration.PRUFER_ENUM_CAP}"
-        )
+    _check_grid(("sweep", enumeration.PRUFER_ENUM_CAP), n_max=n_max)
     fn = formula if formula is not None else counting.count_trees_with_degrees
-    start = perf_counter()
-    failures = []
-    checked = 0
-    for n in range(2, n_max + 1):
-        for comp in enumeration.enumerate_compositions(2 * n - 2, n):
-            d = DegreeSequence(comp.parts)
-            expected = _ilen(enumeration.enumerate_trees_with_degrees(d))
-            got = fn(d)
-            checked += 1
-            if got != expected:
-                failures.append(Failure(f"n={n},d={','.join(map(str, d.degrees))}", expected, got))
-    return IdentityReport(
-        "THEOREM_1", f"n=2..{n_max}", checked, tuple(failures), perf_counter() - start
+
+    def cases() -> Iterator[_Case]:
+        for n in range(2, n_max + 1):
+            for comp in enumeration.enumerate_compositions(2 * n - 2, n):
+                d = DegreeSequence(comp.parts)
+                expected = _ilen(enumeration.enumerate_trees_with_degrees(d))
+                yield (n, d), expected, (("", fn(d)),)
+
+    return _run(
+        "THEOREM_1",
+        f"n=2..{n_max}",
+        lambda n, d: f"n={n},d={','.join(map(str, d.degrees))}",
+        cases(),
     )
 
 
@@ -128,20 +165,9 @@ def verify_deg_v1_totality(
     n_max: int = 30, *, formula: Callable[[int, int], int] | None = None
 ) -> IdentityReport:
     """The by-degree-of-vertex-1 counts must sum to the total count."""
-    if n_max < 2:
-        raise OutOfRange(f"need n_max >= 2, got {n_max}")
     fn = formula if formula is not None else counting.count_trees_deg_v1
-    start = perf_counter()
-    failures = []
-    checked = 0
-    for n in range(2, n_max + 1):
-        expected = counting.count_total_trees(n)
-        got = sum(fn(n, k) for k in range(1, n))
-        checked += 1
-        if got != expected:
-            failures.append(Failure(f"n={n}", expected, got))
-    return IdentityReport(
-        "DEG_V1_TOTALITY", f"n=2..{n_max}", checked, tuple(failures), perf_counter() - start
+    return _run_totals(
+        "DEG_V1_TOTALITY", n_max, lambda n: (("", sum(fn(n, k) for k in range(1, n))),)
     )
 
 
@@ -151,33 +177,27 @@ def verify_lemma1(
     """Four-way agreement at every (n, k): the composition-sum count, the
     literal rational form, the rational-free form, and (while n is within
     the sweep cap) the occurrence-counting brute force."""
-    if n_max < 2:
-        raise OutOfRange(f"need n_max >= 2, got {n_max}")
+    _check_grid(n_max=n_max)
     fn = lhs if lhs is not None else counting.lemma1_lhs
-    start = perf_counter()
-    failures = []
-    checked = 0
-    for n in range(2, n_max + 1):
-        hist = (
-            enumeration.deg_v1_histogram(n)
-            if n <= enumeration.PRUFER_ENUM_CAP
-            else None
-        )
-        for k in range(1, n):
-            reference = counting.count_trees_deg_v1(n, k)
-            legs = {
-                "composition sum": fn(n, k),
-                "rational form": as_integer(counting.count_trees_deg_v1_rational(n, k)),
-            }
-            if hist is not None:
-                legs["brute force"] = hist[k]
-            checked += 1
-            for name, value in legs.items():
-                if value != reference:
-                    failures.append(Failure(f"n={n},k={k},{name}", reference, value))
-    return IdentityReport(
-        "LEMMA_1", f"n=2..{n_max}", checked, tuple(failures), perf_counter() - start
-    )
+
+    def cases() -> Iterator[_Case]:
+        for n in range(2, n_max + 1):
+            hist = (
+                enumeration.deg_v1_histogram(n)
+                if n <= enumeration.PRUFER_ENUM_CAP
+                else None
+            )
+            for k in range(1, n):
+                reference = counting.count_trees_deg_v1(n, k)
+                legs = (
+                    (",composition sum", fn(n, k)),
+                    (",rational form", as_integer(counting.count_trees_deg_v1_rational(n, k))),
+                )
+                if hist is not None:
+                    legs += ((",brute force", hist[k]),)
+                yield (n, k), reference, legs
+
+    return _run("LEMMA_1", f"n=2..{n_max}", lambda n, k: f"n={n},k={k}", cases())
 
 
 def verify_double_count(
@@ -185,52 +205,32 @@ def verify_double_count(
 ) -> IdentityReport:
     """Pair enumeration against both closed form T_m * C(m-1, k-1) and the
     component-based assembly, for every m <= m_max and every k."""
-    if m_max < 2:
-        raise OutOfRange(f"need m_max >= 2, got {m_max}")
-    if m_max > enumeration.PAIR_ENUM_CAP:
-        raise CapExceeded(
-            f"m_max={m_max} beyond the pair cap {enumeration.PAIR_ENUM_CAP}"
-        )
+    _check_grid(("pair", enumeration.PAIR_ENUM_CAP), m_max=m_max)
     fn = assembly if assembly is not None else counting.assemble_double_count
-    start = perf_counter()
-    failures = []
-    checked = 0
-    for m in range(2, m_max + 1):
-        for k in range(1, m + 1):
-            expected = _ilen(enumeration.enumerate_edge_subsets_pairs(m, k))
-            closed = counting.count_total_trees(m) * binomial(m - 1, k - 1)
-            assembled = fn(m, k)
-            checked += 1
-            if closed != expected:
-                failures.append(Failure(f"m={m},k={k},closed form", expected, closed))
-            if assembled != expected:
-                failures.append(Failure(f"m={m},k={k},assembly", expected, assembled))
-    return IdentityReport(
-        "DOUBLE_COUNT_PAIRS", f"m=2..{m_max}", checked, tuple(failures), perf_counter() - start
+    cases = (
+        (
+            (m, k),
+            _ilen(enumeration.enumerate_edge_subsets_pairs(m, k)),
+            (
+                (",closed form", counting.count_total_trees(m) * binomial(m - 1, k - 1)),
+                (",assembly", fn(m, k)),
+            ),
+        )
+        for m in range(2, m_max + 1)
+        for k in range(1, m + 1)
     )
+    return _run("DOUBLE_COUNT_PAIRS", f"m=2..{m_max}", lambda m, k: f"m={m},k={k}", cases)
 
 
 def verify_recursion_and_collapse(
     n_max: int = 30, *, recursion: Callable[[int], int] | None = None
 ) -> IdentityReport:
     """recursion_T(n) = binomial_collapse(n) = n^(n-2) for n <= n_max."""
-    if n_max < 2:
-        raise OutOfRange(f"need n_max >= 2, got {n_max}")
     fn = recursion if recursion is not None else counting.recursion_T
-    start = perf_counter()
-    failures = []
-    checked = 0
-    for n in range(2, n_max + 1):
-        expected = counting.count_total_trees(n)
-        rec = fn(n)
-        collapse = counting.binomial_collapse(n)
-        checked += 1
-        if rec != expected:
-            failures.append(Failure(f"n={n},recursion", expected, rec))
-        if collapse != expected:
-            failures.append(Failure(f"n={n},collapse", expected, collapse))
-    return IdentityReport(
-        "EQ_20_RECURSION", f"n=2..{n_max}", checked, tuple(failures), perf_counter() - start
+    return _run_totals(
+        "EQ_20_RECURSION",
+        n_max,
+        lambda n: ((",recursion", fn(n)), (",collapse", counting.binomial_collapse(n))),
     )
 
 
@@ -238,21 +238,8 @@ def verify_binomial_collapse(
     n_max: int = 30, *, collapse: Callable[[int], int] | None = None
 ) -> IdentityReport:
     """Term-by-term binomial sum against the closed form."""
-    if n_max < 2:
-        raise OutOfRange(f"need n_max >= 2, got {n_max}")
     fn = collapse if collapse is not None else counting.binomial_collapse
-    start = perf_counter()
-    failures = []
-    checked = 0
-    for n in range(2, n_max + 1):
-        expected = counting.count_total_trees(n)
-        got = fn(n)
-        checked += 1
-        if got != expected:
-            failures.append(Failure(f"n={n}", expected, got))
-    return IdentityReport(
-        "BINOMIAL_COLLAPSE", f"n=2..{n_max}", checked, tuple(failures), perf_counter() - start
-    )
+    return _run_totals("BINOMIAL_COLLAPSE", n_max, lambda n: (("", fn(n)),))
 
 
 def verify_l3_expansion(
@@ -260,31 +247,15 @@ def verify_l3_expansion(
 ) -> IdentityReport:
     """Multinomial expansion against m^(k-2) * prod(a_i) on every positive
     composition with k <= k_max parts and total m <= m_max."""
-    if m_max < 2 or k_max < 2:
-        raise OutOfRange(f"need m_max >= 2 and k_max >= 2, got {m_max}, {k_max}")
+    _check_grid(m_max=m_max, k_max=k_max)
     fn = expansion if expansion is not None else counting.expand_L3
-    start = perf_counter()
-    failures = []
-    checked = 0
-    for k in range(2, k_max + 1):
-        for m in range(k, m_max + 1):
-            for comp in enumeration.enumerate_compositions(m, k):
-                expected = m ** (k - 2)
-                for a in comp.parts:
-                    expected *= a
-                got = fn(comp, m)
-                checked += 1
-                if got != expected:
-                    failures.append(
-                        Failure(f"m={m},a={','.join(map(str, comp.parts))}", expected, got)
-                    )
-    return IdentityReport(
-        "L3_EXPANSION",
-        f"k=2..{k_max},m<={m_max}",
-        checked,
-        tuple(failures),
-        perf_counter() - start,
+    cases = (
+        ((m, comp), m ** (k - 2) * math.prod(comp.parts), (("", fn(comp, m)),))
+        for k in range(2, k_max + 1)
+        for m in range(k, m_max + 1)
+        for comp in enumeration.enumerate_compositions(m, k)
     )
+    return _run("L3_EXPANSION", f"k=2..{k_max},m<={m_max}", _parts_label, cases)
 
 
 def verify_supervertex_marginal(
@@ -292,67 +263,42 @@ def verify_supervertex_marginal(
 ) -> IdentityReport:
     """Summing the component-joining counts over all degree sequences on k
     super vertices must reproduce the multinomial expansion."""
-    if m_max < 2 or k_max < 2:
-        raise OutOfRange(f"need m_max >= 2 and k_max >= 2, got {m_max}, {k_max}")
+    _check_grid(m_max=m_max, k_max=k_max)
     fn = joiner if joiner is not None else counting.count_supervertex_trees
-    start = perf_counter()
-    failures = []
-    checked = 0
-    for k in range(2, k_max + 1):
-        degree_choices = [
-            DegreeSequence(c.parts)
-            for c in enumeration.enumerate_compositions(2 * k - 2, k)
-        ]
-        for m in range(k, m_max + 1):
-            for comp in enumeration.enumerate_compositions(m, k):
-                expected = counting.expand_L3(comp, m)
-                got = sum(fn(d, comp) for d in degree_choices)
-                checked += 1
-                if got != expected:
-                    failures.append(
-                        Failure(f"m={m},a={','.join(map(str, comp.parts))}", expected, got)
-                    )
-    return IdentityReport(
-        "SUPERVERTEX_MARGINAL",
-        f"k=2..{k_max},m<={m_max}",
-        checked,
-        tuple(failures),
-        perf_counter() - start,
-    )
+
+    def cases() -> Iterator[_Case]:
+        for k in range(2, k_max + 1):
+            degree_choices = [
+                DegreeSequence(c.parts)
+                for c in enumeration.enumerate_compositions(2 * k - 2, k)
+            ]
+            for m in range(k, m_max + 1):
+                for comp in enumeration.enumerate_compositions(m, k):
+                    expected = counting.expand_L3(comp, m)
+                    yield (m, comp), expected, (("", sum(fn(d, comp) for d in degree_choices)),)
+
+    return _run("SUPERVERTEX_MARGINAL", f"k=2..{k_max},m<={m_max}", _parts_label, cases())
 
 
 def verify_prufer_roundtrip(n_max: int = 7) -> IdentityReport:
     """encode(decode(s)) = s over all sequences and decode(encode(t)) = t
     over all trees, for 2 <= n <= n_max."""
-    if n_max < 2:
-        raise OutOfRange(f"need n_max >= 2, got {n_max}")
-    if n_max > enumeration.PRUFER_ENUM_CAP:
-        raise CapExceeded(
-            f"n_max={n_max} beyond the sweep cap {enumeration.PRUFER_ENUM_CAP}"
-        )
-    from itertools import product
+    _check_grid(("sweep", enumeration.PRUFER_ENUM_CAP), n_max=n_max)
 
-    from treecount.core import PruferSequence
+    def cases() -> Iterator[_Case]:
+        for n in range(2, n_max + 1):
+            for symbols in product(range(1, n + 1), repeat=n - 2):
+                seq = PruferSequence(n, symbols)
+                tree = enumeration.prufer_decode(seq)
+                back = enumeration.prufer_encode(tree)
+                yield (n, "s", symbols), seq, (("", back),)
+                # a tree whose sequence failed is not checked again
+                if back == seq:
+                    again = enumeration.prufer_decode(back)
+                    yield (n, "t", tree.edges), tree, (("", again),)
 
-    start = perf_counter()
-    failures = []
-    checked = 0
-    for n in range(2, n_max + 1):
-        symbol_sets = product(range(1, n + 1), repeat=n - 2) if n > 2 else [()]
-        for symbols in symbol_sets:
-            seq = PruferSequence(n, tuple(symbols))
-            tree = enumeration.prufer_decode(seq)
-            back = enumeration.prufer_encode(tree)
-            checked += 1
-            if back != seq:
-                failures.append(Failure(f"n={n},s={symbols}", seq, back))
-                continue
-            again = enumeration.prufer_decode(back)
-            checked += 1
-            if again != tree:
-                failures.append(Failure(f"n={n},t={tree.edges}", tree, again))
-    return IdentityReport(
-        "PRUFER_ROUNDTRIP", f"n=2..{n_max}", checked, tuple(failures), perf_counter() - start
+    return _run(
+        "PRUFER_ROUNDTRIP", f"n=2..{n_max}", lambda n, side, x: f"n={n},{side}={x}", cases()
     )
 
 
@@ -367,6 +313,7 @@ _REGISTRY: dict[str, Callable[[int], IdentityReport]] = {
     "BINOMIAL_COLLAPSE": verify_binomial_collapse,
     "PRUFER_ROUNDTRIP": verify_prufer_roundtrip,
 }
+IDENTITY_IDS = tuple(_REGISTRY)
 
 
 def verify_all(limits: Mapping[str, int] | None = None) -> list[IdentityReport]:
@@ -374,11 +321,10 @@ def verify_all(limits: Mapping[str, int] | None = None) -> list[IdentityReport]:
     reported as a failed entry (got = the CapExceeded message) without
     aborting the remaining checks."""
     reports = []
-    for identity_id in IDENTITY_IDS:
+    for identity_id, check in _REGISTRY.items():
         limit = DEFAULT_LIMITS[identity_id]
         if limits and identity_id in limits:
             limit = limits[identity_id]
-        check = _REGISTRY[identity_id]
         start = perf_counter()
         try:
             reports.append(check(limit))

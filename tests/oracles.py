@@ -65,3 +65,15 @@ def trees_with_deg_v1(n: int, k: int) -> set[tuple[Edge, ...]]:
     return {
         t for t in spanning_trees(n) if degree_vector(n, t)[0] == k
     }
+
+
+def parse_decimal(text: str) -> int:
+    """Read decimal digits of any length, 1000 at a time: int() refuses
+    text beyond the interpreter's digit limit (4300 by default)."""
+    sign, digits = (-1, text[1:]) if text.startswith("-") else (1, text)
+    assert digits.isdigit(), text[:40]
+    value = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i : i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return sign * value

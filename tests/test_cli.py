@@ -5,7 +5,9 @@ from __future__ import annotations
 import io
 import json
 
+import pytest
 
+from oracles import parse_decimal
 from treecount import counting
 from treecount.cli import main
 
@@ -48,6 +50,23 @@ class TestCount:
     def test_usage_error_exit_2(self, capsys):
         assert run_cli(["count", "nonsense"])[0] == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("n", [1500, 2000])
+    @pytest.mark.parametrize("subject", ["total", "degv1"])
+    def test_counts_beyond_digit_limit_print_in_full(self, n, subject):
+        # n^(n-2) has more than 4300 digits from n = 1400 on
+        if subject == "total":
+            argv, value = ["-n", str(n)], counting.count_total_trees(n)
+        else:
+            argv, value = ["-n", str(n), "-k", "1"], counting.count_trees_deg_v1(n, 1)
+        code, out, err = run_cli(["count", subject, *argv])
+        assert (code, err) == (0, "")
+        assert out.endswith("\n") and parse_decimal(out[:-1]) == value
+        code, csv_out, _ = run_cli(["count", subject, *argv, "--format", "csv"])
+        assert code == 0 and csv_out == "count\n" + out
+        code, json_out, _ = run_cli(["count", subject, *argv, "--format", "json"])
+        assert code == 0 and json_out.count("\n") == 1
+        assert json.loads(json_out)["count"] == out[:-1]
 
 
 class TestEnumerate:
@@ -101,6 +120,26 @@ class TestEnumerate:
 
     def test_single_vertex(self):
         assert run_cli(["enumerate", "-n", "1"]) == (0, "n 1\n", "")
+
+    def test_single_vertex_prufer_refused(self):
+        # a one-vertex tree has no sequence; an empty line would read back as n = 2
+        refused = (2, "", "treecount: encoding needs at least 2 vertices\n")
+        assert run_cli(["enumerate", "-n", "1", "--format", "prufer"]) == refused
+        assert run_cli(["enumerate", "-n", "1", "--format", "prufer", "--count"]) == refused
+        assert run_cli(["prufer", "encode"], "n 1\n") == refused
+
+    def test_negative_limit_exit_2(self):
+        for fmt in ("edges", "csv"):
+            assert run_cli(["enumerate", "-n", "3", "--format", fmt, "--limit", "-1"]) == (
+                2,
+                "",
+                "treecount: --limit must be >= 0, got -1\n",
+            )
+        assert run_cli(["enumerate", "-n", "3", "--limit", "0", "--count"]) == (
+            0,
+            "count 0\n",
+            "",
+        )
 
     def test_cap_exit_3(self):
         code, _, err = run_cli(["enumerate", "-n", "12"])
@@ -189,6 +228,14 @@ class TestSample:
     def test_validation_exit_2(self):
         assert run_cli(["sample", "--degrees", "1,2", "--count", "1"])[0] == 2
 
+    def test_single_vertex_prufer_refused(self):
+        assert run_cli(["sample", "-n", "1", "--count", "3", "--format", "prufer"]) == (
+            2,
+            "",
+            "treecount: encoding needs at least 2 vertices\n",
+        )
+        assert run_cli(["sample", "-n", "1", "--count", "2"]) == (0, "n 1\n" * 2, "")
+
 
 class TestVerify:
     def test_all_max_n_6_json(self):
@@ -224,6 +271,19 @@ class TestVerify:
         assert code == 1
         assert "counterexamples:" in out
         assert "THEOREM_1 n=2,d=1,1: expected 1, got 0" in out
+
+    def test_huge_counterexample_prints_in_full(self, monkeypatch):
+        huge = 7**9000  # 7606 digits
+        monkeypatch.setattr(counting, "binomial_collapse", lambda n: huge)
+        code, out, err = run_cli(["verify", "collapse", "--max-n", "3"])
+        assert (code, err) == (1, "")
+        line = out.splitlines()[-1]
+        assert line.startswith("  BINOMIAL_COLLAPSE n=3: expected 3, got ")
+        assert parse_decimal(line.rsplit(" ", 1)[1]) == huge
+        code, out, _ = run_cli(["verify", "collapse", "--max-n", "3", "--json"])
+        assert code == 1
+        failures = json.loads(out)["reports"][0]["failures"]
+        assert [parse_decimal(f["got"]) for f in failures] == [huge, huge]
 
     def test_over_cap_single_subject_exit_3(self):
         code, _, err = run_cli(["verify", "theorem1", "--max-n", "12"])

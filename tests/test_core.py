@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import parse_decimal
 from strategies import labeled_trees
 from treecount.core import (
     BadVertex,
@@ -28,6 +29,7 @@ from treecount.core import (
     degree_sequence,
     exact_div,
     factorial,
+    int_to_text,
     multinomial,
     prufer_sequence,
     prufer_to_text,
@@ -147,6 +149,17 @@ class TestArithmetic:
         assert as_integer(Fraction(14, 2)) == 7
         with pytest.raises(NonIntegralResult):
             as_integer(Fraction(1, 3))
+
+    def test_int_to_text_small_matches_str(self):
+        for value in (0, 7, -7, 10**600, 2**2000, -(2**2001) + 1, 10**4000 - 1):
+            assert int_to_text(value) == str(value)
+
+    def test_int_to_text_beyond_digit_limit(self):
+        # str() refuses these under the default 4300-digit limit
+        for value in (10**5000, 10**5000 - 1, 3**20000, -(7**9000), 2000**1998):
+            text = int_to_text(value)
+            assert parse_decimal(text) == value
+            assert text.lstrip("-")[0] != "0"
 
 
 class TestFactories:

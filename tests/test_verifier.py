@@ -6,8 +6,14 @@ import json
 
 import pytest
 
-from treecount import counting
-from treecount.core import CapExceeded, DegreeSequence, OutOfRange
+from treecount import counting, enumeration
+from treecount.core import (
+    CapExceeded,
+    DegreeSequence,
+    LabeledTree,
+    OutOfRange,
+    PruferSequence,
+)
 from treecount.verifier import (
     DEFAULT_LIMITS,
     IDENTITY_IDS,
@@ -77,10 +83,13 @@ class TestIndividualChecks:
     def test_l3_expansion(self):
         report = verify_l3_expansion(10, 5)
         assert report.status == "PASS"
-        assert report.checked > 0
+        # compositions of m into k parts, k = 2..5, m = k..10
+        assert report.checked == 627
 
     def test_supervertex_marginal(self):
-        assert verify_supervertex_marginal(10, 5).status == "PASS"
+        report = verify_supervertex_marginal(10, 5)
+        assert report.status == "PASS"
+        assert report.checked == 627
 
     def test_prufer_roundtrip(self):
         report = verify_prufer_roundtrip(5)
@@ -92,21 +101,31 @@ class TestIndividualChecks:
         for fn in (
             verify_theorem1,
             verify_lemma1,
-            verify_double_count,
             verify_recursion_and_collapse,
             verify_deg_v1_totality,
             verify_binomial_collapse,
             verify_prufer_roundtrip,
         ):
-            with pytest.raises(OutOfRange):
+            with pytest.raises(OutOfRange, match=r"^need n_max >= 2, got 1$"):
                 fn(1)
+        with pytest.raises(OutOfRange, match=r"^need m_max >= 2, got 1$"):
+            verify_double_count(1)
+        for fn in (verify_l3_expansion, verify_supervertex_marginal):
+            with pytest.raises(
+                OutOfRange, match=r"^need m_max >= 2 and k_max >= 2, got 1, 5$"
+            ):
+                fn(1)
+            with pytest.raises(
+                OutOfRange, match=r"^need m_max >= 2 and k_max >= 2, got 5, 1$"
+            ):
+                fn(5, 1)
 
     def test_cap_validation(self):
-        with pytest.raises(CapExceeded):
+        with pytest.raises(CapExceeded, match=r"^n_max=10 beyond the sweep cap 9$"):
             verify_theorem1(10)
-        with pytest.raises(CapExceeded):
+        with pytest.raises(CapExceeded, match=r"^m_max=7 beyond the pair cap 6$"):
             verify_double_count(7)
-        with pytest.raises(CapExceeded):
+        with pytest.raises(CapExceeded, match=r"^n_max=10 beyond the sweep cap 9$"):
             verify_prufer_roundtrip(10)
 
 
@@ -138,6 +157,90 @@ class TestFaultInjection:
         report = verify_double_count(3, assembly=lambda m, k: 10**9)
         assert report.status == "FAIL"
         assert all("assembly" in f.parameters for f in report.failures)
+
+    def test_deg_v1_totality_pins_failures(self):
+        def broken(n: int, k: int) -> int:
+            return counting.count_trees_deg_v1(n, k) + (k == 2 and n >= 5)
+
+        report = verify_deg_v1_totality(6, formula=broken)
+        assert report.checked == 5
+        assert [(f.parameters, f.expected, f.got) for f in report.failures] == [
+            ("n=5", 125, 126),
+            ("n=6", 1296, 1297),
+        ]
+
+    def test_l3_expansion_pins_failures(self):
+        def broken(comp, m: int) -> int:
+            value = counting.expand_L3(comp, m)
+            return 2 * value if comp.parts[0] == 2 else value
+
+        report = verify_l3_expansion(5, 3, expansion=broken)
+        assert report.checked == 20
+        assert [(f.parameters, f.expected, f.got) for f in report.failures] == [
+            ("m=3,a=2,1", 2, 4),
+            ("m=4,a=2,2", 4, 8),
+            ("m=5,a=2,3", 6, 12),
+            ("m=4,a=2,1,1", 8, 16),
+            ("m=5,a=2,1,2", 20, 40),
+            ("m=5,a=2,2,1", 20, 40),
+        ]
+
+    def test_supervertex_marginal_pins_failures(self):
+        def broken(d: DegreeSequence, comp) -> int:
+            value = counting.count_supervertex_trees(d, comp)
+            return value + (d.degrees[0] == 2 and comp.parts[-1] == 1)
+
+        report = verify_supervertex_marginal(5, 3, joiner=broken)
+        assert report.checked == 20
+        assert [(f.parameters, f.expected, f.got) for f in report.failures] == [
+            ("m=3,a=1,1,1", 3, 4),
+            ("m=4,a=1,2,1", 8, 9),
+            ("m=4,a=2,1,1", 8, 9),
+            ("m=5,a=1,3,1", 15, 16),
+            ("m=5,a=2,2,1", 20, 21),
+            ("m=5,a=3,1,1", 15, 16),
+        ]
+
+    def test_prufer_roundtrip_sequence_side(self, monkeypatch):
+        real = enumeration.prufer_encode
+
+        def broken(tree: LabeledTree) -> PruferSequence:
+            seq = real(tree)
+            return PruferSequence(4, (2, 1)) if seq == (4, (1, 2)) else seq
+
+        monkeypatch.setattr(enumeration, "prufer_encode", broken)
+        report = verify_prufer_roundtrip(4)
+        # the failed sequence skips its tree-side check
+        assert report.checked == 2 * (1 + 3 + 16) - 1
+        assert [f.to_record() for f in report.failures] == [
+            {
+                "parameters": "n=4,s=(1, 2)",
+                "expected": "PruferSequence(n=4, symbols=(1, 2))",
+                "got": "PruferSequence(n=4, symbols=(2, 1))",
+            }
+        ]
+
+    def test_prufer_roundtrip_tree_side(self, monkeypatch):
+        real = enumeration.prufer_decode
+        seen = set()
+
+        def flaky(seq: PruferSequence) -> LabeledTree:
+            # the second decode of the sequence 1 at n = 3 goes wrong
+            if seq == (3, (1,)) and seq in seen:
+                return LabeledTree(3, ((1, 2), (2, 3)))
+            seen.add(seq)
+            return real(seq)
+
+        monkeypatch.setattr(enumeration, "prufer_decode", flaky)
+        report = verify_prufer_roundtrip(4)
+        assert report.checked == 2 * (1 + 3 + 16)
+        assert [f.to_record() for f in report.failures] == [
+            {
+                "parameters": "n=3,t=((1, 2), (1, 3))",
+                "expected": "LabeledTree(n=3, edges=((1, 2), (1, 3)))",
+                "got": "LabeledTree(n=3, edges=((1, 2), (2, 3)))",
+            }
+        ]
 
 
 class TestVerifyAll:
@@ -190,6 +293,11 @@ class TestReportSerialization:
         assert entry["expected"] == str(counting.count_total_trees(3))
         assert record["failures"][-1]["expected"] == str(counting.count_total_trees(25))
         json.dumps(record)
+
+    def test_failure_record_beyond_digit_limit(self):
+        report = verify_binomial_collapse(3, collapse=lambda n: -(10**5000))
+        entry = report.to_record()["failures"][0]
+        assert entry == {"parameters": "n=2", "expected": "1", "got": "-1" + "0" * 5000}
 
     def test_pass_iff_no_failures(self):
         good = verify_lemma1(3)
