@@ -141,18 +141,18 @@ def cmd_enumerate(args, stdin: IO[str], stdout: IO[str]) -> int:
 
 
 def cmd_prufer(args, stdin: IO[str], stdout: IO[str]) -> int:
+    # every record is parsed and converted before any is written, so a bad
+    # record ends in its diagnostic alone, not after partial output
     if args.direction == "encode":
         seqs = map(enumeration.prufer_encode, read_trees(stdin))
         if args.format == "json":
-            lines: Iterator[str] = (
-                json.dumps({"n": seq.n, "symbols": list(seq.symbols)}) + "\n" for seq in seqs
-            )
+            lines = [json.dumps({"n": seq.n, "symbols": list(seq.symbols)}) + "\n" for seq in seqs]
         else:
-            lines = (prufer_to_text(seq) + "\n" for seq in seqs)
+            lines = [prufer_to_text(seq) + "\n" for seq in seqs]
     else:
         decoded = map(enumeration.prufer_decode, read_prufer_lines(stdin))
         fmt = "json" if args.format == "json" else "edges"
-        lines = _tree_lines(decoded, fmt)
+        lines = list(_tree_lines(decoded, fmt))
     stdout.writelines(lines)
     return 0
 

@@ -18,14 +18,19 @@ plus the helpers that join component counts into whole-tree counts
 arithmetic is exact; divisions assert exactness and raise
 NonIntegralResult on failure, which would indicate a bug rather than a
 rounding concern.
+
+The sums over compositions behind lemma1_lhs, recursion_T and expand_L3
+are labelled products, m! [x^m] of a product of exponential generating
+functions, so each is computed as repeated binomial convolution in time
+polynomial in n.  The literal sums stay in the tests as the oracle.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from math import comb
+from typing import NamedTuple, Sequence
 
 from treecount.core import (
     Composition,
@@ -47,6 +52,17 @@ class DegV1Count(NamedTuple):
     n: int
     k: int
     count: int
+
+
+def _binomial_convolution(m: int, f: Sequence[int], g: Sequence[int]) -> int:
+    """sum_a C(m, a) f[a] g[m-a]: coefficient m of the binomial convolution
+    of f and g, i.e. m! [x^m] F(x) G(x) for F = sum_a f[a] x^a / a! and G
+    likewise.  Entries past the end of f or g are zero.  Taken k times
+    from g = (1,), it is the labelled product: the sum over ordered
+    compositions (a_1..a_k) of m of m!/prod(a_i!) * prod f(a_i)."""
+    lo = max(0, m - len(g) + 1)
+    hi = min(m, len(f) - 1)
+    return sum(comb(m, a) * f[a] * g[m - a] for a in range(lo, hi + 1))
 
 
 def count_total_trees(n: int) -> int:
@@ -94,19 +110,17 @@ def lemma1_lhs(n: int, k: int) -> int:
     """Count trees with deg(vertex 1) = k by splitting off vertex 1.
 
     Sums (prod a_i * T_{a_i}) * (n-1)! / prod(a_i!) over all ordered
-    positive compositions (a_1..a_k) of n-1, then divides the ordered
-    total by k! (each unordered configuration is produced once per
-    labeling of the k components).  The division is asserted exact.
+    positive compositions (a_1..a_k) of n-1, as the k-fold binomial
+    convolution of f(a) = a * T_a, then divides the ordered total by k!
+    (each unordered configuration is produced once per labeling of the k
+    components).  The division is asserted exact.
     """
     _check_deg_v1_args(n, k)
-    m = n - 1
-    ordered = 0
-    for comp in enumerate_compositions(m, k):
-        term = multinomial(comp.parts)
-        for a in comp.parts:
-            term *= a * count_total_trees(a)
-        ordered += term
-    return exact_div(ordered, factorial(k))
+    f = [0] + [a * count_total_trees(a) for a in range(1, n)]
+    g = [1]
+    for _ in range(k):
+        g = [_binomial_convolution(j, f, g) for j in range(n)]
+    return exact_div(g[n - 1], factorial(k))
 
 
 def count_fixed_composition_trees(n: int, a: Composition) -> int:
@@ -128,37 +142,29 @@ def count_fixed_composition_trees(n: int, a: Composition) -> int:
     return out
 
 
-def _partitions(total: int, k: int, max_part: int):
-    # nonincreasing positive parts; total >= k >= 1
-    if k == 1:
-        if 1 <= total <= max_part:
-            yield (total,)
-        return
-    for first in range(min(max_part, total - k + 1), 0, -1):
-        for rest in _partitions(total - first, k - 1, first):
-            yield (first,) + rest
+@lru_cache(maxsize=None)
+def _eq20_column(m: int) -> tuple[int, ...]:
+    # Entry k is m! [x^m] F(x)^k with F = sum_{a>=1} a T_a x^a / a!: the
+    # ordered sum of m!/prod(a_i!) * prod(a_i T_{a_i}) over compositions
+    # of m into k parts.  Lower totals come from the recursion itself,
+    # never from the closed form.  recursion_T fills the columns in
+    # increasing m, so each lookup below is a cache hit.
+    if m == 0:
+        return (1,)
+    f = [0] + [a * _total_by_recursion(a) for a in range(1, m + 1)]
+    lower = [_eq20_column(j) for j in range(m)]
+    col = [0]
+    for k in range(1, m + 1):
+        g = [c[k - 1] if k <= len(c) else 0 for c in lower]
+        # a component of size a > m-k+1 leaves too few vertices for k-1 more
+        col.append(_binomial_convolution(m, f[: m - k + 2], g))
+    return tuple(col)
 
 
 @lru_cache(maxsize=None)
 def _total_by_recursion(n: int) -> int:
-    # The ordered-composition sum grouped by part multiset: each multiset
-    # stands for k!/prod(mult!) ordered tuples with identical summands,
-    # which keeps n = 30 tractable.  Lower totals come from this function
-    # itself, never from the closed form.
-    if n == 1:
-        return 1
-    m = n - 1
-    total = 0
-    for k in range(1, n):
-        ordered = 0
-        for parts in _partitions(m, k, m):
-            term = multinomial(parts)
-            for a in parts:
-                term *= a * _total_by_recursion(a)
-            orderings = multinomial(tuple(Counter(parts).values()))
-            ordered += orderings * term
-        total += exact_div(ordered, factorial(k))
-    return total
+    # Eq. 20: T_n = sum_k (ordered sum over k components of n-1) / k!
+    return sum(exact_div(c, factorial(k)) for k, c in enumerate(_eq20_column(n - 1)))
 
 
 def recursion_T(n: int) -> int:
@@ -166,6 +172,8 @@ def recursion_T(n: int) -> int:
     without ever evaluating the closed form n^(n-2)."""
     if n < 1:
         raise OutOfRange(f"need n >= 1, got {n}")
+    for j in range(1, n):  # bottom-up, so no call recurses deeper than one level
+        _total_by_recursion(j)
     return _total_by_recursion(n)
 
 
@@ -184,13 +192,13 @@ def expand_L3(a: Composition, m: int) -> int:
     k = len(parts)
     if k == 1:
         return 1
-    total = 0
-    for c in enumerate_compositions(k - 2, k, allow_zero=True):
-        term = multinomial(c.parts)
-        for base, exp in zip(parts, c.parts):
-            term *= base ** (exp + 1)
-        total += term
-    return total
+    # the binomial convolution of f_i(c) = a_i^(c+1), c = 0..k-2, over i
+    top = k - 2
+    g = [1]
+    for base in parts:
+        f = [base ** (c + 1) for c in range(top + 1)]
+        g = [_binomial_convolution(j, f, g) for j in range(top + 1)]
+    return g[top]
 
 
 def count_supervertex_trees(degrees: DegreeSequence, sizes: Composition) -> int:

@@ -43,6 +43,12 @@ DEFAULT_LIMITS: dict[str, int] = {
     "PRUFER_ROUNDTRIP": 7,
 }
 
+# Work caps of the two formula-only grids whose cost grows fastest: a
+# grid top N costs about N^3 big-integer products in recursion_T and N^5
+# in lemma1_lhs.  At the cap each check takes about 1-2 s of CPU.
+EQ_20_CAP = 175
+LEMMA_1_CAP = 30
+
 
 @dataclass(frozen=True)
 class Failure:
@@ -123,9 +129,14 @@ def _run(
     return IdentityReport(identity_id, grid, checked, tuple(failures), perf_counter() - start)
 
 
-def _run_totals(identity_id: str, n_max: int, legs: Callable[[int], tuple]) -> IdentityReport:
+def _run_totals(
+    identity_id: str,
+    n_max: int,
+    legs: Callable[[int], tuple],
+    cap: tuple[str, int] | None = None,
+) -> IdentityReport:
     """Every leg of legs(n) against the total n^(n-2), for n = 2..n_max."""
-    _check_grid(n_max=n_max)
+    _check_grid(cap, n_max=n_max)
     cases = (((n,), counting.count_total_trees(n), legs(n)) for n in range(2, n_max + 1))
     return _run(identity_id, f"n=2..{n_max}", lambda n: f"n={n}", cases)
 
@@ -177,7 +188,7 @@ def verify_lemma1(
     """Four-way agreement at every (n, k): the composition-sum count, the
     literal rational form, the rational-free form, and (while n is within
     the sweep cap) the occurrence-counting brute force."""
-    _check_grid(n_max=n_max)
+    _check_grid(("LEMMA_1 work", LEMMA_1_CAP), n_max=n_max)
     fn = lhs if lhs is not None else counting.lemma1_lhs
 
     def cases() -> Iterator[_Case]:
@@ -231,6 +242,7 @@ def verify_recursion_and_collapse(
         "EQ_20_RECURSION",
         n_max,
         lambda n: ((",recursion", fn(n)), (",collapse", counting.binomial_collapse(n))),
+        ("EQ_20 work", EQ_20_CAP),
     )
 
 

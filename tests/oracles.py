@@ -6,11 +6,18 @@ local union-find connectivity check, so they give an independent second
 opinion on both the closed-form counters and the package's Prufer-based
 enumerators.  Only practical for small n (the subset count is
 C(n(n-1)/2, n-1)).
+
+The literal sums over compositions and partitions behind Lemma 1, Eq. 20
+and L3 live here too, written with math.comb and math.factorial only:
+the package computes the same sums as binomial convolutions.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from functools import lru_cache
 from itertools import combinations
+from math import comb, factorial, prod
 
 Edge = tuple[int, int]
 
@@ -77,3 +84,82 @@ def parse_decimal(text: str) -> int:
         chunk = digits[i : i + 1000]
         value = value * 10 ** len(chunk) + int(chunk)
     return sign * value
+
+
+def _multinomial(parts) -> int:
+    return factorial(sum(parts)) // prod(factorial(p) for p in parts)
+
+
+def compositions(total: int, k: int, *, allow_zero: bool = False):
+    """Ordered k-tuples of positive (or nonnegative) integers summing to
+    total, by stars and bars."""
+    if allow_zero:
+        return [
+            tuple(p - 1 for p in c) for c in compositions(total + k, k)
+        ]
+    if k < 1 or total < k:
+        return []
+    return [
+        tuple(b - a for a, b in zip((0,) + cuts, cuts + (total,)))
+        for cuts in combinations(range(1, total), k - 1)
+    ]
+
+
+def _partitions(total: int, k: int, max_part: int):
+    # nonincreasing positive parts; total >= k >= 1
+    if k == 1:
+        if 1 <= total <= max_part:
+            yield (total,)
+        return
+    for first in range(min(max_part, total - k + 1), 0, -1):
+        for rest in _partitions(total - first, k - 1, first):
+            yield (first,) + rest
+
+
+@lru_cache(maxsize=None)
+def recursion_total(n: int) -> int:
+    """Eq. 20 by the partition walk: the ordered-composition sum of
+    m!/prod(a_i!) * prod(a_i T_{a_i}) over compositions of m = n-1 into
+    k parts, grouped by part multiset (each multiset stands for
+    k!/prod(mult!) ordered tuples), divided by k! and summed over k.
+    Lower totals come from this function itself."""
+    if n == 1:
+        return 1
+    m = n - 1
+    total = 0
+    for k in range(1, n):
+        ordered = 0
+        for parts in _partitions(m, k, m):
+            term = _multinomial(parts)
+            for a in parts:
+                term *= a * recursion_total(a)
+            ordered += _multinomial(Counter(parts).values()) * term
+        assert ordered % factorial(k) == 0, (n, k)
+        total += ordered // factorial(k)
+    return total
+
+
+def lemma1_sum(n: int, k: int) -> int:
+    """Lemma 1's left side as the literal sum over ordered compositions
+    (a_1..a_k) of n-1 of (n-1)!/prod(a_i!) * prod(a_i T_{a_i}), over k!."""
+    ordered = 0
+    for parts in compositions(n - 1, k):
+        term = _multinomial(parts)
+        for a in parts:
+            term *= a * (a ** (a - 2) if a > 1 else 1)
+        ordered += term
+    assert ordered % factorial(k) == 0, (n, k)
+    return ordered // factorial(k)
+
+
+def l3_sum(parts: tuple[int, ...]) -> int:
+    """L3 as the literal multinomial expansion: the sum over nonnegative
+    (c_1..c_k) with sum k-2 of (k-2)!/prod(c_i!) * prod(a_i^(c_i+1));
+    1 for k = 1."""
+    k = len(parts)
+    if k == 1:
+        return 1
+    return sum(
+        _multinomial(c) * prod(a ** (e + 1) for a, e in zip(parts, c))
+        for c in compositions(k - 2, k, allow_zero=True)
+    )

@@ -8,7 +8,7 @@ import json
 import pytest
 
 from oracles import parse_decimal
-from treecount import counting
+from treecount import counting, verifier
 from treecount.cli import main
 
 STAR_TEXT = "n 4\n1 4\n2 4\n3 4\n"
@@ -176,6 +176,21 @@ class TestPrufer:
         code, _, err = run_cli(["prufer", "decode"], "4,4\n7,1\n")
         assert code == 2 and "line 2" in err
 
+    def test_encode_bad_record_prints_nothing(self):
+        assert run_cli(["prufer", "encode"], "n 3\n1 2\n2 3\nn 1\n") == (
+            2,
+            "",
+            "treecount: encoding needs at least 2 vertices\n",
+        )
+
+    def test_decode_bad_record_prints_nothing(self):
+        for fmt in ("text", "json"):
+            assert run_cli(["prufer", "decode", "--format", fmt], "4,4\n7,1\n") == (
+                2,
+                "",
+                "treecount: line 2: symbol 7 outside 1..4\n",
+            )
+
     def test_encode_json(self):
         code, out, _ = run_cli(["prufer", "encode", "--format", "json"], STAR_TEXT)
         assert code == 0
@@ -288,6 +303,17 @@ class TestVerify:
     def test_over_cap_single_subject_exit_3(self):
         code, _, err = run_cli(["verify", "theorem1", "--max-n", "12"])
         assert code == 3 and "cap" in err
+
+    def test_over_work_cap_single_subject_exit_3(self):
+        for subject, cap, name in (
+            ("recursion", verifier.EQ_20_CAP, "EQ_20"),
+            ("lemma1", verifier.LEMMA_1_CAP, "LEMMA_1"),
+        ):
+            assert run_cli(["verify", subject, "--max-n", str(cap + 1)]) == (
+                3,
+                "",
+                f"treecount: n_max={cap + 1} beyond the {name} work cap {cap}\n",
+            )
 
     def test_over_cap_inside_all_exit_3(self):
         code, out, _ = run_cli(["verify", "all", "--max-n", "8"])

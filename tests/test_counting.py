@@ -13,6 +13,7 @@ from math import comb, factorial
 import pytest
 
 import oracles
+from treecount import counting
 from treecount.core import (
     Composition,
     CompositionSumMismatch,
@@ -140,6 +141,11 @@ class TestLemma1Lhs:
         for k in range(1, n):
             assert lemma1_lhs(n, k) == count_trees_deg_v1(n, k)
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_convolution_matches_composition_sum(self, n):
+        for k in range(1, n):
+            assert lemma1_lhs(n, k) == oracles.lemma1_sum(n, k)
+
 
 class TestFixedCompositionTrees:
     def test_examples(self):
@@ -197,6 +203,20 @@ class TestRecursion:
             total += ordered // factorial(k)
         assert recursion_T(n) == total
 
+    def test_never_uses_closed_form(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("closed form evaluated")
+
+        monkeypatch.setattr(counting, "count_total_trees", refuse)
+        for fn in vars(counting).values():
+            if callable(getattr(fn, "cache_clear", None)):
+                fn.cache_clear()
+        assert recursion_T(40) == 40**38
+
+    @pytest.mark.parametrize("n", range(1, 23))
+    def test_convolution_matches_partition_walk(self, n):
+        assert recursion_T(n) == oracles.recursion_total(n)
+
 
 class TestExpandL3:
     def test_examples(self):
@@ -218,6 +238,12 @@ class TestExpandL3:
                     for a in c.parts:
                         expected *= a
                     assert expand_L3(c, m) == expected
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_convolution_matches_multinomial_expansion(self, k):
+        for m in range(k, 13):
+            for parts in oracles.compositions(m, k):
+                assert expand_L3(composition(parts), m) == oracles.l3_sum(parts)
 
 
 class TestSupervertex:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -16,7 +17,9 @@ from treecount.core import (
 )
 from treecount.verifier import (
     DEFAULT_LIMITS,
+    EQ_20_CAP,
     IDENTITY_IDS,
+    LEMMA_1_CAP,
     verify_all,
     verify_binomial_collapse,
     verify_deg_v1_totality,
@@ -127,6 +130,37 @@ class TestIndividualChecks:
             verify_double_count(7)
         with pytest.raises(CapExceeded, match=r"^n_max=10 beyond the sweep cap 9$"):
             verify_prufer_roundtrip(10)
+        with pytest.raises(
+            CapExceeded, match=rf"^n_max={EQ_20_CAP + 1} beyond the EQ_20 work cap {EQ_20_CAP}$"
+        ):
+            verify_recursion_and_collapse(EQ_20_CAP + 1)
+        with pytest.raises(
+            CapExceeded,
+            match=rf"^n_max={LEMMA_1_CAP + 1} beyond the LEMMA_1 work cap {LEMMA_1_CAP}$",
+        ):
+            verify_lemma1(LEMMA_1_CAP + 1)
+
+
+def _cold(check, top: int):
+    for fn in vars(counting).values():
+        if callable(getattr(fn, "cache_clear", None)):
+            fn.cache_clear()
+    start = time.perf_counter()
+    report = check(top)
+    return report, time.perf_counter() - start
+
+
+class TestFormulaGridReach:
+    def test_recursion_to_100(self):
+        report, elapsed = _cold(verify_recursion_and_collapse, 100)
+        assert report.status == "PASS" and report.checked == 99
+        assert elapsed < 5
+
+    def test_lemma1_to_30(self):
+        # above the sweep cap only the composition and rational legs run
+        report, elapsed = _cold(verify_lemma1, 30)
+        assert report.status == "PASS" and report.checked == sum(range(1, 30))
+        assert elapsed < 10
 
 
 class TestFaultInjection:
@@ -263,6 +297,23 @@ class TestVerifyAll:
         assert "CapExceeded" in str(by_id["THEOREM_1"].failures[0].got)
         others = [r for r in reports if r.identity_id != "THEOREM_1"]
         assert all(r.status == "PASS" for r in others)
+
+    def test_work_caps_are_capped_entries(self):
+        limits = dict(SMALL_LIMITS, EQ_20_RECURSION=EQ_20_CAP + 1, LEMMA_1=LEMMA_1_CAP + 1)
+        by_id = {r.identity_id: r for r in verify_all(limits)}
+        for identity_id, name, cap in (
+            ("EQ_20_RECURSION", "EQ_20", EQ_20_CAP),
+            ("LEMMA_1", "LEMMA_1", LEMMA_1_CAP),
+        ):
+            report = by_id[identity_id]
+            assert report.checked == 0
+            assert [f.to_record() for f in report.failures] == [
+                {
+                    "parameters": f"limit={cap + 1}",
+                    "expected": "limit within enumeration cap",
+                    "got": f"CapExceeded: n_max={cap + 1} beyond the {name} work cap {cap}",
+                }
+            ]
 
     def test_deterministic_modulo_elapsed(self):
         strip = lambda rec: {k: v for k, v in rec.items() if k != "elapsed_ms"}
