@@ -1,9 +1,9 @@
 """Command-line frontend: count, enumerate, prufer, sample, verify.
 
 Exit codes are a stable contract: 0 success (or all identities PASS),
-1 verification failure, 2 usage or validation error, 3 enumeration cap
-exceeded.  All output is UTF-8, line-feed terminated, and deterministic
-given the flags (sample streams included, via the seed).
+1 verification failure, 2 usage or validation error, 3 enumeration or
+work cap exceeded.  All output is UTF-8, line-feed terminated, and
+deterministic given the flags (sample streams included, via the seed).
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 from typing import IO, Iterable, Iterator
 
 from treecount import counting, enumeration, sampling, verifier
@@ -51,9 +52,9 @@ def _tree_lines(
     total = 0
     if fmt == "csv":
         yield "tree,u,v\n"
+    if limit is not None:
+        trees = islice(trees, limit)
     for tree in trees:
-        if limit is not None and total >= limit:
-            break
         if fmt == "edges":
             yield tree_to_text(tree)
         elif fmt == "prufer":
@@ -206,18 +207,9 @@ def _table_lines(reports) -> Iterator[str]:
 
 
 def _verify_exit(reports) -> int:
-    capped = mismatched = False
-    for r in reports:
-        for f in r.failures:
-            if isinstance(f.got, str) and f.got.startswith("CapExceeded"):
-                capped = True
-            else:
-                mismatched = True
-    if mismatched:
+    if any(r.failures and not r.capped for r in reports):
         return 1
-    if capped:
-        return 3
-    return 0
+    return 3 if any(r.capped for r in reports) else 0
 
 
 def cmd_verify(args, stdin: IO[str], stdout: IO[str]) -> int:
@@ -333,3 +325,7 @@ def main(
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

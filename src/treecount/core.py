@@ -54,7 +54,10 @@ class NonIntegralResult(TreeCountError):
 
 
 class CapExceeded(TreeCountError):
-    """Requested size is beyond the configured exhaustive-enumeration cap."""
+    """Requested size is beyond a fixed enumeration or work cap; ``kind``
+    names the cap that was hit ("sweep", "pair", "EQ_20 work", ...)."""
+
+    kind = ""
 
 
 class EdgeNotInTree(TreeCountError):
@@ -67,6 +70,15 @@ class EdgeTextError(TreeCountError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+
+
+def _check_cap(name: str, value: int, kind: str, cap: int) -> None:
+    """Raise CapExceeded when value lies beyond cap; every cap message is
+    built here."""
+    if value > cap:
+        err = CapExceeded(f"{name}={value} beyond the {kind} cap {cap}")
+        err.kind = kind
+        raise err
 
 
 # ---------------------------------------------------------------------------

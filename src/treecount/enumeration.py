@@ -6,22 +6,20 @@ against.  Streams are lazy generators with a deterministic
 (lexicographic) order, so callers may count without materializing and
 golden tests stay stable.
 
-Enumeration sizes are capped (overridable through the environment
-variables TREECOUNT_ENUM_CAP, TREECOUNT_EDGE_ENUM_CAP and
-TREECOUNT_PAIR_ENUM_CAP, read at import time) so accidental huge sweeps
-fail fast with CapExceeded.
+Enumeration sizes are capped by the module constants PRUFER_ENUM_CAP,
+EDGE_ENUM_CAP and PAIR_ENUM_CAP, so accidental huge sweeps fail fast
+with CapExceeded.  No environment variable overrides them; a library
+caller may assign a new value, which is read at call time.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from itertools import combinations, product
 from typing import Iterable, Iterator, NamedTuple
 
 from treecount.core import (
     BadVertex,
-    CapExceeded,
     Composition,
     DegreeSequence,
     Edge,
@@ -30,26 +28,16 @@ from treecount.core import (
     OutOfRange,
     PruferSequence,
     _acyclic,
+    _check_cap,
     validate_degrees,
 )
 
 
-def _env_cap(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        return default
-    return value if value >= 1 else default
-
-
 # 9^7 ~ 4.8M trees keeps a full sweep in tens of seconds; subset-based
 # oracles grow like C(n(n-1)/2, n-1) and get a smaller cap.
-PRUFER_ENUM_CAP = _env_cap("TREECOUNT_ENUM_CAP", 9)
-EDGE_ENUM_CAP = _env_cap("TREECOUNT_EDGE_ENUM_CAP", 6)
-PAIR_ENUM_CAP = _env_cap("TREECOUNT_PAIR_ENUM_CAP", 6)
+PRUFER_ENUM_CAP = 9
+EDGE_ENUM_CAP = 6
+PAIR_ENUM_CAP = 6
 
 
 class Component(NamedTuple):
@@ -137,8 +125,7 @@ def enumerate_all_trees(n: int) -> Iterator[LabeledTree]:
     Prufer sequence; the single tree for n in {1, 2}."""
     if n < 1:
         raise OutOfRange(f"vertex count must be >= 1, got {n}")
-    if n > PRUFER_ENUM_CAP:
-        raise CapExceeded(f"n={n} beyond the sweep cap {PRUFER_ENUM_CAP}")
+    _check_cap("n", n, "sweep", PRUFER_ENUM_CAP)
     return _all_trees_stream(n)
 
 
@@ -156,8 +143,7 @@ def enumerate_all_trees_by_edges(n: int) -> Iterator[LabeledTree]:
     graph's edges down to the spanning trees."""
     if n < 1:
         raise OutOfRange(f"vertex count must be >= 1, got {n}")
-    if n > EDGE_ENUM_CAP:
-        raise CapExceeded(f"n={n} beyond the edge-subset cap {EDGE_ENUM_CAP}")
+    _check_cap("n", n, "edge-subset", EDGE_ENUM_CAP)
     return _edge_subset_stream(n)
 
 
@@ -174,8 +160,7 @@ def enumerate_trees_with_degrees(d: DegreeSequence) -> Iterator[LabeledTree]:
     vertex i occurs d_i - 1 times."""
     validate_degrees(d.degrees)
     n = len(d.degrees)
-    if n > PRUFER_ENUM_CAP:
-        raise CapExceeded(f"n={n} beyond the sweep cap {PRUFER_ENUM_CAP}")
+    _check_cap("n", n, "sweep", PRUFER_ENUM_CAP)
     return _degree_filtered_stream(d.degrees)
 
 
@@ -210,8 +195,7 @@ def deg_v1_histogram(n: int) -> dict[int, int]:
     symbol occurrences (degree = occurrences + 1), without decoding."""
     if n < 2:
         raise OutOfRange(f"need n >= 2, got {n}")
-    if n > PRUFER_ENUM_CAP:
-        raise CapExceeded(f"n={n} beyond the sweep cap {PRUFER_ENUM_CAP}")
+    _check_cap("n", n, "sweep", PRUFER_ENUM_CAP)
     hist = {k: 0 for k in range(1, n)}
     for symbols in product(range(1, n + 1), repeat=n - 2):
         hist[symbols.count(1) + 1] += 1
@@ -293,8 +277,7 @@ def enumerate_edge_subsets_pairs(
         raise OutOfRange(f"need m >= 2, got {m}")
     if not 1 <= k <= m:
         raise OutOfRange(f"need 1 <= k <= {m}, got k={k}")
-    if m > PAIR_ENUM_CAP:
-        raise CapExceeded(f"m={m} beyond the pair cap {PAIR_ENUM_CAP}")
+    _check_cap("m", m, "pair", PAIR_ENUM_CAP)
     return _pairs_stream(m, k)
 
 

@@ -24,6 +24,7 @@ from treecount.core import (
     DegreeSequence,
     OutOfRange,
     PruferSequence,
+    _check_cap,
     as_integer,
     binomial,
     int_to_text,
@@ -84,6 +85,12 @@ class IdentityReport:
     def elapsed_ms(self) -> int:
         return int(self.elapsed * 1000)
 
+    @property
+    def capped(self) -> bool:
+        """True for an entry verify_all made of a check stopped by a cap:
+        no other report has a failure without a checked case."""
+        return self.checked == 0 and bool(self.failures)
+
     def to_record(self) -> dict:
         return {
             "identity_id": self.identity_id,
@@ -99,17 +106,11 @@ class IdentityReport:
 _Case = tuple[tuple, object, tuple[tuple[str, object], ...]]
 
 
-def _check_grid(cap: tuple[str, int] | None = None, /, **tops: int) -> None:
-    """Raise OutOfRange unless every grid top is at least 2, and
-    CapExceeded when the one top lies beyond the (kind, limit) cap."""
+def _check_grid(**tops: int) -> None:
+    """Raise OutOfRange unless every grid top is at least 2."""
     if min(tops.values()) < 2:
         need = " and ".join(f"{name} >= 2" for name in tops)
         raise OutOfRange(f"need {need}, got {', '.join(map(str, tops.values()))}")
-    if cap is not None:
-        kind, limit = cap
-        ((name, top),) = tops.items()
-        if top > limit:
-            raise CapExceeded(f"{name}={top} beyond the {kind} cap {limit}")
 
 
 def _run(
@@ -129,14 +130,9 @@ def _run(
     return IdentityReport(identity_id, grid, checked, tuple(failures), perf_counter() - start)
 
 
-def _run_totals(
-    identity_id: str,
-    n_max: int,
-    legs: Callable[[int], tuple],
-    cap: tuple[str, int] | None = None,
-) -> IdentityReport:
+def _run_totals(identity_id: str, n_max: int, legs: Callable[[int], tuple]) -> IdentityReport:
     """Every leg of legs(n) against the total n^(n-2), for n = 2..n_max."""
-    _check_grid(cap, n_max=n_max)
+    _check_grid(n_max=n_max)
     cases = (((n,), counting.count_total_trees(n), legs(n)) for n in range(2, n_max + 1))
     return _run(identity_id, f"n=2..{n_max}", lambda n: f"n={n}", cases)
 
@@ -154,7 +150,8 @@ def verify_theorem1(
 ) -> IdentityReport:
     """Degree-sequence formula against filtered enumeration, for every
     valid degree sequence with n <= n_max."""
-    _check_grid(("sweep", enumeration.PRUFER_ENUM_CAP), n_max=n_max)
+    _check_grid(n_max=n_max)
+    _check_cap("n_max", n_max, "sweep", enumeration.PRUFER_ENUM_CAP)
     fn = formula if formula is not None else counting.count_trees_with_degrees
 
     def cases() -> Iterator[_Case]:
@@ -188,7 +185,8 @@ def verify_lemma1(
     """Four-way agreement at every (n, k): the composition-sum count, the
     literal rational form, the rational-free form, and (while n is within
     the sweep cap) the occurrence-counting brute force."""
-    _check_grid(("LEMMA_1 work", LEMMA_1_CAP), n_max=n_max)
+    _check_grid(n_max=n_max)
+    _check_cap("n_max", n_max, "LEMMA_1 work", LEMMA_1_CAP)
     fn = lhs if lhs is not None else counting.lemma1_lhs
 
     def cases() -> Iterator[_Case]:
@@ -216,7 +214,8 @@ def verify_double_count(
 ) -> IdentityReport:
     """Pair enumeration against both closed form T_m * C(m-1, k-1) and the
     component-based assembly, for every m <= m_max and every k."""
-    _check_grid(("pair", enumeration.PAIR_ENUM_CAP), m_max=m_max)
+    _check_grid(m_max=m_max)
+    _check_cap("m_max", m_max, "pair", enumeration.PAIR_ENUM_CAP)
     fn = assembly if assembly is not None else counting.assemble_double_count
     cases = (
         (
@@ -237,12 +236,12 @@ def verify_recursion_and_collapse(
     n_max: int = 30, *, recursion: Callable[[int], int] | None = None
 ) -> IdentityReport:
     """recursion_T(n) = binomial_collapse(n) = n^(n-2) for n <= n_max."""
+    _check_cap("n_max", n_max, "EQ_20 work", EQ_20_CAP)
     fn = recursion if recursion is not None else counting.recursion_T
     return _run_totals(
         "EQ_20_RECURSION",
         n_max,
         lambda n: ((",recursion", fn(n)), (",collapse", counting.binomial_collapse(n))),
-        ("EQ_20 work", EQ_20_CAP),
     )
 
 
@@ -295,7 +294,8 @@ def verify_supervertex_marginal(
 def verify_prufer_roundtrip(n_max: int = 7) -> IdentityReport:
     """encode(decode(s)) = s over all sequences and decode(encode(t)) = t
     over all trees, for 2 <= n <= n_max."""
-    _check_grid(("sweep", enumeration.PRUFER_ENUM_CAP), n_max=n_max)
+    _check_grid(n_max=n_max)
+    _check_cap("n_max", n_max, "sweep", enumeration.PRUFER_ENUM_CAP)
 
     def cases() -> Iterator[_Case]:
         for n in range(2, n_max + 1):
@@ -330,8 +330,8 @@ IDENTITY_IDS = tuple(_REGISTRY)
 
 def verify_all(limits: Mapping[str, int] | None = None) -> list[IdentityReport]:
     """Run every identity check.  A check whose limit is beyond its cap is
-    reported as a failed entry (got = the CapExceeded message) without
-    aborting the remaining checks."""
+    reported as a capped entry (got = the CapExceeded message, expected =
+    the class of cap that was hit) without aborting the remaining checks."""
     reports = []
     for identity_id, check in _REGISTRY.items():
         limit = DEFAULT_LIMITS[identity_id]
@@ -341,7 +341,8 @@ def verify_all(limits: Mapping[str, int] | None = None) -> list[IdentityReport]:
         try:
             reports.append(check(limit))
         except CapExceeded as err:
-            failure = Failure(f"limit={limit}", "limit within enumeration cap", f"CapExceeded: {err}")
+            budget = "work" if err.kind.endswith(" work") else "enumeration"
+            failure = Failure(f"limit={limit}", f"limit within {budget} cap", f"CapExceeded: {err}")
             reports.append(
                 IdentityReport(identity_id, f"limit={limit}", 0, (failure,), perf_counter() - start)
             )

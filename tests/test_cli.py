@@ -4,12 +4,20 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import treecount
 from oracles import parse_decimal
-from treecount import counting, verifier
-from treecount.cli import main
+from treecount import counting, enumeration, verifier
+from treecount.cli import _verify_exit, main
+from treecount.core import LabeledTree, read_prufer_lines, read_trees
 
 STAR_TEXT = "n 4\n1 4\n2 4\n3 4\n"
 
@@ -105,6 +113,20 @@ class TestEnumerate:
         )
         assert code == 0
         assert out == "1,1,1\n1,1,2\n1,1,3\ncount 3\n"
+
+    @pytest.mark.parametrize("fmt", ["edges", "prufer", "json", "csv"])
+    def test_limit_pulls_no_tree_past_it(self, monkeypatch, fmt):
+        first_three = list(enumeration.enumerate_all_trees(4))[:3]
+
+        def stream(n):
+            yield from first_three
+            raise AssertionError("tree 4 was pulled")
+
+        argv = ["enumerate", "-n", "4", "--format", fmt, "--limit", "3", "--count"]
+        expected = run_cli(argv)
+        assert expected[0] == 0
+        monkeypatch.setattr(enumeration, "enumerate_all_trees", stream)
+        assert run_cli(argv) == expected
 
     def test_json_records_parse(self):
         code, out, _ = run_cli(["enumerate", "-n", "3", "--format", "json"])
@@ -321,6 +343,16 @@ class TestVerify:
         assert code == 3
         assert "CapExceeded" in out
 
+    def test_exit_code_reads_no_failure_text(self):
+        def report(checked, got):
+            failure = verifier.Failure("n=2", 1, got)
+            return verifier.IdentityReport("X", "n=2..2", checked, (failure,), 0.0)
+
+        # a mismatch whose value happens to read like a cap message is a mismatch
+        assert _verify_exit([report(1, "CapExceeded: n=10 beyond the sweep cap 9")]) == 1
+        assert _verify_exit([report(0, "anything")]) == 3
+        assert _verify_exit([report(0, "anything"), report(1, 2)]) == 1
+
     def test_env_default_max_n(self, monkeypatch):
         monkeypatch.setenv("TREECOUNT_VERIFY_MAX_N", "3")
         code, out, _ = run_cli(["verify", "lemma1", "--json"])
@@ -344,3 +376,92 @@ class TestUsage:
     def test_unknown_command(self, capsys):
         assert run_cli(["frobnicate"])[0] == 2
         capsys.readouterr()
+
+
+def _python(*argv, env=None):
+    src = str(Path(treecount.__file__).resolve().parent.parent)
+    env = {**os.environ, **(env or {})}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
+class TestModuleRun:
+    def test_module_prints_and_exits(self):
+        done = _python("-m", "treecount.cli", "count", "total", "-n", "4")
+        assert (done.returncode, done.stdout, done.stderr) == (0, "16\n", "")
+
+    def test_exit_code_reaches_the_shell(self):
+        done = _python("-m", "treecount.cli", "enumerate", "-n", "10")
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr == "treecount: n=10 beyond the sweep cap 9\n"
+
+    def test_cap_environment_variables_are_ignored(self):
+        env = {"TREECOUNT_ENUM_CAP": "10", "TREECOUNT_EDGE_ENUM_CAP": "10",
+               "TREECOUNT_PAIR_ENUM_CAP": "10"}
+        done = _python("-m", "treecount.cli", "enumerate", "-n", "10", "--limit", "1", env=env)
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr == "treecount: n=10 beyond the sweep cap 9\n"
+        caps = _python(
+            "-c",
+            "from treecount import enumeration as e;"
+            "print(e.PRUFER_ENUM_CAP, e.EDGE_ENUM_CAP, e.PAIR_ENUM_CAP)",
+            env=env,
+        )
+        assert caps.stdout == "9 6 6\n"
+
+
+def _json_trees(text):
+    records = map(json.loads, text.splitlines())
+    return [LabeledTree(r["n"], tuple(map(tuple, r["edges"]))) for r in records]
+
+
+def _csv_trees(text, n, count):
+    lines = text.splitlines()
+    assert lines[0] == "tree,u,v"
+    edges = [[] for _ in range(count)]
+    for row in lines[1:]:
+        i, u, v = map(int, row.split(","))
+        edges[i].append((u, v))
+    return [LabeledTree(n, tuple(e)) for e in edges]
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=10),
+        seed=st.integers(min_value=0, max_value=2**32),
+        count=st.integers(min_value=1, max_value=5),
+    )
+    def test_every_format_round_trips(self, n, seed, count):
+        def sample(fmt):
+            argv = ["sample", "-n", str(n), "--seed", str(seed), "--count", str(count)]
+            return run_cli(argv + ["--format", fmt])
+
+        code, edges, _ = sample("edges")
+        assert code == 0
+        trees = list(read_trees(io.StringIO(edges)))
+        assert len(trees) == count and all(t.n == n for t in trees)
+        code, as_json, _ = sample("json")
+        assert code == 0 and _json_trees(as_json) == trees
+        code, as_csv, _ = sample("csv")
+        assert code == 0 and _csv_trees(as_csv, n, count) == trees
+        if n == 1:
+            assert as_csv == "tree,u,v\n"
+            code, out, err = sample("prufer")
+            assert (code, out) == (2, "") and len(err.splitlines()) == 1
+            return
+
+        code, prufer, _ = sample("prufer")
+        assert code == 0
+        seqs = list(read_prufer_lines(io.StringIO(prufer)))
+        assert [enumeration.prufer_decode(s) for s in seqs] == trees
+        assert run_cli(["prufer", "encode"], edges) == (0, prufer, "")
+        code, encoded, _ = run_cli(["prufer", "encode", "--format", "json"], edges)
+        assert code == 0
+        assert [json.loads(line) for line in encoded.splitlines()] == [
+            {"n": n, "symbols": list(s.symbols)} for s in seqs
+        ]
+        assert run_cli(["prufer", "decode"], prufer) == (0, edges, "")
+        assert run_cli(["prufer", "decode", "--format", "json"], prufer) == (0, as_json, "")

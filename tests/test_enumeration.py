@@ -123,6 +123,26 @@ class TestEnumerateAllTrees:
         with pytest.raises(OutOfRange):
             enumerate_all_trees(0)
 
+    def test_cap_messages(self):
+        for call, message, kind in (
+            (lambda: enumerate_all_trees(10), "n=10 beyond the sweep cap 9", "sweep"),
+            (
+                lambda: enumerate_trees_with_degrees(DegreeSequence((9,) + (1,) * 9)),
+                "n=10 beyond the sweep cap 9",
+                "sweep",
+            ),
+            (lambda: deg_v1_histogram(10), "n=10 beyond the sweep cap 9", "sweep"),
+            (
+                lambda: enumerate_all_trees_by_edges(7),
+                "n=7 beyond the edge-subset cap 6",
+                "edge-subset",
+            ),
+            (lambda: enumerate_edge_subsets_pairs(7, 1), "m=7 beyond the pair cap 6", "pair"),
+        ):
+            with pytest.raises(CapExceeded) as info:
+                call()
+            assert (str(info.value), info.value.kind) == (message, kind)
+
     def test_cap_is_module_level(self, monkeypatch):
         monkeypatch.setattr(enumeration, "PRUFER_ENUM_CAP", 3)
         with pytest.raises(CapExceeded):

@@ -310,8 +310,32 @@ class TestVerifyAll:
             assert [f.to_record() for f in report.failures] == [
                 {
                     "parameters": f"limit={cap + 1}",
-                    "expected": "limit within enumeration cap",
+                    "expected": "limit within work cap",
                     "got": f"CapExceeded: n_max={cap + 1} beyond the {name} work cap {cap}",
+                }
+            ]
+
+    def test_only_capped_entries_are_capped(self):
+        limits = dict(SMALL_LIMITS, THEOREM_1=10, EQ_20_RECURSION=EQ_20_CAP + 1)
+        capped = {r.identity_id for r in verify_all(limits) if r.capped}
+        assert capped == {"THEOREM_1", "EQ_20_RECURSION"}
+        failing = verify_binomial_collapse(4, collapse=lambda n: n)
+        assert failing.failures and not failing.capped
+
+    def test_enumeration_caps_keep_their_label(self):
+        limits = dict(SMALL_LIMITS, THEOREM_1=10, DOUBLE_COUNT_PAIRS=7, PRUFER_ROUNDTRIP=10)
+        by_id = {r.identity_id: r for r in verify_all(limits)}
+        for identity_id, got in (
+            ("THEOREM_1", "n_max=10 beyond the sweep cap 9"),
+            ("DOUBLE_COUNT_PAIRS", "m_max=7 beyond the pair cap 6"),
+            ("PRUFER_ROUNDTRIP", "n_max=10 beyond the sweep cap 9"),
+        ):
+            limit = got.split()[0].split("=")[1]
+            assert [f.to_record() for f in by_id[identity_id].failures] == [
+                {
+                    "parameters": f"limit={limit}",
+                    "expected": "limit within enumeration cap",
+                    "got": f"CapExceeded: {got}",
                 }
             ]
 
