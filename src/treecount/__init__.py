@@ -58,18 +58,27 @@ from treecount.counting import (
 from treecount.enumeration import (
     Component,
     Forest,
+    decode_sequences,
     deg_v1_histogram,
     enumerate_all_trees,
     enumerate_all_trees_by_edges,
     enumerate_compositions,
     enumerate_edge_subsets_pairs,
+    enumerate_sequences,
+    enumerate_sequences_with_degrees,
     enumerate_trees_with_degrees,
     prufer_decode,
     prufer_encode,
     split_by_edge_removal,
     split_by_root_removal,
 )
-from treecount.sampling import SamplerConfig, sample_tree_with_degrees, sample_uniform_tree
+from treecount.sampling import (
+    SamplerConfig,
+    sample_sequence_with_degrees,
+    sample_tree_with_degrees,
+    sample_uniform_sequence,
+    sample_uniform_tree,
+)
 from treecount.verifier import Failure, IdentityReport, verify_all
 
 __version__ = "0.1.0"

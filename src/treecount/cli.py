@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from itertools import islice
+from itertools import islice, starmap
 from typing import IO, Iterable, Iterator
 
 from treecount import counting, enumeration, sampling, verifier
@@ -22,7 +22,6 @@ from treecount.core import (
     LabeledTree,
     OutOfRange,
     TreeCountError,
-    degree_of,
     degree_sequence,
     int_to_text,
     prufer_to_text,
@@ -42,33 +41,57 @@ def _parse_degrees(text: str) -> DegreeSequence:
     return degree_sequence(degrees)
 
 
+def _json_tree(tree: LabeledTree) -> str:
+    # the bytes json.dumps({"n": n, "edges": [[u, v], ...]}) writes
+    edges = ", ".join(["[%d, %d]" % e for e in tree.edges])
+    return '{"n": %d, "edges": [%s]}\n' % (tree.n, edges)
+
+
+def _no_sequence(_word: tuple[int, ...]) -> str:
+    # a one-vertex tree has no sequence: refused as prufer encode does
+    raise OutOfRange("encoding needs at least 2 vertices")
+
+
+def _prufer_lines(n: int, words: Iterable[tuple[int, ...]]) -> Iterator[str]:
+    if n < 2:
+        return map(_no_sequence, words)
+    return map((",".join(["%d"] * (n - 2)) + "\n").__mod__, words)
+
+
+def _csv_tree(index: int, tree: LabeledTree) -> str:
+    return "".join([f"{index},{u},{v}\n" for u, v in tree.edges])
+
+
 def _tree_lines(
-    trees: Iterable[LabeledTree],
+    n: int,
+    words: Iterable[tuple[int, ...]],
     fmt: str,
     *,
     want_count: bool = False,
     limit: int | None = None,
 ) -> Iterator[str]:
-    total = 0
+    """The output of a stream of Prufer words on n vertices: the prufer
+    format writes each word as it is, the other formats its tree."""
     if fmt == "csv":
         yield "tree,u,v\n"
     if limit is not None:
-        trees = islice(trees, limit)
-    for tree in trees:
+        words = islice(words, limit)
+    if fmt == "prufer":
+        lines = _prufer_lines(n, words)
+    else:
+        trees = enumeration.decode_sequences(n, words)
         if fmt == "edges":
-            yield tree_to_text(tree)
-        elif fmt == "prufer":
-            # a one-vertex tree has no sequence: encoding refuses it
-            yield prufer_to_text(enumeration.prufer_encode(tree)) + "\n"
+            lines = map(tree_to_text, trees)
         elif fmt == "json":
-            yield json.dumps({"n": tree.n, "edges": [list(e) for e in tree.edges]}) + "\n"
+            lines = map(_json_tree, trees)
         else:
-            for u, v in tree.edges:
-                yield f"{total},{u},{v}\n"
-        total += 1
+            lines = starmap(_csv_tree, enumerate(trees))
+    total = 0
+    for total, line in enumerate(lines, start=1):
+        yield line
     if want_count:
         if fmt == "json":
-            yield json.dumps({"count": total}) + "\n"
+            yield '{"count": %d}\n' % total
         elif fmt == "csv":
             yield f"count,{total}\n"
         else:
@@ -123,17 +146,16 @@ def cmd_enumerate(args, stdin: IO[str], stdout: IO[str]) -> int:
             raise OutOfRange(
                 f"--degrees lists {len(d.degrees)} vertices but -n is {n}"
             )
-        trees: Iterable[LabeledTree] = enumeration.enumerate_trees_with_degrees(d)
+        words = enumeration.enumerate_sequences_with_degrees(d)
     elif args.deg_v1 is not None:
         k = args.deg_v1
         if not 1 <= k <= n - 1:
             raise OutOfRange(f"--deg-v1 must lie in 1..{n - 1}, got {k}")
-        trees = (
-            t for t in enumeration.enumerate_all_trees(n) if degree_of(t, 1) == k
-        )
+        # deg(1) = (occurrences of 1 in the word) + 1
+        words = (w for w in enumeration.enumerate_sequences(n) if w.count(1) == k - 1)
     else:
-        trees = enumeration.enumerate_all_trees(n)
-    stdout.writelines(_tree_lines(trees, args.format, want_count=args.count, limit=args.limit))
+        words = enumeration.enumerate_sequences(n)
+    stdout.writelines(_tree_lines(n, words, args.format, want_count=args.count, limit=args.limit))
     return 0
 
 
@@ -147,13 +169,15 @@ def cmd_prufer(args, stdin: IO[str], stdout: IO[str]) -> int:
     if args.direction == "encode":
         seqs = map(enumeration.prufer_encode, read_trees(stdin))
         if args.format == "json":
-            lines = [json.dumps({"n": seq.n, "symbols": list(seq.symbols)}) + "\n" for seq in seqs]
+            lines = [
+                '{"n": %d, "symbols": [%s]}\n' % (seq.n, ", ".join(map(str, seq.symbols)))
+                for seq in seqs
+            ]
         else:
             lines = [prufer_to_text(seq) + "\n" for seq in seqs]
     else:
         decoded = map(enumeration.prufer_decode, read_prufer_lines(stdin))
-        fmt = "json" if args.format == "json" else "edges"
-        lines = list(_tree_lines(decoded, fmt))
+        lines = list(map(_json_tree if args.format == "json" else tree_to_text, decoded))
     stdout.writelines(lines)
     return 0
 
@@ -166,10 +190,12 @@ def cmd_sample(args, stdin: IO[str], stdout: IO[str]) -> int:
     cfg = sampling.SamplerConfig(seed=args.seed, count=args.count)
     if args.degrees is not None:
         d = _parse_degrees(args.degrees)
-        trees = sampling.sample_tree_with_degrees(d, cfg)
+        n = len(d.degrees)
+        words = sampling.sample_sequence_with_degrees(d, cfg)
     else:
-        trees = sampling.sample_uniform_tree(args.n, cfg)
-    stdout.writelines(_tree_lines(trees, args.format))
+        n = args.n
+        words = sampling.sample_uniform_sequence(n, cfg)
+    stdout.writelines(_tree_lines(n, words, args.format))
     return 0
 
 

@@ -4,7 +4,9 @@ Everything here enumerates or transforms concrete trees, providing the
 brute-force reference paths that the closed-form counters are checked
 against.  Streams are lazy generators with a deterministic
 (lexicographic) order, so callers may count without materializing and
-golden tests stay stable.
+golden tests stay stable.  The sweeps are streams of Prufer words
+(tuples of symbols); the tree streams are their decode, so a caller
+that only needs the words, or their symbol counts, decodes nothing.
 
 Enumeration sizes are capped by the module constants PRUFER_ENUM_CAP,
 EDGE_ENUM_CAP and PAIR_ENUM_CAP, so accidental huge sweeps fail fast
@@ -120,55 +122,24 @@ def prufer_encode(tree: LabeledTree) -> PruferSequence:
 # Exhaustive tree generation
 
 
-def enumerate_all_trees(n: int) -> Iterator[LabeledTree]:
-    """Every labeled tree on n vertices, in lexicographic order of its
-    Prufer sequence; the single tree for n in {1, 2}."""
+def enumerate_sequences(n: int) -> Iterator[tuple[int, ...]]:
+    """Every Prufer word on n vertices, as a tuple of its n-2 symbols, in
+    lexicographic order; the empty word once for n in {1, 2}."""
     if n < 1:
         raise OutOfRange(f"vertex count must be >= 1, got {n}")
     _check_cap("n", n, "sweep", PRUFER_ENUM_CAP)
-    return _all_trees_stream(n)
+    return product(range(1, n + 1), repeat=max(n - 2, 0))
 
 
-def _all_trees_stream(n: int) -> Iterator[LabeledTree]:
-    if n == 1:
-        yield LabeledTree(1, ())
-        return
-    decode = _decode_edges
-    for symbols in product(range(1, n + 1), repeat=n - 2):
-        yield LabeledTree(n, decode(n, symbols))
-
-
-def enumerate_all_trees_by_edges(n: int) -> Iterator[LabeledTree]:
-    """Second, independent oracle: filter all (n-1)-subsets of the complete
-    graph's edges down to the spanning trees."""
-    if n < 1:
-        raise OutOfRange(f"vertex count must be >= 1, got {n}")
-    _check_cap("n", n, "edge-subset", EDGE_ENUM_CAP)
-    return _edge_subset_stream(n)
-
-
-def _edge_subset_stream(n: int) -> Iterator[LabeledTree]:
-    all_edges = list(combinations(range(1, n + 1), 2))
-    for subset in combinations(all_edges, n - 1):
-        if _acyclic(n, subset):
-            yield LabeledTree(n, subset)
-
-
-def enumerate_trees_with_degrees(d: DegreeSequence) -> Iterator[LabeledTree]:
-    """Exactly the trees whose degree vector equals ``d``, generated by
-    decoding every distinct arrangement of the symbol multiset in which
-    vertex i occurs d_i - 1 times."""
+def enumerate_sequences_with_degrees(d: DegreeSequence) -> Iterator[tuple[int, ...]]:
+    """The words of the trees whose degree vector equals ``d``: every
+    distinct arrangement of the symbol multiset in which vertex i occurs
+    d_i - 1 times, in lexicographic order."""
     validate_degrees(d.degrees)
     n = len(d.degrees)
     _check_cap("n", n, "sweep", PRUFER_ENUM_CAP)
-    return _degree_filtered_stream(d.degrees)
-
-
-def _degree_filtered_stream(degrees: tuple[int, ...]) -> Iterator[LabeledTree]:
-    n = len(degrees)
-    pool = [[v, c - 1] for v, c in enumerate(degrees, start=1) if c > 1]
-    for symbols in _multiset_sequences(pool, n - 2):
-        yield LabeledTree(n, _decode_edges(n, symbols))
+    pool = [[v, c - 1] for v, c in enumerate(d.degrees, start=1) if c > 1]
+    return _multiset_sequences(pool, n - 2)
 
 
 def _multiset_sequences(pool: list[list[int]], length: int) -> Iterator[tuple[int, ...]]:
@@ -190,14 +161,48 @@ def _multiset_sequences(pool: list[list[int]], length: int) -> Iterator[tuple[in
     return rec(0)
 
 
+def decode_sequences(n: int, words: Iterable[tuple[int, ...]]) -> Iterator[LabeledTree]:
+    """The tree of each word on n vertices, lazily and in stream order."""
+    if n == 1:
+        return (LabeledTree(1, ()) for _ in words)
+    return (LabeledTree(n, _decode_edges(n, symbols)) for symbols in words)
+
+
+def enumerate_all_trees(n: int) -> Iterator[LabeledTree]:
+    """Every labeled tree on n vertices, in lexicographic order of its
+    Prufer sequence; the single tree for n in {1, 2}."""
+    return decode_sequences(n, enumerate_sequences(n))
+
+
+def enumerate_all_trees_by_edges(n: int) -> Iterator[LabeledTree]:
+    """Second, independent oracle: filter all (n-1)-subsets of the complete
+    graph's edges down to the spanning trees."""
+    if n < 1:
+        raise OutOfRange(f"vertex count must be >= 1, got {n}")
+    _check_cap("n", n, "edge-subset", EDGE_ENUM_CAP)
+    return _edge_subset_stream(n)
+
+
+def _edge_subset_stream(n: int) -> Iterator[LabeledTree]:
+    all_edges = list(combinations(range(1, n + 1), 2))
+    for subset in combinations(all_edges, n - 1):
+        if _acyclic(n, subset):
+            yield LabeledTree(n, subset)
+
+
+def enumerate_trees_with_degrees(d: DegreeSequence) -> Iterator[LabeledTree]:
+    """Exactly the trees whose degree vector equals ``d``, the decode of
+    enumerate_sequences_with_degrees(d)."""
+    return decode_sequences(len(d.degrees), enumerate_sequences_with_degrees(d))
+
+
 def deg_v1_histogram(n: int) -> dict[int, int]:
     """Tree counts keyed by the degree of vertex 1, derived purely from
     symbol occurrences (degree = occurrences + 1), without decoding."""
     if n < 2:
         raise OutOfRange(f"need n >= 2, got {n}")
-    _check_cap("n", n, "sweep", PRUFER_ENUM_CAP)
     hist = {k: 0 for k in range(1, n)}
-    for symbols in product(range(1, n + 1), repeat=n - 2):
+    for symbols in enumerate_sequences(n):
         hist[symbols.count(1) + 1] += 1
     return hist
 

@@ -11,6 +11,9 @@ uniform tree (the codec is a bijection).  For a fixed degree sequence,
 a uniform random permutation of the fixed symbol multiset is uniform
 over the distinct arrangements, because every distinct arrangement is
 hit by the same number prod((d_i - 1)!) of permutations.
+
+Each sampler draws Prufer words; its tree stream is the decode of the
+words, with the same draws.
 """
 
 from __future__ import annotations
@@ -18,8 +21,12 @@ from __future__ import annotations
 import random
 from typing import Iterator, NamedTuple
 
-from treecount.core import DegreeSequence, LabeledTree, OutOfRange, PruferSequence, validate_degrees
-from treecount.enumeration import prufer_decode
+from treecount.core import DegreeSequence, LabeledTree, OutOfRange, _check_cap, validate_degrees
+from treecount.enumeration import decode_sequences
+
+# Largest vertex count a sampler draws for, -n or the length of a degree
+# vector: one tree at the cap draws, decodes and prints in about a second.
+SAMPLE_N_CAP = 200_000
 
 
 class SamplerConfig(NamedTuple):
@@ -46,39 +53,55 @@ def _shuffle(rng: random.Random, items: list[int]) -> None:
         items[i], items[j] = items[j], items[i]
 
 
-def sample_uniform_tree(n: int, cfg: SamplerConfig) -> Iterator[LabeledTree]:
-    """A stream of cfg.count trees, each exactly uniform over all n^(n-2)."""
+def sample_uniform_sequence(n: int, cfg: SamplerConfig) -> Iterator[tuple[int, ...]]:
+    """A stream of cfg.count Prufer words on n vertices, each a tuple of
+    n-2 independent uniform symbols over 1..n."""
     if n < 1:
         raise OutOfRange(f"need n >= 1, got {n}")
     if cfg.count < 0:
         raise OutOfRange(f"sample count must be >= 0, got {cfg.count}")
-    return _uniform_stream(n, cfg)
+    _check_cap("n", n, "sample", SAMPLE_N_CAP)
+    return _uniform_words(n, cfg)
 
 
-def _uniform_stream(n: int, cfg: SamplerConfig) -> Iterator[LabeledTree]:
+def _uniform_words(n: int, cfg: SamplerConfig) -> Iterator[tuple[int, ...]]:
     rng = random.Random(cfg.seed)
     for _ in range(cfg.count):
         # no draws for n <= 2, whose sequence is empty
-        symbols = tuple(_below(rng, n) + 1 for _ in range(n - 2))
-        yield prufer_decode(PruferSequence(n, symbols))
+        yield tuple(_below(rng, n) + 1 for _ in range(n - 2))
+
+
+def sample_uniform_tree(n: int, cfg: SamplerConfig) -> Iterator[LabeledTree]:
+    """A stream of cfg.count trees, each exactly uniform over all n^(n-2):
+    the decode of sample_uniform_sequence(n, cfg)."""
+    return decode_sequences(n, sample_uniform_sequence(n, cfg))
+
+
+def sample_sequence_with_degrees(
+    d: DegreeSequence, cfg: SamplerConfig
+) -> Iterator[tuple[int, ...]]:
+    """A stream of cfg.count uniformly shuffled arrangements of the symbol
+    multiset in which vertex i occurs d_i - 1 times."""
+    validate_degrees(d.degrees)
+    if cfg.count < 0:
+        raise OutOfRange(f"sample count must be >= 0, got {cfg.count}")
+    _check_cap("n", len(d.degrees), "sample", SAMPLE_N_CAP)
+    return _degree_words(d.degrees, cfg)
+
+
+def _degree_words(degrees: tuple[int, ...], cfg: SamplerConfig) -> Iterator[tuple[int, ...]]:
+    rng = random.Random(cfg.seed)
+    base = [v for v, deg in enumerate(degrees, start=1) for _ in range(deg - 1)]
+    for _ in range(cfg.count):
+        symbols = base[:]
+        _shuffle(rng, symbols)
+        yield tuple(symbols)
 
 
 def sample_tree_with_degrees(
     d: DegreeSequence, cfg: SamplerConfig
 ) -> Iterator[LabeledTree]:
     """A stream of cfg.count trees, uniform over the trees whose degree
-    vector equals ``d``; every sample has exactly that degree vector."""
-    validate_degrees(d.degrees)
-    if cfg.count < 0:
-        raise OutOfRange(f"sample count must be >= 0, got {cfg.count}")
-    return _degree_stream(d.degrees, cfg)
-
-
-def _degree_stream(degrees: tuple[int, ...], cfg: SamplerConfig) -> Iterator[LabeledTree]:
-    rng = random.Random(cfg.seed)
-    n = len(degrees)
-    base = [v for v, deg in enumerate(degrees, start=1) for _ in range(deg - 1)]
-    for _ in range(cfg.count):
-        symbols = base[:]
-        _shuffle(rng, symbols)
-        yield prufer_decode(PruferSequence(n, tuple(symbols)))
+    vector equals ``d``; every sample has exactly that degree vector.  It
+    is the decode of sample_sequence_with_degrees(d, cfg)."""
+    return decode_sequences(len(d.degrees), sample_sequence_with_degrees(d, cfg))

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from time import perf_counter
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -44,11 +43,14 @@ DEFAULT_LIMITS: dict[str, int] = {
     "PRUFER_ROUNDTRIP": 7,
 }
 
-# Work caps of the two formula-only grids whose cost grows fastest: a
-# grid top N costs about N^3 big-integer products in recursion_T and N^5
-# in lemma1_lhs.  At the cap each check takes about 1-2 s of CPU.
+# Work caps of the formula-only grids whose cost grows fastest: a grid
+# top N costs about N^3 big-integer products in recursion_T, N^5 in
+# lemma1_lhs, and about N^5 for the compositions of the L3 and
+# supervertex grids.  At the cap each check takes about 1-2 s of CPU.
 EQ_20_CAP = 175
 LEMMA_1_CAP = 30
+L3_CAP = 20
+SUPERVERTEX_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -259,6 +261,7 @@ def verify_l3_expansion(
     """Multinomial expansion against m^(k-2) * prod(a_i) on every positive
     composition with k <= k_max parts and total m <= m_max."""
     _check_grid(m_max=m_max, k_max=k_max)
+    _check_cap("m_max", m_max, "L3 work", L3_CAP)
     fn = expansion if expansion is not None else counting.expand_L3
     cases = (
         ((m, comp), m ** (k - 2) * math.prod(comp.parts), (("", fn(comp, m)),))
@@ -275,6 +278,7 @@ def verify_supervertex_marginal(
     """Summing the component-joining counts over all degree sequences on k
     super vertices must reproduce the multinomial expansion."""
     _check_grid(m_max=m_max, k_max=k_max)
+    _check_cap("m_max", m_max, "SUPERVERTEX work", SUPERVERTEX_CAP)
     fn = joiner if joiner is not None else counting.count_supervertex_trees
 
     def cases() -> Iterator[_Case]:
@@ -299,7 +303,7 @@ def verify_prufer_roundtrip(n_max: int = 7) -> IdentityReport:
 
     def cases() -> Iterator[_Case]:
         for n in range(2, n_max + 1):
-            for symbols in product(range(1, n + 1), repeat=n - 2):
+            for symbols in enumeration.enumerate_sequences(n):
                 seq = PruferSequence(n, symbols)
                 tree = enumeration.prufer_decode(seq)
                 back = enumeration.prufer_encode(tree)

@@ -15,9 +15,17 @@ from hypothesis import strategies as st
 
 import treecount
 from oracles import parse_decimal
-from treecount import counting, enumeration, verifier
+from treecount import counting, enumeration, sampling, verifier
 from treecount.cli import _verify_exit, main
-from treecount.core import LabeledTree, read_prufer_lines, read_trees
+from treecount.core import (
+    LabeledTree,
+    degree_of,
+    degree_sequence,
+    prufer_to_text,
+    read_prufer_lines,
+    read_trees,
+    tree_degrees,
+)
 
 STAR_TEXT = "n 4\n1 4\n2 4\n3 4\n"
 
@@ -116,17 +124,22 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("fmt", ["edges", "prufer", "json", "csv"])
     def test_limit_pulls_no_tree_past_it(self, monkeypatch, fmt):
-        first_three = list(enumeration.enumerate_all_trees(4))[:3]
+        # the CLI reads the sequence stream in every format
+        first_three = list(enumeration.enumerate_sequences(4))[:3]
+        pulled = []
 
         def stream(n):
-            yield from first_three
+            for word in first_three:
+                pulled.append(word)
+                yield word
             raise AssertionError("tree 4 was pulled")
 
         argv = ["enumerate", "-n", "4", "--format", fmt, "--limit", "3", "--count"]
         expected = run_cli(argv)
         assert expected[0] == 0
-        monkeypatch.setattr(enumeration, "enumerate_all_trees", stream)
+        monkeypatch.setattr(enumeration, "enumerate_sequences", stream)
         assert run_cli(argv) == expected
+        assert pulled == first_three
 
     def test_json_records_parse(self):
         code, out, _ = run_cli(["enumerate", "-n", "3", "--format", "json"])
@@ -273,6 +286,19 @@ class TestSample:
         )
         assert run_cli(["sample", "-n", "1", "--count", "2"]) == (0, "n 1\n" * 2, "")
 
+    def test_size_cap_exit_3(self):
+        cap = sampling.SAMPLE_N_CAP
+
+        def refused(n):
+            return 3, "", f"treecount: n={n} beyond the sample cap {cap}\n"
+
+        assert run_cli(["sample", "-n", str(cap + 1)]) == refused(cap + 1)
+        assert run_cli(["sample", "-n", str(10**8), "--format", "prufer"]) == refused(10**8)
+        # a valid degree vector on cap + 1 vertices: a path
+        path = ",".join(["1"] + ["2"] * (cap - 1) + ["1"])
+        assert run_cli(["sample", "--degrees", path, "--count", "0"]) == refused(cap + 1)
+        assert run_cli(["sample", "-n", str(cap), "--count", "0"]) == (0, "", "")
+
 
 class TestVerify:
     def test_all_max_n_6_json(self):
@@ -335,6 +361,17 @@ class TestVerify:
                 3,
                 "",
                 f"treecount: n_max={cap + 1} beyond the {name} work cap {cap}\n",
+            )
+
+    def test_over_grid_work_cap_single_subject_exit_3(self):
+        for subject, cap, name in (
+            ("l3", verifier.L3_CAP, "L3"),
+            ("supervertex", verifier.SUPERVERTEX_CAP, "SUPERVERTEX"),
+        ):
+            assert run_cli(["verify", subject, "--max-n", str(cap + 1)]) == (
+                3,
+                "",
+                f"treecount: m_max={cap + 1} beyond the {name} work cap {cap}\n",
             )
 
     def test_over_cap_inside_all_exit_3(self):
@@ -465,3 +502,106 @@ class TestRoundTripProperty:
         ]
         assert run_cli(["prufer", "decode"], prufer) == (0, edges, "")
         assert run_cli(["prufer", "decode", "--format", "json"], prufer) == (0, as_json, "")
+
+
+# ---------------------------------------------------------------------------
+# prufer and json output straight from the swept or drawn words, against
+# the path that decodes every word, re-encodes the tree and calls json.dumps
+
+REFUSED = (2, "", "treecount: encoding needs at least 2 vertices\n")
+DEGREE_VECTORS = {
+    2: [(1, 1)],
+    3: [(1, 2, 1), (2, 1, 1)],
+    4: [(1, 1, 1, 3), (2, 2, 1, 1)],
+    5: [(2, 1, 2, 2, 1), (1, 1, 1, 1, 4)],
+    6: [(3, 1, 1, 2, 2, 1), (1, 2, 2, 2, 2, 1)],
+    7: [(2, 2, 2, 2, 2, 1, 1), (1, 3, 1, 3, 1, 2, 1), (1, 1, 1, 1, 1, 1, 6)],
+}
+
+
+def _decode_encode_lines(trees, fmt):
+    if fmt == "prufer":
+        return [prufer_to_text(enumeration.prufer_encode(t)) + "\n" for t in trees]
+    return [json.dumps({"n": t.n, "edges": [list(e) for e in t.edges]}) + "\n" for t in trees]
+
+
+def _expected(trees, fmt, *, limit=None, count=False):
+    trees = trees[:limit]
+    if fmt == "prufer" and any(t.n < 2 for t in trees):
+        return REFUSED
+    lines = _decode_encode_lines(trees, fmt)
+    if count:
+        total = len(trees)
+        lines.append(json.dumps({"count": total}) + "\n" if fmt == "json" else f"count {total}\n")
+    return 0, "".join(lines), ""
+
+
+def _enumerate_filters(n):
+    trees = list(enumeration.enumerate_all_trees(n))
+    yield [], trees
+    for k in range(1, n):
+        yield ["--deg-v1", str(k)], [t for t in trees if degree_of(t, 1) == k]
+    for d in DEGREE_VECTORS.get(n, ()):
+        yield ["--degrees", ",".join(map(str, d))], [t for t in trees if tree_degrees(t) == d]
+
+
+class TestDirectOutput:
+    @pytest.mark.parametrize("fmt", ["prufer", "json"])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_enumerate_matches_decode_and_encode(self, n, fmt):
+        for flags, trees in _enumerate_filters(n):
+            for limit in (None, 0, 1, 5):
+                for count in (False, True):
+                    argv = ["enumerate", "-n", str(n), "--format", fmt, *flags]
+                    argv += [] if limit is None else ["--limit", str(limit)]
+                    argv += ["--count"] if count else []
+                    assert run_cli(argv) == _expected(trees, fmt, limit=limit, count=count), argv
+
+    @pytest.mark.parametrize("fmt", ["prufer", "json"])
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    def test_sample_matches_decode_and_encode(self, fmt, seed):
+        for n in (1, 2, 3, 8, 50, 300):
+            cfg = sampling.SamplerConfig(seed, 5)
+            trees = list(sampling.sample_uniform_tree(n, cfg))
+            argv = ["sample", "-n", str(n), "--count", "5", "--seed", str(seed), "--format", fmt]
+            assert run_cli(argv) == _expected(trees, fmt), argv
+        big = next(sampling.sample_uniform_tree(300, sampling.SamplerConfig(seed, 1)))
+        for d in ((1, 1), (2, 1, 1), (3, 1, 2, 1, 1), tree_degrees(big)):
+            cfg = sampling.SamplerConfig(seed, 4)
+            trees = list(sampling.sample_tree_with_degrees(degree_sequence(d), cfg))
+            argv = ["sample", "--degrees", ",".join(map(str, d)), "--count", "4",
+                    "--seed", str(seed), "--format", fmt]
+            assert run_cli(argv) == _expected(trees, fmt), argv
+
+    def test_prufer_output_decodes_and_encodes_nothing(self, monkeypatch):
+        argvs = [
+            ["enumerate", "-n", "6", "--format", "prufer", "--count"],
+            ["enumerate", "-n", "6", "--format", "prufer", "--deg-v1", "2"],
+            ["enumerate", "-n", "6", "--format", "prufer", "--degrees", "3,1,1,2,2,1"],
+            ["sample", "-n", "40", "--count", "5", "--seed", "3", "--format", "prufer"],
+            ["sample", "--degrees", "3,1,2,1,1", "--count", "5", "--format", "prufer"],
+        ]
+        expected = [run_cli(argv) for argv in argvs]
+        assert all(code == 0 and out for code, out, _ in expected)
+
+        def refuse(*args):
+            raise AssertionError("the codec was called")
+
+        for name in ("prufer_decode", "prufer_encode", "decode_sequences"):
+            monkeypatch.setattr(enumeration, name, refuse)
+        monkeypatch.setattr(sampling, "decode_sequences", refuse)
+        assert [run_cli(argv) for argv in argvs] == expected
+
+    @pytest.mark.parametrize("fmt", ["edges", "json", "csv"])
+    def test_deg_v1_decodes_only_the_trees_it_keeps(self, monkeypatch, fmt):
+        decode = enumeration.decode_sequences
+        decoded = []
+
+        def recording(n, words):
+            return decode(n, (decoded.append(w) or w for w in words))
+
+        monkeypatch.setattr(enumeration, "decode_sequences", recording)
+        code, _, _ = run_cli(["enumerate", "-n", "6", "--deg-v1", "2", "--format", fmt])
+        assert code == 0
+        assert len(decoded) == counting.count_trees_deg_v1(6, 2)
+        assert all(w.count(1) == 1 for w in decoded)

@@ -27,11 +27,14 @@ from treecount.core import (
 )
 from treecount import enumeration
 from treecount.enumeration import (
+    decode_sequences,
     deg_v1_histogram,
     enumerate_all_trees,
     enumerate_all_trees_by_edges,
     enumerate_compositions,
     enumerate_edge_subsets_pairs,
+    enumerate_sequences,
+    enumerate_sequences_with_degrees,
     enumerate_trees_with_degrees,
     prufer_decode,
     prufer_encode,
@@ -147,6 +150,39 @@ class TestEnumerateAllTrees:
         monkeypatch.setattr(enumeration, "PRUFER_ENUM_CAP", 3)
         with pytest.raises(CapExceeded):
             enumerate_all_trees(4)
+
+
+class TestSequenceStreams:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_word_in_lexicographic_order(self, n):
+        words = enumerate_sequences(n)
+        assert not isinstance(words, (list, tuple))
+        assert list(words) == list(product(range(1, n + 1), repeat=max(n - 2, 0)))
+
+    def test_validation_and_cap(self):
+        with pytest.raises(OutOfRange):
+            enumerate_sequences(0)
+        with pytest.raises(CapExceeded, match=r"^n=10 beyond the sweep cap 9$"):
+            enumerate_sequences(10)
+        with pytest.raises(CapExceeded, match=r"^n=10 beyond the sweep cap 9$"):
+            enumerate_sequences_with_degrees(DegreeSequence((9,) + (1,) * 9))
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_degree_words_are_the_filtered_sweep(self, n):
+        # vertex v has degree (occurrences of v in the word) + 1
+        for c in enumerate_compositions(2 * n - 2, n):
+            want = [
+                w for w in enumerate_sequences(n)
+                if all(w.count(v) == c.parts[v - 1] - 1 for v in range(1, n + 1))
+            ]
+            assert list(enumerate_sequences_with_degrees(DegreeSequence(c.parts))) == want
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_trees_are_the_decode_of_the_words(self, n):
+        words = list(enumerate_sequences(n))
+        want = [prufer_decode(PruferSequence(n, w)) for w in words]
+        assert list(decode_sequences(n, words)) == want
+        assert list(enumerate_all_trees(n)) == want
 
 
 class TestEnumerateWithDegrees:

@@ -6,8 +6,23 @@ from collections import Counter
 
 import pytest
 
-from treecount.core import LabeledTree, OutOfRange, canonicalize_tree, degree_sequence, tree_degrees
-from treecount.sampling import SamplerConfig, sample_tree_with_degrees, sample_uniform_tree
+from treecount import sampling
+from treecount.core import (
+    CapExceeded,
+    LabeledTree,
+    OutOfRange,
+    canonicalize_tree,
+    degree_sequence,
+    tree_degrees,
+)
+from treecount.enumeration import decode_sequences
+from treecount.sampling import (
+    SamplerConfig,
+    sample_sequence_with_degrees,
+    sample_tree_with_degrees,
+    sample_uniform_sequence,
+    sample_uniform_tree,
+)
 
 
 class TestUniformSampler:
@@ -74,3 +89,52 @@ class TestDegreeConstrainedSampler:
         d = degree_sequence((2, 2, 1, 1))
         seen = Counter(sample_tree_with_degrees(d, SamplerConfig(3, 200)))
         assert len(seen) == 2
+
+
+class TestSequenceSamplers:
+    def test_uniform_draws_are_pinned(self):
+        # the words the seeded stream has always drawn
+        assert list(sample_uniform_sequence(7, SamplerConfig(123, 4))) == [
+            (1, 3, 1, 7, 4),
+            (3, 1, 7, 7, 1),
+            (4, 5, 5, 3, 3),
+            (7, 1, 2, 2, 3),
+        ]
+
+    def test_degree_draws_are_pinned(self):
+        d = degree_sequence((3, 2, 1, 1, 1, 2, 2))
+        assert list(sample_sequence_with_degrees(d, SamplerConfig(77, 4))) == [
+            (6, 7, 1, 1, 2),
+            (7, 2, 1, 6, 1),
+            (1, 1, 2, 7, 6),
+            (2, 1, 6, 1, 7),
+        ]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 9, 60])
+    def test_trees_are_the_decode_of_the_words(self, n):
+        cfg = SamplerConfig(n, 20)
+        words = list(sample_uniform_sequence(n, cfg))
+        assert all(len(w) == max(n - 2, 0) for w in words)
+        assert list(sample_uniform_tree(n, cfg)) == list(decode_sequences(n, words))
+        d = degree_sequence(tree_degrees(next(sample_uniform_tree(max(n, 2), cfg))))
+        words = list(sample_sequence_with_degrees(d, cfg))
+        want = list(decode_sequences(len(d.degrees), words))
+        assert list(sample_tree_with_degrees(d, cfg)) == want
+
+    def test_size_cap(self):
+        cap = sampling.SAMPLE_N_CAP
+        assert cap >= 1000
+        path = degree_sequence((1,) + (2,) * (cap - 1) + (1,))
+        for call in (
+            lambda: sample_uniform_sequence(cap + 1, SamplerConfig(0, 1)),
+            lambda: sample_uniform_tree(cap + 1, SamplerConfig(0, 1)),
+            lambda: sample_sequence_with_degrees(path, SamplerConfig(0, 1)),
+            lambda: sample_tree_with_degrees(path, SamplerConfig(0, 1)),
+        ):
+            with pytest.raises(CapExceeded) as info:
+                call()
+            assert (str(info.value), info.value.kind) == (
+                f"n={cap + 1} beyond the sample cap {cap}",
+                "sample",
+            )
+        assert list(sample_uniform_sequence(cap, SamplerConfig(0, 0))) == []

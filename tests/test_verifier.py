@@ -19,7 +19,9 @@ from treecount.verifier import (
     DEFAULT_LIMITS,
     EQ_20_CAP,
     IDENTITY_IDS,
+    L3_CAP,
     LEMMA_1_CAP,
+    SUPERVERTEX_CAP,
     verify_all,
     verify_binomial_collapse,
     verify_deg_v1_totality,
@@ -314,6 +316,29 @@ class TestVerifyAll:
                     "got": f"CapExceeded: n_max={cap + 1} beyond the {name} work cap {cap}",
                 }
             ]
+
+    def test_grid_work_caps_are_capped_entries(self):
+        # the grids of L3 and SUPERVERTEX grow about as m_max^5
+        assert L3_CAP >= 14 and SUPERVERTEX_CAP >= 14
+        limits = dict(SMALL_LIMITS, L3_EXPANSION=L3_CAP + 1, SUPERVERTEX_MARGINAL=SUPERVERTEX_CAP + 1)
+        by_id = {r.identity_id: r for r in verify_all(limits)}
+        for identity_id, name, cap in (
+            ("L3_EXPANSION", "L3", L3_CAP),
+            ("SUPERVERTEX_MARGINAL", "SUPERVERTEX", SUPERVERTEX_CAP),
+        ):
+            report = by_id[identity_id]
+            assert report.capped
+            assert [f.to_record() for f in report.failures] == [
+                {
+                    "parameters": f"limit={cap + 1}",
+                    "expected": "limit within work cap",
+                    "got": f"CapExceeded: m_max={cap + 1} beyond the {name} work cap {cap}",
+                }
+            ]
+        for check, cap in ((verify_l3_expansion, L3_CAP), (verify_supervertex_marginal, SUPERVERTEX_CAP)):
+            with pytest.raises(CapExceeded) as info:
+                check(cap + 1)
+            assert info.value.kind.endswith(" work")
 
     def test_only_capped_entries_are_capped(self):
         limits = dict(SMALL_LIMITS, THEOREM_1=10, EQ_20_RECURSION=EQ_20_CAP + 1)
