@@ -15,7 +15,6 @@ from treecount.core import (
     DegreeSequence,
     DuplicateEdge,
     Edge,
-    EdgeNotInTree,
     EdgeTextError,
     InvalidDegreeSequence,
     LabeledTree,
@@ -41,23 +40,18 @@ from treecount.core import (
     tree_to_text,
 )
 from treecount.counting import (
-    DegV1Count,
     assemble_double_count,
     binomial_collapse,
-    count_fixed_composition_trees,
     count_supervertex_trees,
     count_total_trees,
     count_trees_deg_v1,
     count_trees_deg_v1_rational,
     count_trees_with_degrees,
-    deg_v1_counts,
     expand_L3,
     lemma1_lhs,
     recursion_T,
 )
 from treecount.enumeration import (
-    Component,
-    Forest,
     decode_sequences,
     deg_v1_histogram,
     enumerate_all_trees,
@@ -69,8 +63,6 @@ from treecount.enumeration import (
     enumerate_trees_with_degrees,
     prufer_decode,
     prufer_encode,
-    split_by_edge_removal,
-    split_by_root_removal,
 )
 from treecount.sampling import (
     SamplerConfig,

@@ -47,17 +47,6 @@ def _json_tree(tree: LabeledTree) -> str:
     return '{"n": %d, "edges": [%s]}\n' % (tree.n, edges)
 
 
-def _no_sequence(_word: tuple[int, ...]) -> str:
-    # a one-vertex tree has no sequence: refused as prufer encode does
-    raise OutOfRange("encoding needs at least 2 vertices")
-
-
-def _prufer_lines(n: int, words: Iterable[tuple[int, ...]]) -> Iterator[str]:
-    if n < 2:
-        return map(_no_sequence, words)
-    return map((",".join(["%d"] * (n - 2)) + "\n").__mod__, words)
-
-
 def _csv_tree(index: int, tree: LabeledTree) -> str:
     return "".join([f"{index},{u},{v}\n" for u, v in tree.edges])
 
@@ -72,12 +61,15 @@ def _tree_lines(
 ) -> Iterator[str]:
     """The output of a stream of Prufer words on n vertices: the prufer
     format writes each word as it is, the other formats its tree."""
+    if fmt == "prufer" and n < 2:
+        # a one-vertex tree has no sequence: refused as prufer encode does
+        raise OutOfRange("encoding needs at least 2 vertices")
     if fmt == "csv":
         yield "tree,u,v\n"
     if limit is not None:
         words = islice(words, limit)
     if fmt == "prufer":
-        lines = _prufer_lines(n, words)
+        lines = map((",".join(["%d"] * (n - 2)) + "\n").__mod__, words)
     else:
         trees = enumeration.decode_sequences(n, words)
         if fmt == "edges":

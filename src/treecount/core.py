@@ -60,10 +60,6 @@ class CapExceeded(TreeCountError):
     kind = ""
 
 
-class EdgeNotInTree(TreeCountError):
-    """An edge scheduled for removal is not present in the tree."""
-
-
 class EdgeTextError(TreeCountError):
     """Malformed edge-list or sequence text; carries the 1-based line number."""
 
@@ -103,10 +99,9 @@ class DegreeSequence(NamedTuple):
 
 
 class Composition(NamedTuple):
-    """An ordered tuple of integer parts with a prescribed total."""
+    """An ordered tuple of integer parts."""
 
     parts: tuple[int, ...]
-    target_sum: int
 
 
 class PruferSequence(NamedTuple):
@@ -204,12 +199,12 @@ def degree_sequence(degrees: Iterable[int]) -> DegreeSequence:
 
 
 def composition(
-    parts: Iterable[int], target_sum: int | None = None, *, allow_zero: bool = False
+    parts: Iterable[int], expected_sum: int | None = None, *, allow_zero: bool = False
 ) -> Composition:
     """Build a validated Composition.
 
     Parts must be positive unless ``allow_zero`` permits zeros; the total
-    must equal ``target_sum`` when one is given.
+    must equal ``expected_sum`` when one is given.
     """
     p = tuple(parts)
     if not p:
@@ -219,11 +214,9 @@ def composition(
         kind = "nonnegative" if allow_zero else "positive"
         raise CompositionSumMismatch(f"parts must be {kind}: {p}")
     total = sum(p)
-    if target_sum is None:
-        target_sum = total
-    elif total != target_sum:
-        raise CompositionSumMismatch(f"parts sum to {total}, expected {target_sum}")
-    return Composition(p, target_sum)
+    if expected_sum is not None and total != expected_sum:
+        raise CompositionSumMismatch(f"parts sum to {total}, expected {expected_sum}")
+    return Composition(p)
 
 
 def prufer_sequence(n: int, symbols: Iterable[int] = ()) -> PruferSequence:

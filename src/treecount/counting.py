@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from treecount.core import (
     Composition,
@@ -44,14 +44,6 @@ from treecount.core import (
     validate_degrees,
 )
 from treecount.enumeration import enumerate_compositions
-
-
-class DegV1Count(NamedTuple):
-    """One summand of the by-degree-of-vertex-1 decomposition of the total."""
-
-    n: int
-    k: int
-    count: int
 
 
 def _binomial_convolution(m: int, f: Sequence[int], g: Sequence[int]) -> int:
@@ -121,25 +113,6 @@ def lemma1_lhs(n: int, k: int) -> int:
     for _ in range(k):
         g = [_binomial_convolution(j, f, g) for j in range(n)]
     return exact_div(g[n - 1], factorial(k))
-
-
-def count_fixed_composition_trees(n: int, a: Composition) -> int:
-    """Trees on n vertices where removing vertex 1 leaves components of
-    sizes (a_1..a_k) under an implicit ordered group labeling:
-    (prod a_i * T_{a_i}) * (n-1)! / prod(a_i!)."""
-    if n < 2:
-        raise OutOfRange(f"need n >= 2, got {n}")
-    parts = a.parts
-    if any(x < 1 for x in parts):
-        raise CompositionSumMismatch(f"component sizes must be positive: {parts}")
-    if sum(parts) != n - 1 or a.target_sum != n - 1:
-        raise CompositionSumMismatch(
-            f"component sizes must sum to {n - 1}, got {sum(parts)}"
-        )
-    out = multinomial(parts)
-    for x in parts:
-        out *= x * count_total_trees(x)
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -246,10 +219,3 @@ def binomial_collapse(n: int) -> int:
     if n < 2:
         raise OutOfRange(f"need n >= 2, got {n}")
     return sum(binomial(n - 2, j) * (n - 1) ** (n - 2 - j) for j in range(n - 1))
-
-
-def deg_v1_counts(n: int) -> tuple[DegV1Count, ...]:
-    """The full decomposition of the total count by deg(vertex 1)."""
-    if n < 2:
-        raise OutOfRange(f"need n >= 2, got {n}")
-    return tuple(DegV1Count(n, k, count_trees_deg_v1(n, k)) for k in range(1, n))

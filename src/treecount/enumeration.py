@@ -1,4 +1,4 @@
-"""Exhaustive oracles: tree generation, the Prufer codec, and decompositions.
+"""Exhaustive oracles: tree generation and the Prufer codec.
 
 Everything here enumerates or transforms concrete trees, providing the
 brute-force reference paths that the closed-form counters are checked
@@ -18,14 +18,12 @@ from __future__ import annotations
 
 import heapq
 from itertools import combinations, product
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from treecount.core import (
-    BadVertex,
     Composition,
     DegreeSequence,
     Edge,
-    EdgeNotInTree,
     LabeledTree,
     OutOfRange,
     PruferSequence,
@@ -40,21 +38,6 @@ from treecount.core import (
 PRUFER_ENUM_CAP = 9
 EDGE_ENUM_CAP = 6
 PAIR_ENUM_CAP = 6
-
-
-class Component(NamedTuple):
-    """One connected piece of a split tree, keeping the original labels."""
-
-    vertices: tuple[int, ...]
-    edges: tuple[Edge, ...]
-
-
-class Forest(NamedTuple):
-    """The components left after removing edges (or a vertex) from a tree."""
-
-    n: int
-    components: tuple[Component, ...]
-    removed_edges: tuple[Edge, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -208,68 +191,6 @@ def deg_v1_histogram(n: int) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Splitting
-
-
-def _components(
-    n: int, edges: Iterable[Edge], skip: int | None = None
-) -> tuple[Component, ...]:
-    adj: dict[int, list[int]] = {}
-    for v in range(1, n + 1):
-        if v != skip:
-            adj[v] = []
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen: set[int] = set()
-    out = []
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        stack = [start]
-        seen.add(start)
-        verts = []
-        while stack:
-            u = stack.pop()
-            verts.append(u)
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        vert_set = set(verts)
-        comp_edges = tuple(sorted(e for e in edges if e[0] in vert_set))
-        out.append(Component(tuple(sorted(verts)), comp_edges))
-    return tuple(out)
-
-
-def split_by_root_removal(tree: LabeledTree, v: int) -> Forest:
-    """Delete vertex ``v`` and its incident edges; the deg(v) remaining
-    components keep their original labels."""
-    if tree.n < 2:
-        raise OutOfRange("splitting needs at least 2 vertices")
-    if not 1 <= v <= tree.n:
-        raise BadVertex(f"vertex {v} outside 1..{tree.n}")
-    removed = tuple(e for e in tree.edges if v in e)
-    remaining = [e for e in tree.edges if v not in e]
-    return Forest(tree.n, _components(tree.n, remaining, skip=v), removed)
-
-
-def split_by_edge_removal(tree: LabeledTree, cut: Iterable[Edge]) -> Forest:
-    """Delete the given edges; returns |cut| + 1 components whose
-    reinsertion reconstitutes the tree."""
-    own = set(tree.edges)
-    cutset: set[Edge] = set()
-    for pair in cut:
-        u, v = pair
-        e = (u, v) if u < v else (v, u)
-        if e not in own:
-            raise EdgeNotInTree(f"edge {e!r} is not in the tree")
-        cutset.add(e)
-    remaining = [e for e in tree.edges if e not in cutset]
-    return Forest(tree.n, _components(tree.n, remaining), tuple(sorted(cutset)))
-
-
-# ---------------------------------------------------------------------------
 # Pair and composition enumeration
 
 
@@ -309,7 +230,7 @@ def _composition_stream(total: int, k: int, lo: int) -> Iterator[Composition]:
     def rec(remaining: int, slots: int, prefix: tuple[int, ...]) -> Iterator[Composition]:
         if slots == 1:
             if remaining >= lo:
-                yield Composition(prefix + (remaining,), total)
+                yield Composition(prefix + (remaining,))
             return
         for first in range(lo, remaining - lo * (slots - 1) + 1):
             yield from rec(remaining - first, slots - 1, prefix + (first,))

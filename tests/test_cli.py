@@ -161,6 +161,8 @@ class TestEnumerate:
         refused = (2, "", "treecount: encoding needs at least 2 vertices\n")
         assert run_cli(["enumerate", "-n", "1", "--format", "prufer"]) == refused
         assert run_cli(["enumerate", "-n", "1", "--format", "prufer", "--count"]) == refused
+        argv = ["enumerate", "-n", "1", "--format", "prufer", "--limit", "0", "--count"]
+        assert run_cli(argv) == refused
         assert run_cli(["prufer", "encode"], "n 1\n") == refused
 
     def test_negative_limit_exit_2(self):
@@ -280,6 +282,11 @@ class TestSample:
 
     def test_single_vertex_prufer_refused(self):
         assert run_cli(["sample", "-n", "1", "--count", "3", "--format", "prufer"]) == (
+            2,
+            "",
+            "treecount: encoding needs at least 2 vertices\n",
+        )
+        assert run_cli(["sample", "-n", "1", "--count", "0", "--format", "prufer"]) == (
             2,
             "",
             "treecount: encoding needs at least 2 vertices\n",
@@ -526,9 +533,10 @@ def _decode_encode_lines(trees, fmt):
 
 
 def _expected(trees, fmt, *, limit=None, count=False):
-    trees = trees[:limit]
+    # a one-vertex stream is refused before any limit applies
     if fmt == "prufer" and any(t.n < 2 for t in trees):
         return REFUSED
+    trees = trees[:limit]
     lines = _decode_encode_lines(trees, fmt)
     if count:
         total = len(trees)

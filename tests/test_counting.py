@@ -27,18 +27,16 @@ from treecount.core import (
 from treecount.counting import (
     assemble_double_count,
     binomial_collapse,
-    count_fixed_composition_trees,
     count_supervertex_trees,
     count_total_trees,
     count_trees_deg_v1,
     count_trees_deg_v1_rational,
     count_trees_with_degrees,
-    deg_v1_counts,
     expand_L3,
     lemma1_lhs,
     recursion_T,
 )
-from treecount.enumeration import enumerate_compositions
+from treecount.enumeration import deg_v1_histogram, enumerate_compositions
 
 
 class TestCountTotalTrees:
@@ -123,10 +121,10 @@ class TestDegV1:
     def test_totality(self, n):
         assert sum(count_trees_deg_v1(n, k) for k in range(1, n)) == count_total_trees(n)
 
-    def test_deg_v1_counts_structure(self):
-        rows = deg_v1_counts(4)
-        assert [(r.k, r.count) for r in rows] == [(1, 9), (2, 6), (3, 1)]
-        assert all(r.n == 4 for r in rows)
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_rows_match_histogram(self, n):
+        hist = deg_v1_histogram(n)
+        assert {k: count_trees_deg_v1(n, k) for k in range(1, n)} == hist
 
 
 class TestLemma1Lhs:
@@ -145,29 +143,6 @@ class TestLemma1Lhs:
     def test_convolution_matches_composition_sum(self, n):
         for k in range(1, n):
             assert lemma1_lhs(n, k) == oracles.lemma1_sum(n, k)
-
-
-class TestFixedCompositionTrees:
-    def test_examples(self):
-        assert count_fixed_composition_trees(4, composition((1, 2))) == 6
-        assert count_fixed_composition_trees(4, composition((3,))) == 9
-        assert count_fixed_composition_trees(2, composition((1,))) == 1
-
-    def test_sum_mismatch(self):
-        with pytest.raises(CompositionSumMismatch):
-            count_fixed_composition_trees(4, composition((1, 1)))
-        with pytest.raises(CompositionSumMismatch):
-            count_fixed_composition_trees(4, Composition((0, 3), 3))
-
-    @pytest.mark.parametrize("n", range(2, 8))
-    def test_rebuilds_deg_v1_counts(self, n):
-        for k in range(1, n):
-            ordered = sum(
-                count_fixed_composition_trees(n, c)
-                for c in enumerate_compositions(n - 1, k)
-            )
-            assert ordered % factorial(k) == 0
-            assert ordered // factorial(k) == count_trees_deg_v1(n, k)
 
 
 class TestRecursion:
@@ -228,7 +203,7 @@ class TestExpandL3:
         with pytest.raises(CompositionSumMismatch):
             expand_L3(composition((1, 2)), 4)
         with pytest.raises(CompositionSumMismatch):
-            expand_L3(Composition((0, 3), 3), 3)
+            expand_L3(Composition((0, 3)), 3)
 
     def test_matches_power_form(self):
         for k in range(2, 6):
@@ -260,7 +235,7 @@ class TestSupervertex:
         with pytest.raises(CompositionSumMismatch):
             count_supervertex_trees(degree_sequence((1, 1)), composition((1, 1, 1)))
         with pytest.raises(CompositionSumMismatch):
-            count_supervertex_trees(degree_sequence((1, 1)), Composition((0, 2), 2))
+            count_supervertex_trees(degree_sequence((1, 1)), Composition((0, 2)))
 
     def test_marginalizes_to_expansion(self):
         for k in range(2, 6):

@@ -1,4 +1,4 @@
-"""Exhaustive enumerators, the Prufer codec, and tree decompositions."""
+"""Exhaustive enumerators and the Prufer codec."""
 
 from __future__ import annotations
 
@@ -8,15 +8,12 @@ from math import comb
 
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 import oracles
 from strategies import labeled_trees
 from treecount.core import (
-    BadVertex,
     CapExceeded,
     DegreeSequence,
-    EdgeNotInTree,
     LabeledTree,
     OutOfRange,
     PruferSequence,
@@ -38,8 +35,6 @@ from treecount.enumeration import (
     enumerate_trees_with_degrees,
     prufer_decode,
     prufer_encode,
-    split_by_edge_removal,
-    split_by_root_removal,
 )
 
 
@@ -219,79 +214,6 @@ class TestDegV1Histogram:
             deg_v1_histogram(1)
 
 
-class TestSplitByRootRemoval:
-    def test_star_center(self):
-        star = canonicalize_tree(4, [(1, 4), (2, 4), (3, 4)])
-        forest = split_by_root_removal(star, 4)
-        assert [c.vertices for c in forest.components] == [(1,), (2,), (3,)]
-        assert forest.removed_edges == ((1, 4), (2, 4), (3, 4))
-
-    def test_path_center(self):
-        path = canonicalize_tree(3, [(1, 2), (2, 3)])
-        forest = split_by_root_removal(path, 2)
-        assert [c.vertices for c in forest.components] == [(1,), (3,)]
-
-    def test_path_leaf(self):
-        path = canonicalize_tree(3, [(1, 2), (2, 3)])
-        forest = split_by_root_removal(path, 1)
-        assert [c.vertices for c in forest.components] == [(2, 3)]
-        assert forest.components[0].edges == ((2, 3),)
-
-    def test_bad_vertex(self):
-        with pytest.raises(BadVertex):
-            split_by_root_removal(LabeledTree(2, ((1, 2),)), 3)
-
-    @given(labeled_trees(min_n=2, max_n=9))
-    def test_component_count_is_root_degree(self, tree):
-        forest = split_by_root_removal(tree, 1)
-        assert len(forest.components) == degree_of(tree, 1)
-        sizes = sorted(len(c.vertices) for c in forest.components)
-        assert sum(sizes) == tree.n - 1
-        covered = set()
-        for c in forest.components:
-            covered.update(c.vertices)
-        assert covered == set(range(2, tree.n + 1))
-
-
-class TestSplitByEdgeRemoval:
-    def test_examples(self):
-        path = canonicalize_tree(3, [(1, 2), (2, 3)])
-        forest = split_by_edge_removal(path, [(1, 2)])
-        assert [c.vertices for c in forest.components] == [(1,), (2, 3)]
-
-        star = canonicalize_tree(4, [(1, 4), (2, 4), (3, 4)])
-        forest = split_by_edge_removal(star, [(1, 4), (2, 4)])
-        assert [c.vertices for c in forest.components] == [(1,), (2,), (3, 4)]
-
-        forest = split_by_edge_removal(star, [])
-        assert len(forest.components) == 1
-
-    def test_unknown_edge(self):
-        path = canonicalize_tree(3, [(1, 2), (2, 3)])
-        with pytest.raises(EdgeNotInTree):
-            split_by_edge_removal(path, [(1, 3)])
-
-    def test_accepts_reversed_orientation(self):
-        path = canonicalize_tree(3, [(1, 2), (2, 3)])
-        forest = split_by_edge_removal(path, [(2, 1)])
-        assert forest.removed_edges == ((1, 2),)
-
-    @given(labeled_trees(min_n=2, max_n=9), st.data())
-    def test_split_then_merge_is_identity(self, tree, data):
-        cut_size = data.draw(st.integers(min_value=0, max_value=tree.n - 1))
-        cut = data.draw(
-            st.permutations(list(tree.edges)).map(lambda e: tuple(e[:cut_size]))
-        )
-        forest = split_by_edge_removal(tree, cut)
-        assert len(forest.components) == len(cut) + 1
-        rebuilt_edges = sorted(
-            [e for c in forest.components for e in c.edges] + list(forest.removed_edges)
-        )
-        assert canonicalize_tree(tree.n, rebuilt_edges) == tree
-        covered = [v for c in forest.components for v in c.vertices]
-        assert sorted(covered) == list(range(1, tree.n + 1))
-
-
 class TestEdgeSubsetPairs:
     def test_examples(self):
         assert sum(1 for _ in enumerate_edge_subsets_pairs(3, 2)) == 6
@@ -346,7 +268,6 @@ class TestCompositions:
         comps = [c.parts for c in enumerate_compositions(6, 3)]
         assert comps == sorted(comps)
         assert all(sum(p) == 6 and min(p) >= 1 for p in comps)
-        assert all(c.target_sum == 6 for c in enumerate_compositions(6, 3))
 
     def test_validation(self):
         with pytest.raises(OutOfRange):
