@@ -10,9 +10,7 @@ whole parameter grids.  All arithmetic is exact.
 from treecount.core import (
     BadVertex,
     CapExceeded,
-    Composition,
     CompositionSumMismatch,
-    DegreeSequence,
     DuplicateEdge,
     Edge,
     EdgeTextError,
@@ -26,9 +24,7 @@ from treecount.core import (
     as_integer,
     binomial,
     canonicalize_tree,
-    composition,
     degree_of,
-    degree_sequence,
     exact_div,
     factorial,
     multinomial,
@@ -38,6 +34,7 @@ from treecount.core import (
     read_trees,
     tree_degrees,
     tree_to_text,
+    validate_degrees,
 )
 from treecount.counting import (
     assemble_double_count,
@@ -65,7 +62,6 @@ from treecount.enumeration import (
     prufer_encode,
 )
 from treecount.sampling import (
-    SamplerConfig,
     sample_sequence_with_degrees,
     sample_tree_with_degrees,
     sample_uniform_sequence,

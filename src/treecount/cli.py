@@ -18,27 +18,33 @@ from typing import IO, Iterable, Iterator
 from treecount import counting, enumeration, sampling, verifier
 from treecount.core import (
     CapExceeded,
-    DegreeSequence,
     LabeledTree,
     OutOfRange,
     TreeCountError,
-    degree_sequence,
+    _check_cap,
     int_to_text,
     prufer_to_text,
     read_prufer_lines,
     read_trees,
     tree_to_text,
+    validate_degrees,
 )
 
 TREE_FORMATS = ("edges", "prufer", "json", "csv")
 
+# Largest n that count computes, or length of its degree vector: at the
+# cap the slowest subject, degrees of a path, counts and prints in about
+# a second of CPU.
+COUNT_N_CAP = 40_000
 
-def _parse_degrees(text: str) -> DegreeSequence:
+
+def _parse_degrees(text: str) -> tuple[int, ...]:
     try:
         degrees = tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise OutOfRange(f"degrees must be comma-separated integers, got {text!r}") from None
-    return degree_sequence(degrees)
+    validate_degrees(degrees)
+    return degrees
 
 
 def _json_tree(tree: LabeledTree) -> str:
@@ -98,17 +104,20 @@ def cmd_count(args, stdin: IO[str], stdout: IO[str]) -> int:
     if args.subject == "total":
         if args.n is None:
             raise OutOfRange("count total requires -n")
+        _check_cap("n", args.n, "count", COUNT_N_CAP)
         payload = {"subject": "total", "n": args.n}
         value = counting.count_total_trees(args.n)
     elif args.subject == "degrees":
         if args.degrees is None:
             raise OutOfRange("count degrees requires -d/--degrees")
         d = _parse_degrees(args.degrees)
-        payload = {"subject": "degrees", "degrees": list(d.degrees)}
+        _check_cap("n", len(d), "count", COUNT_N_CAP)
+        payload = {"subject": "degrees", "degrees": list(d)}
         value = counting.count_trees_with_degrees(d)
     else:
         if args.n is None or args.k is None:
             raise OutOfRange("count degv1 requires -n and -k")
+        _check_cap("n", args.n, "count", COUNT_N_CAP)
         payload = {"subject": "degv1", "n": args.n, "k": args.k}
         value = counting.count_trees_deg_v1(args.n, args.k)
 
@@ -134,10 +143,8 @@ def cmd_enumerate(args, stdin: IO[str], stdout: IO[str]) -> int:
         raise OutOfRange(f"--limit must be >= 0, got {args.limit}")
     if args.degrees is not None:
         d = _parse_degrees(args.degrees)
-        if len(d.degrees) != n:
-            raise OutOfRange(
-                f"--degrees lists {len(d.degrees)} vertices but -n is {n}"
-            )
+        if len(d) != n:
+            raise OutOfRange(f"--degrees lists {len(d)} vertices but -n is {n}")
         words = enumeration.enumerate_sequences_with_degrees(d)
     elif args.deg_v1 is not None:
         k = args.deg_v1
@@ -179,14 +186,13 @@ def cmd_prufer(args, stdin: IO[str], stdout: IO[str]) -> int:
 
 
 def cmd_sample(args, stdin: IO[str], stdout: IO[str]) -> int:
-    cfg = sampling.SamplerConfig(seed=args.seed, count=args.count)
     if args.degrees is not None:
         d = _parse_degrees(args.degrees)
-        n = len(d.degrees)
-        words = sampling.sample_sequence_with_degrees(d, cfg)
+        n = len(d)
+        words = sampling.sample_sequence_with_degrees(d, seed=args.seed, count=args.count)
     else:
         n = args.n
-        words = sampling.sample_uniform_sequence(n, cfg)
+        words = sampling.sample_uniform_sequence(n, seed=args.seed, count=args.count)
     stdout.writelines(_tree_lines(n, words, args.format))
     return 0
 

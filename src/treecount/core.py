@@ -46,7 +46,7 @@ class InvalidDegreeSequence(TreeCountError):
 
 
 class CompositionSumMismatch(TreeCountError):
-    """Composition parts do not match the required sum or sign constraint."""
+    """Parts or component sizes break their required sum, length or sign."""
 
 
 class NonIntegralResult(TreeCountError):
@@ -83,6 +83,8 @@ def _check_cap(name: str, value: int, kind: str, cap: int) -> None:
 # These are plain named tuples; validation lives in the factory functions
 # below and in the operations that consume them, so hot enumeration loops
 # can build already-canonical values without re-checking invariants.
+# Degree vectors and compositions are plain int tuples; validate_degrees
+# states the rule a degree vector must meet.
 
 
 class LabeledTree(NamedTuple):
@@ -90,18 +92,6 @@ class LabeledTree(NamedTuple):
 
     n: int
     edges: tuple[Edge, ...]
-
-
-class DegreeSequence(NamedTuple):
-    """Per-vertex degrees (d_1..d_n); valid when all d_i >= 1 and sum = 2n - 2."""
-
-    degrees: tuple[int, ...]
-
-
-class Composition(NamedTuple):
-    """An ordered tuple of integer parts."""
-
-    parts: tuple[int, ...]
 
 
 class PruferSequence(NamedTuple):
@@ -189,34 +179,6 @@ def validate_degrees(degrees: tuple[int, ...]) -> None:
         raise InvalidDegreeSequence(
             f"degree sum must be {2 * n - 2} for n={n}, got {sum(degrees)}"
         )
-
-
-def degree_sequence(degrees: Iterable[int]) -> DegreeSequence:
-    """Build a validated DegreeSequence."""
-    d = tuple(degrees)
-    validate_degrees(d)
-    return DegreeSequence(d)
-
-
-def composition(
-    parts: Iterable[int], expected_sum: int | None = None, *, allow_zero: bool = False
-) -> Composition:
-    """Build a validated Composition.
-
-    Parts must be positive unless ``allow_zero`` permits zeros; the total
-    must equal ``expected_sum`` when one is given.
-    """
-    p = tuple(parts)
-    if not p:
-        raise CompositionSumMismatch("a composition needs at least one part")
-    lo = 0 if allow_zero else 1
-    if any(x < lo for x in p):
-        kind = "nonnegative" if allow_zero else "positive"
-        raise CompositionSumMismatch(f"parts must be {kind}: {p}")
-    total = sum(p)
-    if expected_sum is not None and total != expected_sum:
-        raise CompositionSumMismatch(f"parts sum to {total}, expected {expected_sum}")
-    return Composition(p)
 
 
 def prufer_sequence(n: int, symbols: Iterable[int] = ()) -> PruferSequence:

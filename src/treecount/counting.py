@@ -33,9 +33,7 @@ from math import comb
 from typing import Sequence
 
 from treecount.core import (
-    Composition,
     CompositionSumMismatch,
-    DegreeSequence,
     OutOfRange,
     binomial,
     exact_div,
@@ -66,11 +64,11 @@ def count_total_trees(n: int) -> int:
     return n ** (n - 2)
 
 
-def count_trees_with_degrees(d: DegreeSequence) -> int:
-    """(n-2)! / prod((d_i - 1)!) labeled trees with degree vector d."""
-    validate_degrees(d.degrees)
+def count_trees_with_degrees(degrees: tuple[int, ...]) -> int:
+    """(n-2)! / prod((d_i - 1)!) labeled trees with degree vector ``degrees``."""
+    validate_degrees(degrees)
     # the parts d_i - 1 sum to n-2 by the degree-sum invariant
-    return multinomial(deg - 1 for deg in d.degrees)
+    return multinomial(deg - 1 for deg in degrees)
 
 
 def _check_deg_v1_args(n: int, k: int) -> None:
@@ -150,14 +148,13 @@ def recursion_T(n: int) -> int:
     return _total_by_recursion(n)
 
 
-def expand_L3(a: Composition, m: int) -> int:
+def expand_L3(parts: tuple[int, ...], m: int) -> int:
     """m^(k-2) * prod(a_i) written as the multinomial expansion
     sum over nonnegative (c_1..c_k) with sum k-2 of
     (k-2)!/prod(c_i!) * prod(a_i^(c_i+1)).
 
     For k = 1 the value is defined as 1 (a_1 = m cancels m^(-1)).
     """
-    parts = a.parts
     if any(x < 1 for x in parts):
         raise CompositionSumMismatch(f"parts must be positive: {parts}")
     if sum(parts) != m:
@@ -174,20 +171,18 @@ def expand_L3(a: Composition, m: int) -> int:
     return g[top]
 
 
-def count_supervertex_trees(degrees: DegreeSequence, sizes: Composition) -> int:
+def count_supervertex_trees(degrees: tuple[int, ...], sizes: tuple[int, ...]) -> int:
     """Ways to join k components of sizes (a_1..a_k) into one tree where
     component i sends out d_i edges, each startable at any of its a_i
     vertices: (k-2)!/prod((d_i-1)!) * prod(a_i^(d_i))."""
-    validate_degrees(degrees.degrees)
-    k = len(degrees.degrees)
-    if len(sizes.parts) != k:
-        raise CompositionSumMismatch(
-            f"need {k} component sizes, got {len(sizes.parts)}"
-        )
-    if any(x < 1 for x in sizes.parts):
-        raise CompositionSumMismatch(f"component sizes must be positive: {sizes.parts}")
+    validate_degrees(degrees)
+    k = len(degrees)
+    if len(sizes) != k:
+        raise CompositionSumMismatch(f"need {k} component sizes, got {len(sizes)}")
+    if any(x < 1 for x in sizes):
+        raise CompositionSumMismatch(f"component sizes must be positive: {sizes}")
     ways = count_trees_with_degrees(degrees)
-    for a, d in zip(sizes.parts, degrees.degrees):
+    for a, d in zip(sizes, degrees):
         ways *= a**d
     return ways
 
@@ -204,12 +199,12 @@ def assemble_double_count(m: int, k: int) -> int:
     if not 1 <= k <= m:
         raise OutOfRange(f"need 1 <= k <= {m}, got k={k}")
     total = 0
-    for comp in enumerate_compositions(m, k):
-        group_ways = multinomial(comp.parts)
+    for parts in enumerate_compositions(m, k):
+        group_ways = multinomial(parts)
         inner_trees = 1
-        for a in comp.parts:
+        for a in parts:
             inner_trees *= count_total_trees(a)
-        total += group_ways * inner_trees * expand_L3(comp, m)
+        total += group_ways * inner_trees * expand_L3(parts, m)
     return exact_div(total, factorial(k))
 
 

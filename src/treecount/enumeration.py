@@ -21,8 +21,6 @@ from itertools import combinations, product
 from typing import Iterable, Iterator
 
 from treecount.core import (
-    Composition,
-    DegreeSequence,
     Edge,
     LabeledTree,
     OutOfRange,
@@ -114,14 +112,14 @@ def enumerate_sequences(n: int) -> Iterator[tuple[int, ...]]:
     return product(range(1, n + 1), repeat=max(n - 2, 0))
 
 
-def enumerate_sequences_with_degrees(d: DegreeSequence) -> Iterator[tuple[int, ...]]:
-    """The words of the trees whose degree vector equals ``d``: every
+def enumerate_sequences_with_degrees(degrees: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The words of the trees whose degree vector equals ``degrees``: every
     distinct arrangement of the symbol multiset in which vertex i occurs
     d_i - 1 times, in lexicographic order."""
-    validate_degrees(d.degrees)
-    n = len(d.degrees)
+    validate_degrees(degrees)
+    n = len(degrees)
     _check_cap("n", n, "sweep", PRUFER_ENUM_CAP)
-    pool = [[v, c - 1] for v, c in enumerate(d.degrees, start=1) if c > 1]
+    pool = [[v, c - 1] for v, c in enumerate(degrees, start=1) if c > 1]
     return _multiset_sequences(pool, n - 2)
 
 
@@ -173,10 +171,10 @@ def _edge_subset_stream(n: int) -> Iterator[LabeledTree]:
             yield LabeledTree(n, subset)
 
 
-def enumerate_trees_with_degrees(d: DegreeSequence) -> Iterator[LabeledTree]:
-    """Exactly the trees whose degree vector equals ``d``, the decode of
-    enumerate_sequences_with_degrees(d)."""
-    return decode_sequences(len(d.degrees), enumerate_sequences_with_degrees(d))
+def enumerate_trees_with_degrees(degrees: tuple[int, ...]) -> Iterator[LabeledTree]:
+    """Exactly the trees whose degree vector equals ``degrees``, the decode
+    of enumerate_sequences_with_degrees(degrees)."""
+    return decode_sequences(len(degrees), enumerate_sequences_with_degrees(degrees))
 
 
 def deg_v1_histogram(n: int) -> dict[int, int]:
@@ -213,26 +211,22 @@ def _pairs_stream(m: int, k: int) -> Iterator[tuple[LabeledTree, tuple[Edge, ...
             yield tree, cut
 
 
-def enumerate_compositions(
-    total: int, k: int, *, allow_zero: bool = False
-) -> Iterator[Composition]:
-    """All ordered k-tuples of (non)negative parts summing to ``total``,
-    in lexicographic order.  There are C(total-1, k-1) positive ones and
-    C(total+k-1, k-1) nonnegative ones."""
+def enumerate_compositions(total: int, k: int) -> Iterator[tuple[int, ...]]:
+    """All C(total-1, k-1) ordered k-tuples of positive parts summing to
+    ``total``, in lexicographic order."""
     if total < 0:
         raise OutOfRange(f"total must be >= 0, got {total}")
     if k < 1:
         raise OutOfRange(f"part count must be >= 1, got {k}")
-    return _composition_stream(total, k, 0 if allow_zero else 1)
+    return _composition_stream(total, k, ())
 
 
-def _composition_stream(total: int, k: int, lo: int) -> Iterator[Composition]:
-    def rec(remaining: int, slots: int, prefix: tuple[int, ...]) -> Iterator[Composition]:
-        if slots == 1:
-            if remaining >= lo:
-                yield Composition(prefix + (remaining,))
-            return
-        for first in range(lo, remaining - lo * (slots - 1) + 1):
-            yield from rec(remaining - first, slots - 1, prefix + (first,))
-
-    return rec(total, k, ())
+def _composition_stream(
+    remaining: int, slots: int, prefix: tuple[int, ...]
+) -> Iterator[tuple[int, ...]]:
+    if slots == 1:
+        if remaining >= 1:
+            yield prefix + (remaining,)
+        return
+    for first in range(1, remaining - slots + 2):
+        yield from _composition_stream(remaining - first, slots - 1, prefix + (first,))

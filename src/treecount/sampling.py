@@ -2,9 +2,10 @@
 
 The pinned generator is CPython's Mersenne Twister (random.Random).
 Samplers consume randomness exclusively through getrandbits-based
-rejection sampling and an explicit Fisher-Yates shuffle, so a given
-(seed, parameters) pair yields byte-identical streams on every platform
-and Python version.
+rejection sampling and an explicit Fisher-Yates shuffle.  Reproducibility
+contract: every sampler takes keyword-only ``seed`` and ``count``, and
+the same seed and parameters yield a byte-identical stream on every
+platform and Python version.
 
 Uniformity: a uniform sequence of n-2 independent symbols decodes to a
 uniform tree (the codec is a bijection).  For a fixed degree sequence,
@@ -19,21 +20,14 @@ words, with the same draws.
 from __future__ import annotations
 
 import random
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
-from treecount.core import DegreeSequence, LabeledTree, OutOfRange, _check_cap, validate_degrees
+from treecount.core import LabeledTree, OutOfRange, _check_cap, validate_degrees
 from treecount.enumeration import decode_sequences
 
 # Largest vertex count a sampler draws for, -n or the length of a degree
 # vector: one tree at the cap draws, decodes and prints in about a second.
 SAMPLE_N_CAP = 200_000
-
-
-class SamplerConfig(NamedTuple):
-    """Reproducibility contract: same seed and parameters, same stream."""
-
-    seed: int
-    count: int
 
 
 def _below(rng: random.Random, n: int) -> int:
@@ -53,55 +47,57 @@ def _shuffle(rng: random.Random, items: list[int]) -> None:
         items[i], items[j] = items[j], items[i]
 
 
-def sample_uniform_sequence(n: int, cfg: SamplerConfig) -> Iterator[tuple[int, ...]]:
-    """A stream of cfg.count Prufer words on n vertices, each a tuple of
+def sample_uniform_sequence(n: int, *, seed: int, count: int) -> Iterator[tuple[int, ...]]:
+    """A stream of ``count`` Prufer words on n vertices, each a tuple of
     n-2 independent uniform symbols over 1..n."""
     if n < 1:
         raise OutOfRange(f"need n >= 1, got {n}")
-    if cfg.count < 0:
-        raise OutOfRange(f"sample count must be >= 0, got {cfg.count}")
+    if count < 0:
+        raise OutOfRange(f"sample count must be >= 0, got {count}")
     _check_cap("n", n, "sample", SAMPLE_N_CAP)
-    return _uniform_words(n, cfg)
+    return _uniform_words(n, seed, count)
 
 
-def _uniform_words(n: int, cfg: SamplerConfig) -> Iterator[tuple[int, ...]]:
-    rng = random.Random(cfg.seed)
-    for _ in range(cfg.count):
+def _uniform_words(n: int, seed: int, count: int) -> Iterator[tuple[int, ...]]:
+    rng = random.Random(seed)
+    for _ in range(count):
         # no draws for n <= 2, whose sequence is empty
         yield tuple(_below(rng, n) + 1 for _ in range(n - 2))
 
 
-def sample_uniform_tree(n: int, cfg: SamplerConfig) -> Iterator[LabeledTree]:
-    """A stream of cfg.count trees, each exactly uniform over all n^(n-2):
-    the decode of sample_uniform_sequence(n, cfg)."""
-    return decode_sequences(n, sample_uniform_sequence(n, cfg))
+def sample_uniform_tree(n: int, *, seed: int, count: int) -> Iterator[LabeledTree]:
+    """A stream of ``count`` trees, each exactly uniform over all n^(n-2):
+    the decode of sample_uniform_sequence with the same arguments."""
+    return decode_sequences(n, sample_uniform_sequence(n, seed=seed, count=count))
 
 
 def sample_sequence_with_degrees(
-    d: DegreeSequence, cfg: SamplerConfig
+    degrees: tuple[int, ...], *, seed: int, count: int
 ) -> Iterator[tuple[int, ...]]:
-    """A stream of cfg.count uniformly shuffled arrangements of the symbol
+    """A stream of ``count`` uniformly shuffled arrangements of the symbol
     multiset in which vertex i occurs d_i - 1 times."""
-    validate_degrees(d.degrees)
-    if cfg.count < 0:
-        raise OutOfRange(f"sample count must be >= 0, got {cfg.count}")
-    _check_cap("n", len(d.degrees), "sample", SAMPLE_N_CAP)
-    return _degree_words(d.degrees, cfg)
+    validate_degrees(degrees)
+    if count < 0:
+        raise OutOfRange(f"sample count must be >= 0, got {count}")
+    _check_cap("n", len(degrees), "sample", SAMPLE_N_CAP)
+    return _degree_words(degrees, seed, count)
 
 
-def _degree_words(degrees: tuple[int, ...], cfg: SamplerConfig) -> Iterator[tuple[int, ...]]:
-    rng = random.Random(cfg.seed)
+def _degree_words(degrees: tuple[int, ...], seed: int, count: int) -> Iterator[tuple[int, ...]]:
+    rng = random.Random(seed)
     base = [v for v, deg in enumerate(degrees, start=1) for _ in range(deg - 1)]
-    for _ in range(cfg.count):
+    for _ in range(count):
         symbols = base[:]
         _shuffle(rng, symbols)
         yield tuple(symbols)
 
 
 def sample_tree_with_degrees(
-    d: DegreeSequence, cfg: SamplerConfig
+    degrees: tuple[int, ...], *, seed: int, count: int
 ) -> Iterator[LabeledTree]:
-    """A stream of cfg.count trees, uniform over the trees whose degree
-    vector equals ``d``; every sample has exactly that degree vector.  It
-    is the decode of sample_sequence_with_degrees(d, cfg)."""
-    return decode_sequences(len(d.degrees), sample_sequence_with_degrees(d, cfg))
+    """A stream of ``count`` trees, uniform over the trees whose degree
+    vector equals ``degrees``; every sample has exactly that degree
+    vector.  It is the decode of sample_sequence_with_degrees with the
+    same arguments."""
+    words = sample_sequence_with_degrees(degrees, seed=seed, count=count)
+    return decode_sequences(len(degrees), words)

@@ -20,7 +20,6 @@ from typing import Callable, Iterable, Iterator, Mapping
 from treecount import counting, enumeration
 from treecount.core import (
     CapExceeded,
-    DegreeSequence,
     OutOfRange,
     PruferSequence,
     _check_cap,
@@ -43,14 +42,16 @@ DEFAULT_LIMITS: dict[str, int] = {
     "PRUFER_ROUNDTRIP": 7,
 }
 
-# Work caps of the formula-only grids whose cost grows fastest: a grid
-# top N costs about N^3 big-integer products in recursion_T, N^5 in
-# lemma1_lhs, and about N^5 for the compositions of the L3 and
-# supervertex grids.  At the cap each check takes about 1-2 s of CPU.
+# Work caps of the formula-only grids: a grid top N costs about N^3
+# big-integer products in recursion_T, N^5 in lemma1_lhs, about N^5 for
+# the compositions of the L3 and supervertex grids, and about 11x per
+# doubling of N in the totals of DEG_V1_TOTALITY and BINOMIAL_COLLAPSE.
+# At the cap each check takes about 1-2 s of CPU.
 EQ_20_CAP = 175
 LEMMA_1_CAP = 30
 L3_CAP = 20
 SUPERVERTEX_CAP = 16
+TOTALS_CAP = 500
 
 
 @dataclass(frozen=True)
@@ -135,6 +136,7 @@ def _run(
 def _run_totals(identity_id: str, n_max: int, legs: Callable[[int], tuple]) -> IdentityReport:
     """Every leg of legs(n) against the total n^(n-2), for n = 2..n_max."""
     _check_grid(n_max=n_max)
+    _check_cap("n_max", n_max, f"{identity_id} work", TOTALS_CAP)
     cases = (((n,), counting.count_total_trees(n), legs(n)) for n in range(2, n_max + 1))
     return _run(identity_id, f"n=2..{n_max}", lambda n: f"n={n}", cases)
 
@@ -143,12 +145,12 @@ def _ilen(stream: Iterable) -> int:
     return sum(1 for _ in stream)
 
 
-def _parts_label(m: int, comp) -> str:
-    return f"m={m},a={','.join(map(str, comp.parts))}"
+def _parts_label(m: int, parts: tuple[int, ...]) -> str:
+    return f"m={m},a={','.join(map(str, parts))}"
 
 
 def verify_theorem1(
-    n_max: int = 7, *, formula: Callable[[DegreeSequence], int] | None = None
+    n_max: int = 7, *, formula: Callable[[tuple[int, ...]], int] | None = None
 ) -> IdentityReport:
     """Degree-sequence formula against filtered enumeration, for every
     valid degree sequence with n <= n_max."""
@@ -158,15 +160,14 @@ def verify_theorem1(
 
     def cases() -> Iterator[_Case]:
         for n in range(2, n_max + 1):
-            for comp in enumeration.enumerate_compositions(2 * n - 2, n):
-                d = DegreeSequence(comp.parts)
+            for d in enumeration.enumerate_compositions(2 * n - 2, n):
                 expected = _ilen(enumeration.enumerate_trees_with_degrees(d))
                 yield (n, d), expected, (("", fn(d)),)
 
     return _run(
         "THEOREM_1",
         f"n=2..{n_max}",
-        lambda n, d: f"n={n},d={','.join(map(str, d.degrees))}",
+        lambda n, d: f"n={n},d={','.join(map(str, d))}",
         cases(),
     )
 
@@ -264,10 +265,10 @@ def verify_l3_expansion(
     _check_cap("m_max", m_max, "L3 work", L3_CAP)
     fn = expansion if expansion is not None else counting.expand_L3
     cases = (
-        ((m, comp), m ** (k - 2) * math.prod(comp.parts), (("", fn(comp, m)),))
+        ((m, parts), m ** (k - 2) * math.prod(parts), (("", fn(parts, m)),))
         for k in range(2, k_max + 1)
         for m in range(k, m_max + 1)
-        for comp in enumeration.enumerate_compositions(m, k)
+        for parts in enumeration.enumerate_compositions(m, k)
     )
     return _run("L3_EXPANSION", f"k=2..{k_max},m<={m_max}", _parts_label, cases)
 
@@ -283,14 +284,12 @@ def verify_supervertex_marginal(
 
     def cases() -> Iterator[_Case]:
         for k in range(2, k_max + 1):
-            degree_choices = [
-                DegreeSequence(c.parts)
-                for c in enumeration.enumerate_compositions(2 * k - 2, k)
-            ]
+            degree_choices = list(enumeration.enumerate_compositions(2 * k - 2, k))
             for m in range(k, m_max + 1):
-                for comp in enumeration.enumerate_compositions(m, k):
-                    expected = counting.expand_L3(comp, m)
-                    yield (m, comp), expected, (("", sum(fn(d, comp) for d in degree_choices)),)
+                for sizes in enumeration.enumerate_compositions(m, k):
+                    expected = counting.expand_L3(sizes, m)
+                    got = sum(fn(d, sizes) for d in degree_choices)
+                    yield (m, sizes), expected, (("", got),)
 
     return _run("SUPERVERTEX_MARGINAL", f"k=2..{k_max},m<={m_max}", _parts_label, cases())
 

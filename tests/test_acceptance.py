@@ -19,7 +19,6 @@ from itertools import product
 from treecount import counting
 from treecount.cli import main as cli_main
 from treecount.core import (
-    DegreeSequence,
     PruferSequence,
     as_integer,
     binomial,
@@ -46,7 +45,7 @@ from treecount.enumeration import (
     prufer_decode,
     prufer_encode,
 )
-from treecount.sampling import SamplerConfig, sample_tree_with_degrees, sample_uniform_tree
+from treecount.sampling import sample_tree_with_degrees, sample_uniform_tree
 
 
 def run_cli(argv, stdin_text: str = ""):
@@ -84,11 +83,10 @@ def test_c03_theorem1_all_degree_sequences():
     start = time.perf_counter()
     checked = 0
     for n in range(2, 8):
-        for comp in enumerate_compositions(2 * n - 2, n):
-            d = DegreeSequence(comp.parts)
+        for d in enumerate_compositions(2 * n - 2, n):
             formula = count_trees_with_degrees(d)
             enumerated = sum(1 for _ in enumerate_trees_with_degrees(d))
-            assert formula == enumerated, f"d={comp.parts}"
+            assert formula == enumerated, f"d={d}"
             checked += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 30
@@ -137,18 +135,16 @@ def test_c06_l3_expansion_and_supervertex():
     start = time.perf_counter()
     checked = 0
     for k in range(2, 6):
-        degree_choices = [
-            DegreeSequence(c.parts) for c in enumerate_compositions(2 * k - 2, k)
-        ]
+        degree_choices = list(enumerate_compositions(2 * k - 2, k))
         for m in range(k, 11):
             for comp in enumerate_compositions(m, k):
                 power_form = m ** (k - 2)
-                for a in comp.parts:
+                for a in comp:
                     power_form *= a
                 expansion = expand_L3(comp, m)
-                assert expansion == power_form, f"a={comp.parts}"
+                assert expansion == power_form, f"a={comp}"
                 marginal = sum(count_supervertex_trees(d, comp) for d in degree_choices)
-                assert marginal == expansion, f"a={comp.parts}"
+                assert marginal == expansion, f"a={comp}"
                 checked += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 10
@@ -191,15 +187,15 @@ def test_c09_sampler_uniformity():
     1000 +/- 112 (5 sigma for Binomial(2000, 1/2) is 111.8)."""
     band_uniform = 5 * math.sqrt(16000 * (1 / 16) * (15 / 16))
     assert math.ceil(band_uniform) == 154
-    freqs = Counter(sample_uniform_tree(4, SamplerConfig(seed=42, count=16000)))
+    freqs = Counter(sample_uniform_tree(4, seed=42, count=16000))
     assert len(freqs) == 16  # full support
     for tree, freq in freqs.items():
         assert abs(freq - 1000) <= 154, f"{tree}: {freq}"
 
     band_degrees = 5 * math.sqrt(2000 * 0.5 * 0.5)
     assert math.ceil(band_degrees) == 112
-    d = DegreeSequence((2, 2, 1, 1))
-    freqs2 = Counter(sample_tree_with_degrees(d, SamplerConfig(seed=42, count=2000)))
+    d = (2, 2, 1, 1)
+    freqs2 = Counter(sample_tree_with_degrees(d, seed=42, count=2000))
     assert len(freqs2) == 2
     for tree, freq in freqs2.items():
         assert abs(freq - 1000) <= 112, f"{tree}: {freq}"

@@ -15,12 +15,11 @@ from hypothesis import strategies as st
 
 import treecount
 from oracles import parse_decimal
-from treecount import counting, enumeration, sampling, verifier
+from treecount import cli, counting, enumeration, sampling, verifier
 from treecount.cli import _verify_exit, main
 from treecount.core import (
     LabeledTree,
     degree_of,
-    degree_sequence,
     prufer_to_text,
     read_prufer_lines,
     read_trees,
@@ -60,12 +59,30 @@ class TestCount:
         assert code == 2 and err.startswith("treecount:")
         code, _, err = run_cli(["count", "degrees", "-d", "1,2"])
         assert code == 2 and "degree sum" in err
+        assert run_cli(["count", "degrees", "-d", "0,2"]) == (
+            2,
+            "",
+            "treecount: degrees must be positive: (0, 2)\n",
+        )
         code, _, err = run_cli(["count", "total"])
         assert code == 2
 
     def test_usage_error_exit_2(self, capsys):
         assert run_cli(["count", "nonsense"])[0] == 2
         capsys.readouterr()
+
+    def test_size_cap_exit_3(self):
+        cap = cli.COUNT_N_CAP
+        # the exact workload of the benchmark counts at n <= 2000
+        assert cap >= 2000
+        refused = (3, "", f"treecount: n={cap + 1} beyond the count cap {cap}\n")
+        path = ",".join(["1"] + ["2"] * (cap - 1) + ["1"])
+        for argv in (
+            ["count", "total", "-n", str(cap + 1)],
+            ["count", "degv1", "-n", str(cap + 1), "-k", "2"],
+            ["count", "degrees", "-d", path, "--format", "json"],
+        ):
+            assert run_cli(argv) == refused, argv[:2]
 
     @pytest.mark.parametrize("n", [1500, 2000])
     @pytest.mark.parametrize("subject", ["total", "degv1"])
@@ -185,6 +202,17 @@ class TestEnumerate:
     def test_degree_length_mismatch_exit_2(self):
         code, _, _ = run_cli(["enumerate", "-n", "4", "--degrees", "1,1"])
         assert code == 2
+        assert run_cli(["enumerate", "-n", "5", "--degrees", "2,2,1,1"]) == (
+            2,
+            "",
+            "treecount: --degrees lists 4 vertices but -n is 5\n",
+        )
+        # an invalid vector is reported before its length is compared
+        assert run_cli(["enumerate", "-n", "3", "--degrees", "1,1,1,1"]) == (
+            2,
+            "",
+            "treecount: degree sum must be 6 for n=4, got 4\n",
+        )
 
     def test_bad_deg_v1_exit_2(self):
         assert run_cli(["enumerate", "-n", "4", "--deg-v1", "5"])[0] == 2
@@ -279,6 +307,11 @@ class TestSample:
 
     def test_validation_exit_2(self):
         assert run_cli(["sample", "--degrees", "1,2", "--count", "1"])[0] == 2
+        assert run_cli(["sample", "--degrees", "1,2"]) == (
+            2,
+            "",
+            "treecount: degree sum must be 2 for n=2, got 3\n",
+        )
 
     def test_single_vertex_prufer_refused(self):
         assert run_cli(["sample", "-n", "1", "--count", "3", "--format", "prufer"]) == (
@@ -363,6 +396,8 @@ class TestVerify:
         for subject, cap, name in (
             ("recursion", verifier.EQ_20_CAP, "EQ_20"),
             ("lemma1", verifier.LEMMA_1_CAP, "LEMMA_1"),
+            ("degv1", verifier.TOTALS_CAP, "DEG_V1_TOTALITY"),
+            ("collapse", verifier.TOTALS_CAP, "BINOMIAL_COLLAPSE"),
         ):
             assert run_cli(["verify", subject, "--max-n", str(cap + 1)]) == (
                 3,
@@ -569,14 +604,12 @@ class TestDirectOutput:
     @pytest.mark.parametrize("seed", [0, 7, 2024])
     def test_sample_matches_decode_and_encode(self, fmt, seed):
         for n in (1, 2, 3, 8, 50, 300):
-            cfg = sampling.SamplerConfig(seed, 5)
-            trees = list(sampling.sample_uniform_tree(n, cfg))
+            trees = list(sampling.sample_uniform_tree(n, seed=seed, count=5))
             argv = ["sample", "-n", str(n), "--count", "5", "--seed", str(seed), "--format", fmt]
             assert run_cli(argv) == _expected(trees, fmt), argv
-        big = next(sampling.sample_uniform_tree(300, sampling.SamplerConfig(seed, 1)))
+        big = next(sampling.sample_uniform_tree(300, seed=seed, count=1))
         for d in ((1, 1), (2, 1, 1), (3, 1, 2, 1, 1), tree_degrees(big)):
-            cfg = sampling.SamplerConfig(seed, 4)
-            trees = list(sampling.sample_tree_with_degrees(degree_sequence(d), cfg))
+            trees = list(sampling.sample_tree_with_degrees(d, seed=seed, count=4))
             argv = ["sample", "--degrees", ",".join(map(str, d)), "--count", "4",
                     "--seed", str(seed), "--format", fmt]
             assert run_cli(argv) == _expected(trees, fmt), argv

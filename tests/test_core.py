@@ -12,7 +12,6 @@ from oracles import parse_decimal
 from strategies import labeled_trees
 from treecount.core import (
     BadVertex,
-    CompositionSumMismatch,
     DuplicateEdge,
     EdgeTextError,
     InvalidDegreeSequence,
@@ -24,9 +23,7 @@ from treecount.core import (
     as_integer,
     binomial,
     canonicalize_tree,
-    composition,
     degree_of,
-    degree_sequence,
     exact_div,
     factorial,
     int_to_text,
@@ -37,6 +34,7 @@ from treecount.core import (
     read_trees,
     tree_degrees,
     tree_to_text,
+    validate_degrees,
 )
 
 
@@ -164,23 +162,13 @@ class TestArithmetic:
 
 class TestFactories:
     def test_degree_sequence_valid(self):
-        assert degree_sequence([1, 1]).degrees == (1, 1)
+        for degrees in ((1, 1), (1, 1, 1, 3), (2, 2, 1, 1)):
+            assert validate_degrees(degrees) is None
 
     @pytest.mark.parametrize("bad", [(1,), (0, 2), (1, 2), (2, 2, 2, 2)])
     def test_degree_sequence_invalid(self, bad):
         with pytest.raises(InvalidDegreeSequence):
-            degree_sequence(bad)
-
-    def test_composition(self):
-        c = composition([1, 2], 3)
-        assert c.parts == (1, 2) and sum(c.parts) == 3
-        with pytest.raises(CompositionSumMismatch):
-            composition([1, 2], 4)
-        with pytest.raises(CompositionSumMismatch):
-            composition([0, 3], 3)
-        assert composition([0, 3], 3, allow_zero=True).parts == (0, 3)
-        with pytest.raises(CompositionSumMismatch):
-            composition([], 0)
+            validate_degrees(bad)
 
     def test_prufer_sequence(self):
         assert prufer_sequence(2).symbols == ()

@@ -12,12 +12,10 @@ from treecount.core import (
     LabeledTree,
     OutOfRange,
     canonicalize_tree,
-    degree_sequence,
     tree_degrees,
 )
 from treecount.enumeration import decode_sequences
 from treecount.sampling import (
-    SamplerConfig,
     sample_sequence_with_degrees,
     sample_tree_with_degrees,
     sample_uniform_sequence,
@@ -28,73 +26,85 @@ from treecount.sampling import (
 class TestUniformSampler:
     def test_n2_always_the_single_edge(self):
         for seed in (0, 1, 99):
-            trees = list(sample_uniform_tree(2, SamplerConfig(seed, 5)))
+            trees = list(sample_uniform_tree(2, seed=seed, count=5))
             assert trees == [LabeledTree(2, ((1, 2),))] * 5
 
     def test_n1_empty_tree(self):
-        assert list(sample_uniform_tree(1, SamplerConfig(3, 2))) == [LabeledTree(1, ())] * 2
+        assert list(sample_uniform_tree(1, seed=3, count=2)) == [LabeledTree(1, ())] * 2
 
     def test_reproducible(self):
-        a = list(sample_uniform_tree(6, SamplerConfig(123, 50)))
-        b = list(sample_uniform_tree(6, SamplerConfig(123, 50)))
+        a = list(sample_uniform_tree(6, seed=123, count=50))
+        b = list(sample_uniform_tree(6, seed=123, count=50))
         assert a == b
 
     def test_seed_changes_stream(self):
-        a = list(sample_uniform_tree(6, SamplerConfig(1, 50)))
-        b = list(sample_uniform_tree(6, SamplerConfig(2, 50)))
+        a = list(sample_uniform_tree(6, seed=1, count=50))
+        b = list(sample_uniform_tree(6, seed=2, count=50))
         assert a != b
 
     def test_samples_are_valid_trees(self):
-        for tree in sample_uniform_tree(7, SamplerConfig(11, 200)):
+        for tree in sample_uniform_tree(7, seed=11, count=200):
             assert canonicalize_tree(tree.n, tree.edges) == tree
 
     def test_full_support_at_n4(self):
-        seen = set(sample_uniform_tree(4, SamplerConfig(5, 2000)))
+        seen = set(sample_uniform_tree(4, seed=5, count=2000))
         assert len(seen) == 16
 
     def test_validation(self):
         with pytest.raises(OutOfRange):
-            next(iter(sample_uniform_tree(0, SamplerConfig(1, 1))))
+            next(iter(sample_uniform_tree(0, seed=1, count=1)))
         with pytest.raises(OutOfRange):
-            sample_uniform_tree(3, SamplerConfig(1, -1))
+            sample_uniform_tree(3, seed=1, count=-1)
 
     def test_count_zero_is_empty(self):
-        assert list(sample_uniform_tree(5, SamplerConfig(9, 0))) == []
+        assert list(sample_uniform_tree(5, seed=9, count=0)) == []
+
+    def test_seed_and_count_are_keyword_only(self):
+        for sampler, target in (
+            (sample_uniform_sequence, 5),
+            (sample_uniform_tree, 5),
+            (sample_sequence_with_degrees, (2, 2, 1, 1)),
+            (sample_tree_with_degrees, (2, 2, 1, 1)),
+        ):
+            with pytest.raises(TypeError):
+                sampler(target, 1, 2)
+            with pytest.raises(TypeError):
+                sampler(target, seed=1)
 
 
 class TestDegreeConstrainedSampler:
     def test_forced_star(self):
-        d = degree_sequence((1, 1, 1, 3))
+        d = (1, 1, 1, 3)
         star = canonicalize_tree(4, [(1, 4), (2, 4), (3, 4)])
-        assert list(sample_tree_with_degrees(d, SamplerConfig(1, 10))) == [star] * 10
+        assert list(sample_tree_with_degrees(d, seed=1, count=10)) == [star] * 10
 
     def test_single_edge(self):
-        d = degree_sequence((1, 1))
-        assert list(sample_tree_with_degrees(d, SamplerConfig(0, 3))) == [
+        d = (1, 1)
+        assert list(sample_tree_with_degrees(d, seed=0, count=3)) == [
             LabeledTree(2, ((1, 2),))
         ] * 3
 
     def test_degree_fidelity_every_sample(self):
-        d = degree_sequence((3, 2, 1, 1, 1, 2, 2))
-        for tree in sample_tree_with_degrees(d, SamplerConfig(77, 300)):
-            assert tree_degrees(tree) == d.degrees
+        d = (3, 2, 1, 1, 1, 2, 2)
+        for tree in sample_tree_with_degrees(d, seed=77, count=300):
+            assert tree_degrees(tree) == d
 
     def test_reproducible(self):
-        d = degree_sequence((2, 2, 1, 1))
-        a = list(sample_tree_with_degrees(d, SamplerConfig(8, 40)))
-        b = list(sample_tree_with_degrees(d, SamplerConfig(8, 40)))
+        d = (2, 2, 1, 1)
+        a = list(sample_tree_with_degrees(d, seed=8, count=40))
+        b = list(sample_tree_with_degrees(d, seed=8, count=40))
         assert a == b
 
     def test_both_trees_reached(self):
-        d = degree_sequence((2, 2, 1, 1))
-        seen = Counter(sample_tree_with_degrees(d, SamplerConfig(3, 200)))
+        d = (2, 2, 1, 1)
+        seen = Counter(sample_tree_with_degrees(d, seed=3, count=200))
         assert len(seen) == 2
 
 
 class TestSequenceSamplers:
     def test_uniform_draws_are_pinned(self):
         # the words the seeded stream has always drawn
-        assert list(sample_uniform_sequence(7, SamplerConfig(123, 4))) == [
+        assert list(sample_uniform_sequence(7, seed=123, count=4)) == [
             (1, 3, 1, 7, 4),
             (3, 1, 7, 7, 1),
             (4, 5, 5, 3, 3),
@@ -102,8 +112,8 @@ class TestSequenceSamplers:
         ]
 
     def test_degree_draws_are_pinned(self):
-        d = degree_sequence((3, 2, 1, 1, 1, 2, 2))
-        assert list(sample_sequence_with_degrees(d, SamplerConfig(77, 4))) == [
+        d = (3, 2, 1, 1, 1, 2, 2)
+        assert list(sample_sequence_with_degrees(d, seed=77, count=4)) == [
             (6, 7, 1, 1, 2),
             (7, 2, 1, 6, 1),
             (1, 1, 2, 7, 6),
@@ -112,24 +122,24 @@ class TestSequenceSamplers:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 9, 60])
     def test_trees_are_the_decode_of_the_words(self, n):
-        cfg = SamplerConfig(n, 20)
-        words = list(sample_uniform_sequence(n, cfg))
+        cfg = {"seed": n, "count": 20}
+        words = list(sample_uniform_sequence(n, **cfg))
         assert all(len(w) == max(n - 2, 0) for w in words)
-        assert list(sample_uniform_tree(n, cfg)) == list(decode_sequences(n, words))
-        d = degree_sequence(tree_degrees(next(sample_uniform_tree(max(n, 2), cfg))))
-        words = list(sample_sequence_with_degrees(d, cfg))
-        want = list(decode_sequences(len(d.degrees), words))
-        assert list(sample_tree_with_degrees(d, cfg)) == want
+        assert list(sample_uniform_tree(n, **cfg)) == list(decode_sequences(n, words))
+        d = tree_degrees(next(sample_uniform_tree(max(n, 2), **cfg)))
+        words = list(sample_sequence_with_degrees(d, **cfg))
+        want = list(decode_sequences(len(d), words))
+        assert list(sample_tree_with_degrees(d, **cfg)) == want
 
     def test_size_cap(self):
         cap = sampling.SAMPLE_N_CAP
         assert cap >= 1000
-        path = degree_sequence((1,) + (2,) * (cap - 1) + (1,))
+        path = (1,) + (2,) * (cap - 1) + (1,)
         for call in (
-            lambda: sample_uniform_sequence(cap + 1, SamplerConfig(0, 1)),
-            lambda: sample_uniform_tree(cap + 1, SamplerConfig(0, 1)),
-            lambda: sample_sequence_with_degrees(path, SamplerConfig(0, 1)),
-            lambda: sample_tree_with_degrees(path, SamplerConfig(0, 1)),
+            lambda: sample_uniform_sequence(cap + 1, seed=0, count=1),
+            lambda: sample_uniform_tree(cap + 1, seed=0, count=1),
+            lambda: sample_sequence_with_degrees(path, seed=0, count=1),
+            lambda: sample_tree_with_degrees(path, seed=0, count=1),
         ):
             with pytest.raises(CapExceeded) as info:
                 call()
@@ -137,4 +147,4 @@ class TestSequenceSamplers:
                 f"n={cap + 1} beyond the sample cap {cap}",
                 "sample",
             )
-        assert list(sample_uniform_sequence(cap, SamplerConfig(0, 0))) == []
+        assert list(sample_uniform_sequence(cap, seed=0, count=0)) == []

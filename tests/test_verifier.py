@@ -10,7 +10,6 @@ import pytest
 from treecount import counting, enumeration
 from treecount.core import (
     CapExceeded,
-    DegreeSequence,
     LabeledTree,
     OutOfRange,
     PruferSequence,
@@ -22,6 +21,7 @@ from treecount.verifier import (
     L3_CAP,
     LEMMA_1_CAP,
     SUPERVERTEX_CAP,
+    TOTALS_CAP,
     verify_all,
     verify_binomial_collapse,
     verify_deg_v1_totality,
@@ -167,9 +167,9 @@ class TestFormulaGridReach:
 
 class TestFaultInjection:
     def test_theorem1_catches_broken_formula(self):
-        def broken(d: DegreeSequence) -> int:
+        def broken(d: tuple[int, ...]) -> int:
             value = counting.count_trees_with_degrees(d)
-            return value + 1 if d.degrees == (2, 2, 1, 1) else value
+            return value + 1 if d == (2, 2, 1, 1) else value
 
         report = verify_theorem1(4, formula=broken)
         assert report.status == "FAIL"
@@ -208,7 +208,7 @@ class TestFaultInjection:
     def test_l3_expansion_pins_failures(self):
         def broken(comp, m: int) -> int:
             value = counting.expand_L3(comp, m)
-            return 2 * value if comp.parts[0] == 2 else value
+            return 2 * value if comp[0] == 2 else value
 
         report = verify_l3_expansion(5, 3, expansion=broken)
         assert report.checked == 20
@@ -222,9 +222,9 @@ class TestFaultInjection:
         ]
 
     def test_supervertex_marginal_pins_failures(self):
-        def broken(d: DegreeSequence, comp) -> int:
+        def broken(d: tuple[int, ...], comp) -> int:
             value = counting.count_supervertex_trees(d, comp)
-            return value + (d.degrees[0] == 2 and comp.parts[-1] == 1)
+            return value + (d[0] == 2 and comp[-1] == 1)
 
         report = verify_supervertex_marginal(5, 3, joiner=broken)
         assert report.checked == 20
@@ -318,13 +318,22 @@ class TestVerifyAll:
             ]
 
     def test_grid_work_caps_are_capped_entries(self):
-        # the grids of L3 and SUPERVERTEX grow about as m_max^5
-        assert L3_CAP >= 14 and SUPERVERTEX_CAP >= 14
-        limits = dict(SMALL_LIMITS, L3_EXPANSION=L3_CAP + 1, SUPERVERTEX_MARGINAL=SUPERVERTEX_CAP + 1)
+        # the grids of L3 and SUPERVERTEX grow about as m_max^5; the
+        # default grids of the two totals checks reach 30
+        assert L3_CAP >= 14 and SUPERVERTEX_CAP >= 14 and TOTALS_CAP >= 30
+        limits = dict(
+            SMALL_LIMITS,
+            L3_EXPANSION=L3_CAP + 1,
+            SUPERVERTEX_MARGINAL=SUPERVERTEX_CAP + 1,
+            DEG_V1_TOTALITY=TOTALS_CAP + 1,
+            BINOMIAL_COLLAPSE=TOTALS_CAP + 1,
+        )
         by_id = {r.identity_id: r for r in verify_all(limits)}
-        for identity_id, name, cap in (
-            ("L3_EXPANSION", "L3", L3_CAP),
-            ("SUPERVERTEX_MARGINAL", "SUPERVERTEX", SUPERVERTEX_CAP),
+        for identity_id, top, name, cap in (
+            ("L3_EXPANSION", "m_max", "L3", L3_CAP),
+            ("SUPERVERTEX_MARGINAL", "m_max", "SUPERVERTEX", SUPERVERTEX_CAP),
+            ("DEG_V1_TOTALITY", "n_max", "DEG_V1_TOTALITY", TOTALS_CAP),
+            ("BINOMIAL_COLLAPSE", "n_max", "BINOMIAL_COLLAPSE", TOTALS_CAP),
         ):
             report = by_id[identity_id]
             assert report.capped
@@ -332,10 +341,15 @@ class TestVerifyAll:
                 {
                     "parameters": f"limit={cap + 1}",
                     "expected": "limit within work cap",
-                    "got": f"CapExceeded: m_max={cap + 1} beyond the {name} work cap {cap}",
+                    "got": f"CapExceeded: {top}={cap + 1} beyond the {name} work cap {cap}",
                 }
             ]
-        for check, cap in ((verify_l3_expansion, L3_CAP), (verify_supervertex_marginal, SUPERVERTEX_CAP)):
+        for check, cap in (
+            (verify_l3_expansion, L3_CAP),
+            (verify_supervertex_marginal, SUPERVERTEX_CAP),
+            (verify_deg_v1_totality, TOTALS_CAP),
+            (verify_binomial_collapse, TOTALS_CAP),
+        ):
             with pytest.raises(CapExceeded) as info:
                 check(cap + 1)
             assert info.value.kind.endswith(" work")
