@@ -19,7 +19,6 @@ from treecount.core import (
     NonIntegralResult,
     NotATree,
     OutOfRange,
-    PruferSequence,
     TreeCountError,
     as_integer,
     binomial,
@@ -28,8 +27,6 @@ from treecount.core import (
     exact_div,
     factorial,
     multinomial,
-    prufer_sequence,
-    prufer_to_text,
     read_prufer_lines,
     read_trees,
     tree_degrees,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from itertools import islice, starmap
 from typing import IO, Iterable, Iterator
@@ -23,7 +22,6 @@ from treecount.core import (
     TreeCountError,
     _check_cap,
     int_to_text,
-    prufer_to_text,
     read_prufer_lines,
     read_trees,
     tree_to_text,
@@ -166,16 +164,14 @@ def cmd_prufer(args, stdin: IO[str], stdout: IO[str]) -> int:
     # every record is parsed and converted before any is written, so a bad
     # record ends in its diagnostic alone, not after partial output
     if args.direction == "encode":
-        seqs = map(enumeration.prufer_encode, read_trees(stdin))
+        encoded = ((tree.n, enumeration.prufer_encode(tree)) for tree in read_trees(stdin))
         if args.format == "json":
-            lines = [
-                '{"n": %d, "symbols": [%s]}\n' % (seq.n, ", ".join(map(str, seq.symbols)))
-                for seq in seqs
-            ]
+            template = '{"n": %d, "symbols": [%s]}\n'
+            lines = [template % (n, ", ".join(map(str, w))) for n, w in encoded]
         else:
-            lines = [prufer_to_text(seq) + "\n" for seq in seqs]
+            lines = [",".join(map(str, w)) + "\n" for _, w in encoded]
     else:
-        decoded = map(enumeration.prufer_decode, read_prufer_lines(stdin))
+        decoded = (enumeration.prufer_decode(len(w) + 2, w) for w in read_prufer_lines(stdin))
         lines = list(map(_json_tree if args.format == "json" else tree_to_text, decoded))
     stdout.writelines(lines)
     return 0
@@ -237,18 +233,9 @@ def _verify_exit(reports) -> int:
 
 
 def cmd_verify(args, stdin: IO[str], stdout: IO[str]) -> int:
-    if args.max_n is not None and args.max_n < 2:
-        raise OutOfRange(f"--max-n must be >= 2, got {args.max_n}")
     max_n = args.max_n
-    if max_n is None:
-        env = os.environ.get("TREECOUNT_VERIFY_MAX_N")
-        if env is not None:
-            try:
-                max_n = int(env)
-            except ValueError:
-                raise OutOfRange(
-                    f"TREECOUNT_VERIFY_MAX_N must be an integer, got {env!r}"
-                ) from None
+    if max_n is not None and max_n < 2:
+        raise OutOfRange(f"--max-n must be >= 2, got {max_n}")
     if args.subject == "all":
         limits = None if max_n is None else {i: max_n for i in verifier.IDENTITY_IDS}
         reports = verifier.verify_all(limits)

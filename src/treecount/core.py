@@ -80,11 +80,12 @@ def _check_cap(name: str, value: int, kind: str, cap: int) -> None:
 # ---------------------------------------------------------------------------
 # Domain types
 #
-# These are plain named tuples; validation lives in the factory functions
-# below and in the operations that consume them, so hot enumeration loops
-# can build already-canonical values without re-checking invariants.
-# Degree vectors and compositions are plain int tuples; validate_degrees
-# states the rule a degree vector must meet.
+# LabeledTree is a plain named tuple; canonicalize_tree validates it, so
+# hot enumeration loops can build already-canonical trees without
+# re-checking invariants.  Degree vectors, compositions and Prufer words
+# are plain int tuples; a word on n vertices has n-2 symbols (none for
+# n <= 2), so n travels beside it.  validate_degrees states the rule a
+# degree vector must meet.
 
 
 class LabeledTree(NamedTuple):
@@ -92,13 +93,6 @@ class LabeledTree(NamedTuple):
 
     n: int
     edges: tuple[Edge, ...]
-
-
-class PruferSequence(NamedTuple):
-    """A length n-2 word over 1..n; empty by convention for n <= 2."""
-
-    n: int
-    symbols: tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -179,20 +173,6 @@ def validate_degrees(degrees: tuple[int, ...]) -> None:
         raise InvalidDegreeSequence(
             f"degree sum must be {2 * n - 2} for n={n}, got {sum(degrees)}"
         )
-
-
-def prufer_sequence(n: int, symbols: Iterable[int] = ()) -> PruferSequence:
-    """Build a validated PruferSequence for ``n`` vertices."""
-    if n < 1:
-        raise OutOfRange(f"vertex count must be >= 1, got {n}")
-    syms = tuple(symbols)
-    expected = max(0, n - 2)
-    if len(syms) != expected:
-        raise OutOfRange(f"sequence for n={n} must have length {expected}, got {len(syms)}")
-    for s in syms:
-        if not 1 <= s <= n:
-            raise BadVertex(f"symbol {s} outside 1..{n}")
-    return PruferSequence(n, syms)
 
 
 # ---------------------------------------------------------------------------
@@ -309,23 +289,20 @@ def read_trees(lines: Iterable[str]) -> Iterator[LabeledTree]:
             raise EdgeTextError(header_line, str(err)) from err
 
 
-def prufer_to_text(seq: PruferSequence) -> str:
-    return ",".join(str(s) for s in seq.symbols)
-
-
-def read_prufer_lines(lines: Iterable[str]) -> Iterator[PruferSequence]:
-    """Parse one sequence per line; an empty line is the n=2 sequence."""
+def read_prufer_lines(lines: Iterable[str]) -> Iterator[tuple[int, ...]]:
+    """Parse one word per line, on len(word) + 2 vertices; an empty line
+    is the n=2 word ()."""
     for line_no, raw in enumerate(lines, start=1):
         text = raw.strip()
         if not text:
-            yield PruferSequence(2, ())
+            yield ()
             continue
         try:
             symbols = tuple(int(tok) for tok in text.split(","))
         except ValueError:
             raise EdgeTextError(line_no, "symbols must be comma-separated integers") from None
         n = len(symbols) + 2
-        try:
-            yield prufer_sequence(n, symbols)
-        except TreeCountError as err:
-            raise EdgeTextError(line_no, str(err)) from err
+        for s in symbols:
+            if not 1 <= s <= n:
+                raise EdgeTextError(line_no, f"symbol {s} outside 1..{n}")
+        yield symbols

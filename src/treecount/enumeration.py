@@ -24,7 +24,6 @@ from treecount.core import (
     Edge,
     LabeledTree,
     OutOfRange,
-    PruferSequence,
     _acyclic,
     _check_cap,
     validate_degrees,
@@ -68,15 +67,14 @@ def _decode_edges(n: int, symbols: Iterable[int]) -> tuple[Edge, ...]:
     return tuple(edges)
 
 
-def prufer_decode(seq: PruferSequence) -> LabeledTree:
-    """The unique tree whose encoding is ``seq``."""
-    n = seq.n
+def prufer_decode(n: int, symbols: tuple[int, ...]) -> LabeledTree:
+    """The unique tree on n vertices whose encoding is ``symbols``."""
     if n == 1:
         return LabeledTree(1, ())
-    return LabeledTree(n, _decode_edges(n, seq.symbols))
+    return LabeledTree(n, _decode_edges(n, symbols))
 
 
-def prufer_encode(tree: LabeledTree) -> PruferSequence:
+def prufer_encode(tree: LabeledTree) -> tuple[int, ...]:
     """Encode by repeatedly removing the smallest-labeled leaf and
     recording its neighbor."""
     n = tree.n
@@ -96,7 +94,7 @@ def prufer_encode(tree: LabeledTree) -> PruferSequence:
         out.append(v)
         if len(adj[v]) == 1:
             heapq.heappush(leaves, v)
-    return PruferSequence(n, tuple(out))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -21,15 +21,15 @@ from treecount import counting, enumeration
 from treecount.core import (
     CapExceeded,
     OutOfRange,
-    PruferSequence,
     _check_cap,
     as_integer,
     binomial,
     int_to_text,
 )
 
-# Default grid tops: enumeration-backed checks stay within the module
-# caps; formula-only checks are cheap in exact arithmetic and reach 30.
+# Default grid tops, kept only here (the checks take their top without a
+# default): enumeration-backed checks stay within the module caps;
+# formula-only checks are cheap in exact arithmetic and reach 30.
 DEFAULT_LIMITS: dict[str, int] = {
     "THEOREM_1": 7,
     "DEG_V1_TOTALITY": 30,
@@ -75,7 +75,6 @@ def _text(value: object) -> str:
 @dataclass(frozen=True)
 class IdentityReport:
     identity_id: str
-    grid: str
     checked: int
     failures: tuple[Failure, ...]
     elapsed: float
@@ -116,9 +115,7 @@ def _check_grid(**tops: int) -> None:
         raise OutOfRange(f"need {need}, got {', '.join(map(str, tops.values()))}")
 
 
-def _run(
-    identity_id: str, grid: str, label: Callable[..., str], cases: Iterable[_Case]
-) -> IdentityReport:
+def _run(identity_id: str, label: Callable[..., str], cases: Iterable[_Case]) -> IdentityReport:
     """Walk every case, timing the walk.  A case counts once in checked
     however many legs it has; a failing leg is reported under
     label(*where) + suffix, which is built only on failure."""
@@ -130,7 +127,7 @@ def _run(
         for suffix, got in legs:
             if got != expected:
                 failures.append(Failure(label(*where) + suffix, expected, got))
-    return IdentityReport(identity_id, grid, checked, tuple(failures), perf_counter() - start)
+    return IdentityReport(identity_id, checked, tuple(failures), perf_counter() - start)
 
 
 def _run_totals(identity_id: str, n_max: int, legs: Callable[[int], tuple]) -> IdentityReport:
@@ -138,7 +135,7 @@ def _run_totals(identity_id: str, n_max: int, legs: Callable[[int], tuple]) -> I
     _check_grid(n_max=n_max)
     _check_cap("n_max", n_max, f"{identity_id} work", TOTALS_CAP)
     cases = (((n,), counting.count_total_trees(n), legs(n)) for n in range(2, n_max + 1))
-    return _run(identity_id, f"n=2..{n_max}", lambda n: f"n={n}", cases)
+    return _run(identity_id, lambda n: f"n={n}", cases)
 
 
 def _ilen(stream: Iterable) -> int:
@@ -150,7 +147,7 @@ def _parts_label(m: int, parts: tuple[int, ...]) -> str:
 
 
 def verify_theorem1(
-    n_max: int = 7, *, formula: Callable[[tuple[int, ...]], int] | None = None
+    n_max: int, *, formula: Callable[[tuple[int, ...]], int] | None = None
 ) -> IdentityReport:
     """Degree-sequence formula against filtered enumeration, for every
     valid degree sequence with n <= n_max."""
@@ -164,16 +161,11 @@ def verify_theorem1(
                 expected = _ilen(enumeration.enumerate_trees_with_degrees(d))
                 yield (n, d), expected, (("", fn(d)),)
 
-    return _run(
-        "THEOREM_1",
-        f"n=2..{n_max}",
-        lambda n, d: f"n={n},d={','.join(map(str, d))}",
-        cases(),
-    )
+    return _run("THEOREM_1", lambda n, d: f"n={n},d={','.join(map(str, d))}", cases())
 
 
 def verify_deg_v1_totality(
-    n_max: int = 30, *, formula: Callable[[int, int], int] | None = None
+    n_max: int, *, formula: Callable[[int, int], int] | None = None
 ) -> IdentityReport:
     """The by-degree-of-vertex-1 counts must sum to the total count."""
     fn = formula if formula is not None else counting.count_trees_deg_v1
@@ -182,9 +174,7 @@ def verify_deg_v1_totality(
     )
 
 
-def verify_lemma1(
-    n_max: int = 8, *, lhs: Callable[[int, int], int] | None = None
-) -> IdentityReport:
+def verify_lemma1(n_max: int, *, lhs: Callable[[int, int], int] | None = None) -> IdentityReport:
     """Four-way agreement at every (n, k): the composition-sum count, the
     literal rational form, the rational-free form, and (while n is within
     the sweep cap) the occurrence-counting brute force."""
@@ -209,11 +199,11 @@ def verify_lemma1(
                     legs += ((",brute force", hist[k]),)
                 yield (n, k), reference, legs
 
-    return _run("LEMMA_1", f"n=2..{n_max}", lambda n, k: f"n={n},k={k}", cases())
+    return _run("LEMMA_1", lambda n, k: f"n={n},k={k}", cases())
 
 
 def verify_double_count(
-    m_max: int = 6, *, assembly: Callable[[int, int], int] | None = None
+    m_max: int, *, assembly: Callable[[int, int], int] | None = None
 ) -> IdentityReport:
     """Pair enumeration against both closed form T_m * C(m-1, k-1) and the
     component-based assembly, for every m <= m_max and every k."""
@@ -232,11 +222,11 @@ def verify_double_count(
         for m in range(2, m_max + 1)
         for k in range(1, m + 1)
     )
-    return _run("DOUBLE_COUNT_PAIRS", f"m=2..{m_max}", lambda m, k: f"m={m},k={k}", cases)
+    return _run("DOUBLE_COUNT_PAIRS", lambda m, k: f"m={m},k={k}", cases)
 
 
 def verify_recursion_and_collapse(
-    n_max: int = 30, *, recursion: Callable[[int], int] | None = None
+    n_max: int, *, recursion: Callable[[int], int] | None = None
 ) -> IdentityReport:
     """recursion_T(n) = binomial_collapse(n) = n^(n-2) for n <= n_max."""
     _check_cap("n_max", n_max, "EQ_20 work", EQ_20_CAP)
@@ -249,16 +239,14 @@ def verify_recursion_and_collapse(
 
 
 def verify_binomial_collapse(
-    n_max: int = 30, *, collapse: Callable[[int], int] | None = None
+    n_max: int, *, collapse: Callable[[int], int] | None = None
 ) -> IdentityReport:
     """Term-by-term binomial sum against the closed form."""
     fn = collapse if collapse is not None else counting.binomial_collapse
     return _run_totals("BINOMIAL_COLLAPSE", n_max, lambda n: (("", fn(n)),))
 
 
-def verify_l3_expansion(
-    m_max: int = 10, k_max: int = 5, *, expansion=None
-) -> IdentityReport:
+def verify_l3_expansion(m_max: int, k_max: int = 5, *, expansion=None) -> IdentityReport:
     """Multinomial expansion against m^(k-2) * prod(a_i) on every positive
     composition with k <= k_max parts and total m <= m_max."""
     _check_grid(m_max=m_max, k_max=k_max)
@@ -270,12 +258,10 @@ def verify_l3_expansion(
         for m in range(k, m_max + 1)
         for parts in enumeration.enumerate_compositions(m, k)
     )
-    return _run("L3_EXPANSION", f"k=2..{k_max},m<={m_max}", _parts_label, cases)
+    return _run("L3_EXPANSION", _parts_label, cases)
 
 
-def verify_supervertex_marginal(
-    m_max: int = 10, k_max: int = 5, *, joiner=None
-) -> IdentityReport:
+def verify_supervertex_marginal(m_max: int, k_max: int = 5, *, joiner=None) -> IdentityReport:
     """Summing the component-joining counts over all degree sequences on k
     super vertices must reproduce the multinomial expansion."""
     _check_grid(m_max=m_max, k_max=k_max)
@@ -291,10 +277,10 @@ def verify_supervertex_marginal(
                     got = sum(fn(d, sizes) for d in degree_choices)
                     yield (m, sizes), expected, (("", got),)
 
-    return _run("SUPERVERTEX_MARGINAL", f"k=2..{k_max},m<={m_max}", _parts_label, cases())
+    return _run("SUPERVERTEX_MARGINAL", _parts_label, cases())
 
 
-def verify_prufer_roundtrip(n_max: int = 7) -> IdentityReport:
+def verify_prufer_roundtrip(n_max: int) -> IdentityReport:
     """encode(decode(s)) = s over all sequences and decode(encode(t)) = t
     over all trees, for 2 <= n <= n_max."""
     _check_grid(n_max=n_max)
@@ -303,18 +289,15 @@ def verify_prufer_roundtrip(n_max: int = 7) -> IdentityReport:
     def cases() -> Iterator[_Case]:
         for n in range(2, n_max + 1):
             for symbols in enumeration.enumerate_sequences(n):
-                seq = PruferSequence(n, symbols)
-                tree = enumeration.prufer_decode(seq)
+                tree = enumeration.prufer_decode(n, symbols)
                 back = enumeration.prufer_encode(tree)
-                yield (n, "s", symbols), seq, (("", back),)
+                yield (n, "s", symbols), symbols, (("", back),)
                 # a tree whose sequence failed is not checked again
-                if back == seq:
-                    again = enumeration.prufer_decode(back)
+                if back == symbols:
+                    again = enumeration.prufer_decode(n, back)
                     yield (n, "t", tree.edges), tree, (("", again),)
 
-    return _run(
-        "PRUFER_ROUNDTRIP", f"n=2..{n_max}", lambda n, side, x: f"n={n},{side}={x}", cases()
-    )
+    return _run("PRUFER_ROUNDTRIP", lambda n, side, x: f"n={n},{side}={x}", cases())
 
 
 _REGISTRY: dict[str, Callable[[int], IdentityReport]] = {
@@ -346,7 +329,5 @@ def verify_all(limits: Mapping[str, int] | None = None) -> list[IdentityReport]:
         except CapExceeded as err:
             budget = "work" if err.kind.endswith(" work") else "enumeration"
             failure = Failure(f"limit={limit}", f"limit within {budget} cap", f"CapExceeded: {err}")
-            reports.append(
-                IdentityReport(identity_id, f"limit={limit}", 0, (failure,), perf_counter() - start)
-            )
+            reports.append(IdentityReport(identity_id, 0, (failure,), perf_counter() - start))
     return reports

@@ -19,7 +19,6 @@ from itertools import product
 from treecount import counting
 from treecount.cli import main as cli_main
 from treecount.core import (
-    PruferSequence,
     as_integer,
     binomial,
 )
@@ -170,10 +169,10 @@ def test_c08_codec_round_trip():
     for n in range(2, 8):
         seqs = product(range(1, n + 1), repeat=n - 2) if n > 2 else [()]
         for symbols in seqs:
-            seq = PruferSequence(n, tuple(symbols))
-            tree = prufer_decode(seq)
+            seq = tuple(symbols)
+            tree = prufer_decode(n, seq)
             assert prufer_encode(tree) == seq
-            assert prufer_decode(prufer_encode(tree)) == tree
+            assert prufer_decode(n, prufer_encode(tree)) == tree
             checked += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 10

@@ -20,7 +20,6 @@ from treecount.cli import _verify_exit, main
 from treecount.core import (
     LabeledTree,
     degree_of,
-    prufer_to_text,
     read_prufer_lines,
     read_trees,
     tree_degrees,
@@ -261,6 +260,34 @@ class TestPrufer:
         assert code == 0
         assert json.loads(out) == {"n": 4, "symbols": [4, 4]}
 
+    def test_encode_json_takes_n_from_each_tree(self):
+        edges = STAR_TEXT + "n 2\n1 2\n" + "n 3\n1 2\n2 3\n"
+        assert run_cli(["prufer", "encode", "--format", "json"], edges) == (
+            0,
+            '{"n": 4, "symbols": [4, 4]}\n{"n": 2, "symbols": []}\n{"n": 3, "symbols": [2]}\n',
+            "",
+        )
+
+    def test_decode_blank_line_and_spaced_symbols(self):
+        # a blank line is the word of the edge on 2 vertices; spaces around
+        # the symbols are ignored
+        words = "4,4\n\n 2 , 3 \n"
+        text = STAR_TEXT + "n 2\n1 2\n" + "n 4\n1 2\n2 3\n3 4\n"
+        assert run_cli(["prufer", "decode"], words) == (0, text, "")
+        as_json = (
+            '{"n": 4, "edges": [[1, 4], [2, 4], [3, 4]]}\n'
+            '{"n": 2, "edges": [[1, 2]]}\n'
+            '{"n": 4, "edges": [[1, 2], [2, 3], [3, 4]]}\n'
+        )
+        assert run_cli(["prufer", "decode", "--format", "json"], words) == (0, as_json, "")
+
+    def test_decode_empty_symbol_prints_nothing(self):
+        assert run_cli(["prufer", "decode"], "4,4\n1,,2\n") == (
+            2,
+            "",
+            "treecount: line 2: symbols must be comma-separated integers\n",
+        )
+
 
 class TestSample:
     def test_n2_fixed_stream(self):
@@ -425,18 +452,19 @@ class TestVerify:
     def test_exit_code_reads_no_failure_text(self):
         def report(checked, got):
             failure = verifier.Failure("n=2", 1, got)
-            return verifier.IdentityReport("X", "n=2..2", checked, (failure,), 0.0)
+            return verifier.IdentityReport("X", checked, (failure,), 0.0)
 
         # a mismatch whose value happens to read like a cap message is a mismatch
         assert _verify_exit([report(1, "CapExceeded: n=10 beyond the sweep cap 9")]) == 1
         assert _verify_exit([report(0, "anything")]) == 3
         assert _verify_exit([report(0, "anything"), report(1, 2)]) == 1
 
-    def test_env_default_max_n(self, monkeypatch):
+    def test_environment_sets_no_max_n(self, monkeypatch):
         monkeypatch.setenv("TREECOUNT_VERIFY_MAX_N", "3")
         code, out, _ = run_cli(["verify", "lemma1", "--json"])
         doc = json.loads(out)
-        assert code == 0 and doc["reports"][0]["checked"] == 3
+        # the default grid n <= 8 has sum(n - 1 for n = 2..8) = 28 cases
+        assert code == 0 and doc["reports"][0]["checked"] == 28
 
     def test_bad_max_n_exit_2(self):
         assert run_cli(["verify", "lemma1", "--max-n", "1"])[0] == 2
@@ -535,12 +563,12 @@ class TestRoundTripProperty:
         code, prufer, _ = sample("prufer")
         assert code == 0
         seqs = list(read_prufer_lines(io.StringIO(prufer)))
-        assert [enumeration.prufer_decode(s) for s in seqs] == trees
+        assert [enumeration.prufer_decode(n, s) for s in seqs] == trees
         assert run_cli(["prufer", "encode"], edges) == (0, prufer, "")
         code, encoded, _ = run_cli(["prufer", "encode", "--format", "json"], edges)
         assert code == 0
         assert [json.loads(line) for line in encoded.splitlines()] == [
-            {"n": n, "symbols": list(s.symbols)} for s in seqs
+            {"n": n, "symbols": list(s)} for s in seqs
         ]
         assert run_cli(["prufer", "decode"], prufer) == (0, edges, "")
         assert run_cli(["prufer", "decode", "--format", "json"], prufer) == (0, as_json, "")
@@ -563,7 +591,7 @@ DEGREE_VECTORS = {
 
 def _decode_encode_lines(trees, fmt):
     if fmt == "prufer":
-        return [prufer_to_text(enumeration.prufer_encode(t)) + "\n" for t in trees]
+        return [",".join(map(str, enumeration.prufer_encode(t))) + "\n" for t in trees]
     return [json.dumps({"n": t.n, "edges": [list(e) for e in t.edges]}) + "\n" for t in trees]
 
 

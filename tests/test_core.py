@@ -19,7 +19,6 @@ from treecount.core import (
     NonIntegralResult,
     NotATree,
     OutOfRange,
-    PruferSequence,
     as_integer,
     binomial,
     canonicalize_tree,
@@ -28,8 +27,6 @@ from treecount.core import (
     factorial,
     int_to_text,
     multinomial,
-    prufer_sequence,
-    prufer_to_text,
     read_prufer_lines,
     read_trees,
     tree_degrees,
@@ -170,15 +167,6 @@ class TestFactories:
         with pytest.raises(InvalidDegreeSequence):
             validate_degrees(bad)
 
-    def test_prufer_sequence(self):
-        assert prufer_sequence(2).symbols == ()
-        assert prufer_sequence(1).symbols == ()
-        assert prufer_sequence(4, (4, 4)).n == 4
-        with pytest.raises(OutOfRange):
-            prufer_sequence(4, (1,))
-        with pytest.raises(BadVertex):
-            prufer_sequence(4, (5, 1))
-
 
 class TestEdgeText:
     def test_format_single_vertex(self):
@@ -219,17 +207,8 @@ class TestEdgeText:
 
 
 class TestPruferText:
-    def test_format(self):
-        assert prufer_to_text(PruferSequence(4, (4, 4))) == "4,4"
-        assert prufer_to_text(PruferSequence(2, ())) == ""
-
     def test_read_lines(self):
-        seqs = list(read_prufer_lines(["4,4", "", "2"]))
-        assert seqs == [
-            PruferSequence(4, (4, 4)),
-            PruferSequence(2, ()),
-            PruferSequence(3, (2,)),
-        ]
+        assert list(read_prufer_lines(["4,4", "", "2"])) == [(4, 4), (), (2,)]
 
     def test_bad_symbol(self):
         with pytest.raises(EdgeTextError) as exc:

@@ -15,7 +15,6 @@ from treecount.core import (
     CapExceeded,
     LabeledTree,
     OutOfRange,
-    PruferSequence,
     canonicalize_tree,
     degree_of,
     tree_degrees,
@@ -39,17 +38,17 @@ from treecount.enumeration import (
 class TestCodec:
     def test_encode_examples(self):
         path = canonicalize_tree(3, [(1, 2), (2, 3)])
-        assert prufer_encode(path) == PruferSequence(3, (2,))
+        assert prufer_encode(path) == (2,)
         star = canonicalize_tree(4, [(1, 4), (2, 4), (3, 4)])
-        assert prufer_encode(star) == PruferSequence(4, (4, 4))
+        assert prufer_encode(star) == (4, 4)
         edge = canonicalize_tree(2, [(1, 2)])
-        assert prufer_encode(edge) == PruferSequence(2, ())
+        assert prufer_encode(edge) == ()
 
     def test_decode_examples(self):
-        assert prufer_decode(PruferSequence(3, (2,))).edges == ((1, 2), (2, 3))
-        assert prufer_decode(PruferSequence(4, (4, 4))).edges == ((1, 4), (2, 4), (3, 4))
-        assert prufer_decode(PruferSequence(2, ())).edges == ((1, 2),)
-        assert prufer_decode(PruferSequence(1, ())).edges == ()
+        assert prufer_decode(3, (2,)).edges == ((1, 2), (2, 3))
+        assert prufer_decode(4, (4, 4)).edges == ((1, 4), (2, 4), (3, 4))
+        assert prufer_decode(2, ()).edges == ((1, 2),)
+        assert prufer_decode(1, ()).edges == ()
 
     def test_encode_rejects_single_vertex(self):
         with pytest.raises(OutOfRange):
@@ -59,28 +58,27 @@ class TestCodec:
     def test_round_trip_all_sequences(self, n):
         seqs = product(range(1, n + 1), repeat=n - 2) if n > 2 else [()]
         for symbols in seqs:
-            seq = PruferSequence(n, tuple(symbols))
-            tree = prufer_decode(seq)
+            seq = tuple(symbols)
+            tree = prufer_decode(n, seq)
             assert prufer_encode(tree) == seq
-            assert prufer_decode(seq) == tree
+            assert prufer_decode(n, seq) == tree
 
     @pytest.mark.parametrize("n", [8, 9])
     def test_round_trip_sampled(self, n):
         rng = random.Random(2**n)
         for _ in range(5000):
             symbols = tuple(rng.randint(1, n) for _ in range(n - 2))
-            seq = PruferSequence(n, symbols)
-            assert prufer_encode(prufer_decode(seq)) == seq
+            assert prufer_encode(prufer_decode(n, symbols)) == symbols
 
     @given(labeled_trees(min_n=2, max_n=9))
     def test_round_trip_from_tree_side(self, tree):
-        assert prufer_decode(prufer_encode(tree)) == tree
+        assert prufer_decode(tree.n, prufer_encode(tree)) == tree
 
     @given(labeled_trees(min_n=2, max_n=9))
     def test_degree_occurrence_law(self, tree):
         seq = prufer_encode(tree)
         for v in range(1, tree.n + 1):
-            assert degree_of(tree, v) == 1 + seq.symbols.count(v)
+            assert degree_of(tree, v) == 1 + seq.count(v)
 
 
 class TestEnumerateAllTrees:
@@ -90,7 +88,7 @@ class TestEnumerateAllTrees:
 
     def test_lexicographic_by_sequence(self):
         trees = list(enumerate_all_trees(4))
-        seqs = [prufer_encode(t).symbols for t in trees]
+        seqs = [prufer_encode(t) for t in trees]
         assert seqs == sorted(seqs)
         assert len(set(trees)) == 16
 
@@ -173,7 +171,7 @@ class TestSequenceStreams:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_trees_are_the_decode_of_the_words(self, n):
         words = list(enumerate_sequences(n))
-        want = [prufer_decode(PruferSequence(n, w)) for w in words]
+        want = [prufer_decode(n, w) for w in words]
         assert list(decode_sequences(n, words)) == want
         assert list(enumerate_all_trees(n)) == want
 
