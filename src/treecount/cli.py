@@ -11,20 +11,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import islice, starmap
+from itertools import chain, count, groupby, islice
 from typing import IO, Iterable, Iterator
 
 from treecount import counting, enumeration, sampling, verifier
 from treecount.core import (
     CapExceeded,
-    LabeledTree,
     OutOfRange,
     TreeCountError,
     _check_cap,
     int_to_text,
     read_prufer_lines,
     read_trees,
-    tree_to_text,
     validate_degrees,
 )
 
@@ -45,14 +43,41 @@ def _parse_degrees(text: str) -> tuple[int, ...]:
     return degrees
 
 
-def _json_tree(tree: LabeledTree) -> str:
-    # the bytes json.dumps({"n": n, "edges": [[u, v], ...]}) writes
-    edges = ", ".join(["[%d, %d]" % e for e in tree.edges])
-    return '{"n": %d, "edges": [%s]}\n' % (tree.n, edges)
+def _tree_texts(n: int, fmt: str, words: Iterable[tuple[int, ...]]) -> Iterator[str]:
+    """The text of the tree of each Prufer word on n vertices in the edges,
+    json or csv format; a csv row starts with the tree's index in the
+    stream.  Each word is decoded once, and its text is put together from
+    pieces made once for n and the format, with no per-edge formatting."""
+    if n == 1:
+        text = {"edges": "n 1\n", "json": '{"n": 1, "edges": []}\n', "csv": ""}[fmt]
+        return (text for _ in words)
+    if n <= enumeration.PRUFER_ENUM_CAP:
+        # the text of every edge code u*(n+1)+v, (n+1)^2 pieces: few at the
+        # sizes a sweep reaches
+        decode = enumeration._decode_codes
+        m = n + 1
+        piece = {"edges": "%d %d\n", "json": "[%d, %d]", "csv": "%d,%d\n"}[fmt]
+        get = [piece % divmod(code, m) for code in range(m * m)].__getitem__
+        if fmt == "edges":
+            head = "n %d\n" % n
+            return (head + "".join(map(get, decode(n, w))) for w in words)
+        if fmt == "json":
+            head = '{"n": %d, "edges": [' % n
+            return (head + ", ".join(map(get, decode(n, w))) + "]}\n" for w in words)
+        prefixes = map("%d,".__mod__, count())
+        return (p + p.join(map(get, decode(n, w))) for p, w in zip(prefixes, words))
 
+    # one %-template for the whole tree, filled from the flattened edges
+    def flat(w: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(chain.from_iterable(enumeration._decode_edges(n, w)))
 
-def _csv_tree(index: int, tree: LabeledTree) -> str:
-    return "".join([f"{index},{u},{v}\n" for u, v in tree.edges])
+    if fmt == "edges":
+        template = "n %d\n" % n + "%d %d\n" * (n - 1)
+    elif fmt == "json":
+        template = '{"n": %d, "edges": [' % n + ", ".join(["[%d, %d]"] * (n - 1)) + "]}\n"
+    else:
+        return ((("%d," % i + "%d,%d\n") * (n - 1)) % flat(w) for i, w in enumerate(words))
+    return (template % flat(w) for w in words)
 
 
 def _tree_lines(
@@ -75,13 +100,7 @@ def _tree_lines(
     if fmt == "prufer":
         lines = map((",".join(["%d"] * (n - 2)) + "\n").__mod__, words)
     else:
-        trees = enumeration.decode_sequences(n, words)
-        if fmt == "edges":
-            lines = map(tree_to_text, trees)
-        elif fmt == "json":
-            lines = map(_json_tree, trees)
-        else:
-            lines = starmap(_csv_tree, enumerate(trees))
+        lines = _tree_texts(n, fmt, words)
     total = 0
     for total, line in enumerate(lines, start=1):
         yield line
@@ -171,8 +190,12 @@ def cmd_prufer(args, stdin: IO[str], stdout: IO[str]) -> int:
         else:
             lines = [",".join(map(str, w)) + "\n" for _, w in encoded]
     else:
-        decoded = (enumeration.prufer_decode(len(w) + 2, w) for w in read_prufer_lines(stdin))
-        lines = list(map(_json_tree if args.format == "json" else tree_to_text, decoded))
+        fmt = "json" if args.format == "json" else "edges"
+        lines = [
+            text
+            for length, words in groupby(read_prufer_lines(stdin), len)
+            for text in _tree_texts(length + 2, fmt, words)
+        ]
     stdout.writelines(lines)
     return 0
 

@@ -7,6 +7,12 @@ against.  Streams are lazy generators with a deterministic
 golden tests stay stable.  The sweeps are streams of Prufer words
 (tuples of symbols); the tree streams are their decode, so a caller
 that only needs the words, or their symbol counts, decodes nothing.
+The decode is one pointer walk in two forms: ``_decode_edges`` gives the
+sorted edge pairs that the tree streams and ``prufer_decode`` wrap, and
+``_decode_codes`` the sorted integer codes u*(n+1)+v of the edges
+(u, v), u < v, from which the CLI writes its small tree formats.  The
+encode walks leaves with the same pointer, so both directions take
+linear time.
 
 Enumeration sizes are capped by the module constants PRUFER_ENUM_CAP,
 EDGE_ENUM_CAP and PAIR_ENUM_CAP, so accidental huge sweeps fail fast
@@ -16,7 +22,6 @@ caller may assign a new value, which is read at call time.
 
 from __future__ import annotations
 
-import heapq
 from itertools import combinations, product
 from typing import Iterable, Iterator
 
@@ -67,6 +72,34 @@ def _decode_edges(n: int, symbols: Iterable[int]) -> tuple[Edge, ...]:
     return tuple(edges)
 
 
+def _decode_codes(n: int, symbols: Iterable[int]) -> list[int]:
+    # the walk of _decode_edges to the sorted codes u*(n+1)+v of the edges
+    # (u, v), u < v: ints sort faster than pairs and index a table of edge
+    # texts; splitting codes back into pairs would slow the tree streams
+    m = n + 1
+    deg = [1] * m
+    for s in symbols:
+        deg[s] += 1
+    codes = []
+    ptr = 1
+    while deg[ptr] != 1:
+        ptr += 1
+    leaf = ptr
+    for s in symbols:
+        codes.append(leaf * m + s if leaf < s else s * m + leaf)
+        deg[s] -= 1
+        if deg[s] == 1 and s < ptr:
+            leaf = s
+        else:
+            ptr += 1
+            while deg[ptr] != 1:
+                ptr += 1
+            leaf = ptr
+    codes.append(leaf * m + n)
+    codes.sort()
+    return codes
+
+
 def prufer_decode(n: int, symbols: tuple[int, ...]) -> LabeledTree:
     """The unique tree on n vertices whose encoding is ``symbols``."""
     if n == 1:
@@ -76,24 +109,43 @@ def prufer_decode(n: int, symbols: tuple[int, ...]) -> LabeledTree:
 
 def prufer_encode(tree: LabeledTree) -> tuple[int, ...]:
     """Encode by repeatedly removing the smallest-labeled leaf and
-    recording its neighbor."""
+    recording its neighbor.
+
+    Linear time: rooted at n, which is never removed, a leaf's one
+    remaining neighbor is its parent, and the smallest leaf is tracked
+    with the same pointer as the decode."""
     n = tree.n
     if n < 2:
         raise OutOfRange("encoding needs at least 2 vertices")
-    adj: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
+    adj: list[list[int]] = [[] for _ in range(n + 1)]
     for u, v in tree.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    leaves = [v for v in adj if len(adj[v]) == 1]
-    heapq.heapify(leaves)
+        adj[u].append(v)
+        adj[v].append(u)
+    parent = [0] * (n + 1)
+    stack = [n]
+    while stack:
+        u = stack.pop()
+        for v in adj[u]:
+            if v != parent[u]:
+                parent[v] = u
+                stack.append(v)
+    deg = list(map(len, adj))
     out = []
+    ptr = 1
+    while deg[ptr] != 1:
+        ptr += 1
+    leaf = ptr
     for _ in range(n - 2):
-        u = heapq.heappop(leaves)
-        v = adj[u].pop()
-        adj[v].discard(u)
-        out.append(v)
-        if len(adj[v]) == 1:
-            heapq.heappush(leaves, v)
+        p = parent[leaf]
+        out.append(p)
+        deg[p] -= 1
+        if deg[p] == 1 and p < ptr:
+            leaf = p
+        else:
+            ptr += 1
+            while deg[ptr] != 1:
+                ptr += 1
+            leaf = ptr
     return tuple(out)
 
 

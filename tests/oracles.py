@@ -9,11 +9,14 @@ C(n(n-1)/2, n-1)).
 
 The literal sums over compositions and partitions behind Lemma 1, Eq. 20
 and L3 live here too, written with math.comb and math.factorial only:
-the package computes the same sums as binomial convolutions.
+the package computes the same sums as binomial convolutions.  So do the
+textbook heap Prufer encode and the per-edge text of the json and csv
+tree formats, which the package replaced with faster equivalents.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations
@@ -72,6 +75,38 @@ def trees_with_deg_v1(n: int, k: int) -> set[tuple[Edge, ...]]:
     return {
         t for t in spanning_trees(n) if degree_vector(n, t)[0] == k
     }
+
+
+def prufer_encode_heap(n: int, edges: tuple[Edge, ...]) -> tuple[int, ...]:
+    """The Prufer word of a tree on n >= 2 vertices: repeatedly remove the
+    smallest-labeled leaf, taken from a heap, and record its neighbor."""
+    adj: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    leaves = [v for v in adj if len(adj[v]) == 1]
+    heapq.heapify(leaves)
+    out = []
+    for _ in range(n - 2):
+        u = heapq.heappop(leaves)
+        v = adj[u].pop()
+        adj[v].discard(u)
+        out.append(v)
+        if len(adj[v]) == 1:
+            heapq.heappush(leaves, v)
+    return tuple(out)
+
+
+def json_tree(n: int, edges: tuple[Edge, ...]) -> str:
+    """One json tree line: the bytes json.dumps({"n": n, "edges": [[u, v], ...]})
+    writes, plus a line feed."""
+    text = ", ".join(["[%d, %d]" % e for e in edges])
+    return '{"n": %d, "edges": [%s]}\n' % (n, text)
+
+
+def csv_tree(index: int, edges: tuple[Edge, ...]) -> str:
+    """The csv rows "index,u,v" of one tree, one per edge."""
+    return "".join([f"{index},{u},{v}\n" for u, v in edges])
 
 
 def parse_decimal(text: str) -> int:

@@ -5,8 +5,10 @@ from __future__ import annotations
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treecount
+import oracles
 from oracles import parse_decimal
 from treecount import cli, counting, enumeration, sampling, verifier
 from treecount.cli import _verify_exit, main
@@ -23,6 +26,7 @@ from treecount.core import (
     read_prufer_lines,
     read_trees,
     tree_degrees,
+    tree_to_text,
 )
 
 STAR_TEXT = "n 4\n1 4\n2 4\n3 4\n"
@@ -656,21 +660,94 @@ class TestDirectOutput:
         def refuse(*args):
             raise AssertionError("the codec was called")
 
-        for name in ("prufer_decode", "prufer_encode", "decode_sequences"):
+        for name in ("prufer_decode", "prufer_encode", "decode_sequences", "_decode_edges",
+                     "_decode_codes"):
             monkeypatch.setattr(enumeration, name, refuse)
         monkeypatch.setattr(sampling, "decode_sequences", refuse)
         assert [run_cli(argv) for argv in argvs] == expected
 
     @pytest.mark.parametrize("fmt", ["edges", "json", "csv"])
     def test_deg_v1_decodes_only_the_trees_it_keeps(self, monkeypatch, fmt):
-        decode = enumeration.decode_sequences
+        decode = enumeration._decode_codes
         decoded = []
 
-        def recording(n, words):
-            return decode(n, (decoded.append(w) or w for w in words))
+        def recording(n, word):
+            decoded.append(word)
+            return decode(n, word)
 
-        monkeypatch.setattr(enumeration, "decode_sequences", recording)
+        monkeypatch.setattr(enumeration, "_decode_codes", recording)
         code, _, _ = run_cli(["enumerate", "-n", "6", "--deg-v1", "2", "--format", fmt])
         assert code == 0
         assert len(decoded) == counting.count_trees_deg_v1(6, 2)
         assert all(w.count(1) == 1 for w in decoded)
+
+
+# ---------------------------------------------------------------------------
+# edges, json and csv output against the per-edge formatters: the tree of
+# each word through prufer_decode, written by core.tree_to_text or the
+# oracles' json and csv lines.  Trees on up to PRUFER_ENUM_CAP vertices
+# are written from per-code pieces, larger ones from one template per n.
+
+COUNT_LINES = {"edges": "count %d\n", "json": '{"count": %d}\n', "csv": "count,%d\n"}
+
+
+def _oracle_texts(words_by_n, fmt):
+    trees = [enumeration.prufer_decode(n, w) for n, w in words_by_n]
+    if fmt == "edges":
+        return [tree_to_text(t) for t in trees]
+    if fmt == "json":
+        return [oracles.json_tree(t.n, t.edges) for t in trees]
+    return [oracles.csv_tree(i, t.edges) for i, t in enumerate(trees)]
+
+
+def _oracle_output(n, words, fmt, *, count=False):
+    lines = ["tree,u,v\n"] if fmt == "csv" else []
+    lines += _oracle_texts([(n, w) for w in words], fmt)
+    if count:
+        lines.append(COUNT_LINES[fmt] % len(words))
+    return "".join(lines)
+
+
+ENUMERATE_CASES = {
+    "n1": (["-n", "1"], lambda: enumeration.enumerate_sequences(1)),
+    "n2": (["-n", "2"], lambda: enumeration.enumerate_sequences(2)),
+    "n3": (["-n", "3"], lambda: enumeration.enumerate_sequences(3)),
+    "n9-limit": (
+        ["-n", "9", "--limit", "3000"],
+        lambda: islice(enumeration.enumerate_sequences(9), 3000),
+    ),
+    "n9-degrees": (
+        ["-n", "9", "--degrees", "2,1,3,1,1,2,1,2,3"],
+        lambda: enumeration.enumerate_sequences_with_degrees((2, 1, 3, 1, 1, 2, 1, 2, 3)),
+    ),
+}
+
+
+class TestTreeFormatGoldens:
+    @pytest.mark.parametrize("count", [False, True])
+    @pytest.mark.parametrize("fmt", ["edges", "json", "csv"])
+    @pytest.mark.parametrize("case", list(ENUMERATE_CASES))
+    def test_enumerate(self, case, fmt, count):
+        flags, words = ENUMERATE_CASES[case]
+        words = list(words())
+        n = int(flags[1])
+        argv = ["enumerate", *flags, "--format", fmt] + (["--count"] if count else [])
+        assert run_cli(argv) == (0, _oracle_output(n, words, fmt, count=count), "")
+
+    @pytest.mark.parametrize("fmt", ["edges", "json", "csv"])
+    @pytest.mark.parametrize("n", [9, 10, 1000])
+    def test_sample(self, n, fmt):
+        words = list(sampling.sample_uniform_sequence(n, seed=n, count=4))
+        argv = ["sample", "-n", str(n), "--count", "4", "--seed", str(n), "--format", fmt]
+        assert run_cli(argv) == (0, _oracle_output(n, words, fmt), "")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_prufer_decode_of_mixed_lengths(self, fmt):
+        words = [()]  # the blank line: the edge on 2 vertices
+        for n in (2, 3, 9, 10, 11, 1000):
+            words += sampling.sample_uniform_sequence(n, seed=n, count=2)
+        random.Random(5).shuffle(words)
+        words += sorted(words, key=len)  # and runs of one length
+        stdin = "".join(",".join(map(str, w)) + "\n" for w in words)
+        expected = _oracle_texts([(len(w) + 2, w) for w in words], fmt.replace("text", "edges"))
+        assert run_cli(["prufer", "decode", "--format", fmt], stdin) == (0, "".join(expected), "")

@@ -70,6 +70,25 @@ class TestCodec:
             symbols = tuple(rng.randint(1, n) for _ in range(n - 2))
             assert prufer_encode(prufer_decode(n, symbols)) == symbols
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_encode_matches_heap_oracle_on_every_tree(self, n):
+        for tree in enumerate_all_trees(n):
+            assert prufer_encode(tree) == oracles.prufer_encode_heap(n, tree.edges)
+        edge = ((1, 2),)
+        assert prufer_encode(LabeledTree(2, edge)) == () == oracles.prufer_encode_heap(2, edge)
+
+    @pytest.mark.parametrize("n", [3, 10, 57, 300, 1000, 2000])
+    def test_encode_matches_heap_oracle_on_random_trees(self, n):
+        # each vertex in a random order hangs from a random earlier one or
+        # from the one before it, so bushy and long trees alike, built
+        # without the codec
+        rng = random.Random(n)
+        for _ in range(10):
+            order = rng.sample(range(1, n + 1), n)
+            raw = [(order[i], order[rng.choice((rng.randrange(i), i - 1))]) for i in range(1, n)]
+            tree = canonicalize_tree(n, raw)
+            assert prufer_encode(tree) == oracles.prufer_encode_heap(n, tree.edges)
+
     @given(labeled_trees(min_n=2, max_n=9))
     def test_round_trip_from_tree_side(self, tree):
         assert prufer_decode(tree.n, prufer_encode(tree)) == tree
