@@ -114,38 +114,34 @@ def lemma1_lhs(n: int, k: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _eq20_column(m: int) -> tuple[int, ...]:
-    # Entry k is m! [x^m] F(x)^k with F = sum_{a>=1} a T_a x^a / a!: the
-    # ordered sum of m!/prod(a_i!) * prod(a_i T_{a_i}) over compositions
-    # of m into k parts.  Lower totals come from the recursion itself,
-    # never from the closed form.  recursion_T fills the columns in
-    # increasing m, so each lookup below is a cache hit.
+def _eq20(m: int) -> tuple[int, tuple[int, ...]]:
+    # (T_{m+1}, column m).  Entry k of the column is m! [x^m] F(x)^k with
+    # F = sum_{a>=1} a T_a x^a / a!: the ordered sum of m!/prod(a_i!) *
+    # prod(a_i T_{a_i}) over compositions of m into k parts.  T_a comes
+    # from the lower entries, never from the closed form; recursion_T fills
+    # them in increasing m, so each lookup below is a cache hit.
     if m == 0:
-        return (1,)
-    f = [0] + [a * _total_by_recursion(a) for a in range(1, m + 1)]
-    lower = [_eq20_column(j) for j in range(m)]
+        return 1, (1,)
+    lower = [_eq20(j) for j in range(m)]
+    f = [0] + [a * lower[a - 1][0] for a in range(1, m + 1)]
     col = [0]
     for k in range(1, m + 1):
-        g = [c[k - 1] if k <= len(c) else 0 for c in lower]
+        g = [c[k - 1] if k <= len(c) else 0 for _, c in lower]
         # a component of size a > m-k+1 leaves too few vertices for k-1 more
         col.append(_binomial_convolution(m, f[: m - k + 2], g))
-    return tuple(col)
-
-
-@lru_cache(maxsize=None)
-def _total_by_recursion(n: int) -> int:
-    # Eq. 20: T_n = sum_k (ordered sum over k components of n-1) / k!
-    return sum(exact_div(c, factorial(k)) for k, c in enumerate(_eq20_column(n - 1)))
+    # Eq. 20: T_{m+1} = sum_k (ordered sum over k components of m) / k!
+    return sum(exact_div(c, factorial(k)) for k, c in enumerate(col)), tuple(col)
 
 
 def recursion_T(n: int) -> int:
     """Total tree count rebuilt from the by-degree-of-vertex-1 recursion,
-    without ever evaluating the closed form n^(n-2)."""
+    without ever evaluating the closed form n^(n-2).  One memo, _eq20,
+    holds each Eq. 20 column with the total built from it."""
     if n < 1:
         raise OutOfRange(f"need n >= 1, got {n}")
-    for j in range(1, n):  # bottom-up, so no call recurses deeper than one level
-        _total_by_recursion(j)
-    return _total_by_recursion(n)
+    for m in range(n - 1):  # bottom-up, so no call recurses deeper than one level
+        _eq20(m)
+    return _eq20(n - 1)[0]
 
 
 def expand_L3(parts: tuple[int, ...], m: int) -> int:

@@ -23,6 +23,7 @@ caller may assign a new value, which is read at call time.
 from __future__ import annotations
 
 from itertools import combinations, product
+from operator import sub
 from typing import Iterable, Iterator
 
 from treecount.core import (
@@ -263,20 +264,17 @@ def _pairs_stream(m: int, k: int) -> Iterator[tuple[LabeledTree, tuple[Edge, ...
 
 def enumerate_compositions(total: int, k: int) -> Iterator[tuple[int, ...]]:
     """All C(total-1, k-1) ordered k-tuples of positive parts summing to
-    ``total``, in lexicographic order."""
+    ``total``, in lexicographic order: the parts between k-1 cut points
+    from 1..total-1, whose lexicographic order they keep."""
     if total < 0:
         raise OutOfRange(f"total must be >= 0, got {total}")
     if k < 1:
         raise OutOfRange(f"part count must be >= 1, got {k}")
-    return _composition_stream(total, k, ())
-
-
-def _composition_stream(
-    remaining: int, slots: int, prefix: tuple[int, ...]
-) -> Iterator[tuple[int, ...]]:
-    if slots == 1:
-        if remaining >= 1:
-            yield prefix + (remaining,)
-        return
-    for first in range(1, remaining - slots + 2):
-        yield from _composition_stream(remaining - first, slots - 1, prefix + (first,))
+    if total == 0:  # the single empty cut set would give the part 0
+        return iter(())
+    # tuple() of a bare map sizes for 10 and shrinks, and the shrunk tuples
+    # pile up on CPython's free lists (about 0.5 MiB); a list sizes it exactly
+    return (
+        tuple([*map(sub, cuts + (total,), (0,) + cuts)])
+        for cuts in combinations(range(1, total), k - 1)
+    )

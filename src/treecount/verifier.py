@@ -108,11 +108,12 @@ class IdentityReport:
 _Case = tuple[tuple, object, tuple[tuple[str, object], ...]]
 
 
-def _check_grid(**tops: int) -> None:
-    """Raise OutOfRange unless every grid top is at least 2."""
-    if min(tops.values()) < 2:
-        need = " and ".join(f"{name} >= 2" for name in tops)
-        raise OutOfRange(f"need {need}, got {', '.join(map(str, tops.values()))}")
+def _check_top(name: str, top: int, kind: str, cap: int) -> None:
+    """Raise OutOfRange unless the grid top is at least 2, then
+    CapExceeded if it lies beyond its cap."""
+    if top < 2:
+        raise OutOfRange(f"need {name} >= 2, got {top}")
+    _check_cap(name, top, kind, cap)
 
 
 def _run(identity_id: str, label: Callable[..., str], cases: Iterable[_Case]) -> IdentityReport:
@@ -132,8 +133,7 @@ def _run(identity_id: str, label: Callable[..., str], cases: Iterable[_Case]) ->
 
 def _run_totals(identity_id: str, n_max: int, legs: Callable[[int], tuple]) -> IdentityReport:
     """Every leg of legs(n) against the total n^(n-2), for n = 2..n_max."""
-    _check_grid(n_max=n_max)
-    _check_cap("n_max", n_max, f"{identity_id} work", TOTALS_CAP)
+    _check_top("n_max", n_max, f"{identity_id} work", TOTALS_CAP)
     cases = (((n,), counting.count_total_trees(n), legs(n)) for n in range(2, n_max + 1))
     return _run(identity_id, lambda n: f"n={n}", cases)
 
@@ -151,8 +151,7 @@ def verify_theorem1(
 ) -> IdentityReport:
     """Degree-sequence formula against filtered enumeration, for every
     valid degree sequence with n <= n_max."""
-    _check_grid(n_max=n_max)
-    _check_cap("n_max", n_max, "sweep", enumeration.PRUFER_ENUM_CAP)
+    _check_top("n_max", n_max, "sweep", enumeration.PRUFER_ENUM_CAP)
     fn = formula if formula is not None else counting.count_trees_with_degrees
 
     def cases() -> Iterator[_Case]:
@@ -178,8 +177,7 @@ def verify_lemma1(n_max: int, *, lhs: Callable[[int, int], int] | None = None) -
     """Four-way agreement at every (n, k): the composition-sum count, the
     literal rational form, the rational-free form, and (while n is within
     the sweep cap) the occurrence-counting brute force."""
-    _check_grid(n_max=n_max)
-    _check_cap("n_max", n_max, "LEMMA_1 work", LEMMA_1_CAP)
+    _check_top("n_max", n_max, "LEMMA_1 work", LEMMA_1_CAP)
     fn = lhs if lhs is not None else counting.lemma1_lhs
 
     def cases() -> Iterator[_Case]:
@@ -207,8 +205,7 @@ def verify_double_count(
 ) -> IdentityReport:
     """Pair enumeration against both closed form T_m * C(m-1, k-1) and the
     component-based assembly, for every m <= m_max and every k."""
-    _check_grid(m_max=m_max)
-    _check_cap("m_max", m_max, "pair", enumeration.PAIR_ENUM_CAP)
+    _check_top("m_max", m_max, "pair", enumeration.PAIR_ENUM_CAP)
     fn = assembly if assembly is not None else counting.assemble_double_count
     cases = (
         (
@@ -246,36 +243,44 @@ def verify_binomial_collapse(
     return _run_totals("BINOMIAL_COLLAPSE", n_max, lambda n: (("", fn(n)),))
 
 
-def verify_l3_expansion(m_max: int, k_max: int = 5, *, expansion=None) -> IdentityReport:
+# Both composition grids stop at 5 parts; L3_CAP and SUPERVERTEX_CAP are
+# sized for that: C(m, 2) + ... + C(m, 5) compositions up to m, ~m^5/120.
+def _composition_grid(m_max: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(m, parts) for every composition of m into k = 2..5 parts with
+    k <= m <= m_max, by k, then m, then parts in lexicographic order."""
+    for k in range(2, 6):
+        for m in range(k, m_max + 1):
+            for parts in enumeration.enumerate_compositions(m, k):
+                yield m, parts
+
+
+def verify_l3_expansion(m_max: int, *, expansion=None) -> IdentityReport:
     """Multinomial expansion against m^(k-2) * prod(a_i) on every positive
-    composition with k <= k_max parts and total m <= m_max."""
-    _check_grid(m_max=m_max, k_max=k_max)
-    _check_cap("m_max", m_max, "L3 work", L3_CAP)
+    composition with 2 <= k <= 5 parts and total m <= m_max."""
+    _check_top("m_max", m_max, "L3 work", L3_CAP)
     fn = expansion if expansion is not None else counting.expand_L3
     cases = (
-        ((m, parts), m ** (k - 2) * math.prod(parts), (("", fn(parts, m)),))
-        for k in range(2, k_max + 1)
-        for m in range(k, m_max + 1)
-        for parts in enumeration.enumerate_compositions(m, k)
+        ((m, parts), m ** (len(parts) - 2) * math.prod(parts), (("", fn(parts, m)),))
+        for m, parts in _composition_grid(m_max)
     )
     return _run("L3_EXPANSION", _parts_label, cases)
 
 
-def verify_supervertex_marginal(m_max: int, k_max: int = 5, *, joiner=None) -> IdentityReport:
+def verify_supervertex_marginal(m_max: int, *, joiner=None) -> IdentityReport:
     """Summing the component-joining counts over all degree sequences on k
-    super vertices must reproduce the multinomial expansion."""
-    _check_grid(m_max=m_max, k_max=k_max)
-    _check_cap("m_max", m_max, "SUPERVERTEX work", SUPERVERTEX_CAP)
+    super vertices must reproduce the multinomial expansion, for every
+    composition with 2 <= k <= 5 parts and total m <= m_max."""
+    _check_top("m_max", m_max, "SUPERVERTEX work", SUPERVERTEX_CAP)
     fn = joiner if joiner is not None else counting.count_supervertex_trees
 
     def cases() -> Iterator[_Case]:
-        for k in range(2, k_max + 1):
-            degree_choices = list(enumeration.enumerate_compositions(2 * k - 2, k))
-            for m in range(k, m_max + 1):
-                for sizes in enumeration.enumerate_compositions(m, k):
-                    expected = counting.expand_L3(sizes, m)
-                    got = sum(fn(d, sizes) for d in degree_choices)
-                    yield (m, sizes), expected, (("", got),)
+        degree_choices: dict[int, list[tuple[int, ...]]] = {}
+        for m, sizes in _composition_grid(m_max):
+            k = len(sizes)
+            if k not in degree_choices:
+                degree_choices[k] = list(enumeration.enumerate_compositions(2 * k - 2, k))
+            got = sum(fn(d, sizes) for d in degree_choices[k])
+            yield (m, sizes), counting.expand_L3(sizes, m), (("", got),)
 
     return _run("SUPERVERTEX_MARGINAL", _parts_label, cases())
 
@@ -283,8 +288,7 @@ def verify_supervertex_marginal(m_max: int, k_max: int = 5, *, joiner=None) -> I
 def verify_prufer_roundtrip(n_max: int) -> IdentityReport:
     """encode(decode(s)) = s over all sequences and decode(encode(t)) = t
     over all trees, for 2 <= n <= n_max."""
-    _check_grid(n_max=n_max)
-    _check_cap("n_max", n_max, "sweep", enumeration.PRUFER_ENUM_CAP)
+    _check_top("n_max", n_max, "sweep", enumeration.PRUFER_ENUM_CAP)
 
     def cases() -> Iterator[_Case]:
         for n in range(2, n_max + 1):

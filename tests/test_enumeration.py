@@ -278,6 +278,15 @@ class TestCompositions:
         assert comps == sorted(comps)
         assert all(sum(p) == 6 and min(p) >= 1 for p in comps)
 
+    def test_equals_filtered_product(self):
+        # product yields in lexicographic order, so the filter keeps it
+        for total in range(11):
+            for k in range(1, 6):
+                expected = [
+                    p for p in product(range(1, total + 1), repeat=k) if sum(p) == total
+                ]
+                assert list(enumerate_compositions(total, k)) == expected, (total, k)
+
     def test_validation(self):
         with pytest.raises(OutOfRange):
             enumerate_compositions(-1, 2)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import time
+from math import comb
 
 import pytest
 
@@ -85,13 +86,13 @@ class TestIndividualChecks:
         assert verify_deg_v1_totality(30).status == "PASS"
 
     def test_l3_expansion(self):
-        report = verify_l3_expansion(10, 5)
+        report = verify_l3_expansion(10)
         assert report.status == "PASS"
         # compositions of m into k parts, k = 2..5, m = k..10
         assert report.checked == 627
 
     def test_supervertex_marginal(self):
-        report = verify_supervertex_marginal(10, 5)
+        report = verify_supervertex_marginal(10)
         assert report.status == "PASS"
         assert report.checked == 627
 
@@ -112,17 +113,15 @@ class TestIndividualChecks:
         ):
             with pytest.raises(OutOfRange, match=r"^need n_max >= 2, got 1$"):
                 fn(1)
-        with pytest.raises(OutOfRange, match=r"^need m_max >= 2, got 1$"):
-            verify_double_count(1)
-        for fn in (verify_l3_expansion, verify_supervertex_marginal):
-            with pytest.raises(
-                OutOfRange, match=r"^need m_max >= 2 and k_max >= 2, got 1, 5$"
-            ):
+        for fn in (verify_double_count, verify_l3_expansion, verify_supervertex_marginal):
+            with pytest.raises(OutOfRange, match=r"^need m_max >= 2, got 1$"):
                 fn(1)
-            with pytest.raises(
-                OutOfRange, match=r"^need m_max >= 2 and k_max >= 2, got 5, 1$"
-            ):
-                fn(5, 1)
+
+    def test_composition_grids_take_one_top(self):
+        # the part count is fixed at 2..5: a second top is no parameter
+        for fn in (verify_l3_expansion, verify_supervertex_marginal):
+            with pytest.raises(TypeError):
+                fn(5, 3)
 
     def test_cap_validation(self):
         with pytest.raises(CapExceeded, match=r"^n_max=10 beyond the sweep cap 9$"):
@@ -161,6 +160,19 @@ class TestFormulaGridReach:
         # above the sweep cap only the composition and rational legs run
         report, elapsed = _cold(verify_lemma1, 30)
         assert report.status == "PASS" and report.checked == sum(range(1, 30))
+        assert elapsed < 10
+
+    def test_l3_to_cap(self):
+        report, elapsed = _cold(verify_l3_expansion, L3_CAP)
+        # compositions of m <= L3_CAP into 2..5 parts
+        assert report.status == "PASS"
+        assert report.checked == sum(comb(L3_CAP, k) for k in range(2, 6))
+        assert elapsed < 10
+
+    def test_supervertex_to_cap(self):
+        report, elapsed = _cold(verify_supervertex_marginal, SUPERVERTEX_CAP)
+        assert report.status == "PASS"
+        assert report.checked == sum(comb(SUPERVERTEX_CAP, k) for k in range(2, 6))
         assert elapsed < 10
 
 
@@ -209,8 +221,8 @@ class TestFaultInjection:
             value = counting.expand_L3(comp, m)
             return 2 * value if comp[0] == 2 else value
 
-        report = verify_l3_expansion(5, 3, expansion=broken)
-        assert report.checked == 20
+        report = verify_l3_expansion(5, expansion=broken)
+        assert report.checked == 26
         assert [(f.parameters, f.expected, f.got) for f in report.failures] == [
             ("m=3,a=2,1", 2, 4),
             ("m=4,a=2,2", 4, 8),
@@ -218,6 +230,7 @@ class TestFaultInjection:
             ("m=4,a=2,1,1", 8, 16),
             ("m=5,a=2,1,2", 20, 40),
             ("m=5,a=2,2,1", 20, 40),
+            ("m=5,a=2,1,1,1", 50, 100),
         ]
 
     def test_supervertex_marginal_pins_failures(self):
@@ -225,8 +238,10 @@ class TestFaultInjection:
             value = counting.count_supervertex_trees(d, comp)
             return value + (d[0] == 2 and comp[-1] == 1)
 
-        report = verify_supervertex_marginal(5, 3, joiner=broken)
-        assert report.checked == 20
+        report = verify_supervertex_marginal(5, joiner=broken)
+        assert report.checked == 26
+        # with d_1 = 2 the other k-1 degrees sum to 2k-4, in C(2k-5, k-2)
+        # ways, and each adds one wherever the last part is 1
         assert [(f.parameters, f.expected, f.got) for f in report.failures] == [
             ("m=3,a=1,1,1", 3, 4),
             ("m=4,a=1,2,1", 8, 9),
@@ -234,6 +249,11 @@ class TestFaultInjection:
             ("m=5,a=1,3,1", 15, 16),
             ("m=5,a=2,2,1", 20, 21),
             ("m=5,a=3,1,1", 15, 16),
+            ("m=4,a=1,1,1,1", 16, 19),
+            ("m=5,a=1,1,2,1", 50, 53),
+            ("m=5,a=1,2,1,1", 50, 53),
+            ("m=5,a=2,1,1,1", 50, 53),
+            ("m=5,a=1,1,1,1,1", 125, 135),
         ]
 
     def test_prufer_roundtrip_sequence_side(self, monkeypatch):
