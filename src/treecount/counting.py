@@ -22,7 +22,8 @@ rounding concern.
 The sums over compositions behind lemma1_lhs, recursion_T and expand_L3
 are labelled products, m! [x^m] of a product of exponential generating
 functions, so each is computed as repeated binomial convolution in time
-polynomial in n.  The literal sums stay in the tests as the oracle.
+polynomial in n.  lemma1_lhs and recursion_T share one memo of Lemma 1
+rows, Eq. 20 being a row's sum; the tests keep the literal sums as oracle.
 """
 
 from __future__ import annotations
@@ -100,47 +101,42 @@ def lemma1_lhs(n: int, k: int) -> int:
     """Count trees with deg(vertex 1) = k by splitting off vertex 1.
 
     Sums (prod a_i * T_{a_i}) * (n-1)! / prod(a_i!) over all ordered
-    positive compositions (a_1..a_k) of n-1, as the k-fold binomial
-    convolution of f(a) = a * T_a, then divides the ordered total by k!
-    (each unordered configuration is produced once per labeling of the k
-    components).  The division is asserted exact.
+    positive compositions (a_1..a_k) of n-1 and divides the ordered total
+    by k! (each unordered configuration is produced once per labeling of
+    the k components).  The value is entry k of the Lemma 1 row that
+    _eq20 memoizes for n-1, built from the recursive T_a.
     """
     _check_deg_v1_args(n, k)
-    f = [0] + [a * count_total_trees(a) for a in range(1, n)]
-    g = [1]
-    for _ in range(k):
-        g = [_binomial_convolution(j, f, g) for j in range(n)]
-    return exact_div(g[n - 1], factorial(k))
+    return _eq20(n - 1)[1][k]
 
 
 @lru_cache(maxsize=None)
 def _eq20(m: int) -> tuple[int, tuple[int, ...]]:
-    # (T_{m+1}, column m).  Entry k of the column is m! [x^m] F(x)^k with
-    # F = sum_{a>=1} a T_a x^a / a!: the ordered sum of m!/prod(a_i!) *
-    # prod(a_i T_{a_i}) over compositions of m into k parts.  T_a comes
-    # from the lower entries, never from the closed form; recursion_T fills
-    # them in increasing m, so each lookup below is a cache hit.
+    # (T_{m+1}, row m): entry k of the Lemma 1 row is the number of trees on
+    # m+1 vertices whose vertex 1 has degree k, m! [x^m] F^k / k! with
+    # F = sum_{a>=1} a T_a x^a / a!.  As F^k/k! = F * F^(k-1)/(k-1)! / k,
+    # it convolves w[a] = C(m, a) a T_a with entry k-1 of the lower rows and
+    # divides by k, exactly.  Eq. 20: T_{m+1} is the row's sum.  T_a comes
+    # from the lower entries, never the closed form; they are asked for in
+    # increasing m, so no call recurses more than one level.
     if m == 0:
         return 1, (1,)
     lower = [_eq20(j) for j in range(m)]
-    f = [0] + [a * lower[a - 1][0] for a in range(1, m + 1)]
-    col = [0]
+    w = [0] + [comb(m, a) * a * lower[a - 1][0] for a in range(1, m + 1)]
+    row = [0]
     for k in range(1, m + 1):
-        g = [c[k - 1] if k <= len(c) else 0 for _, c in lower]
         # a component of size a > m-k+1 leaves too few vertices for k-1 more
-        col.append(_binomial_convolution(m, f[: m - k + 2], g))
-    # Eq. 20: T_{m+1} = sum_k (ordered sum over k components of m) / k!
-    return sum(exact_div(c, factorial(k)) for k, c in enumerate(col)), tuple(col)
+        ordered = sum(w[a] * lower[m - a][1][k - 1] for a in range(1, m - k + 2))
+        row.append(exact_div(ordered, k))
+    return sum(row), tuple(row)
 
 
 def recursion_T(n: int) -> int:
     """Total tree count rebuilt from the by-degree-of-vertex-1 recursion,
     without ever evaluating the closed form n^(n-2).  One memo, _eq20,
-    holds each Eq. 20 column with the total built from it."""
+    holds each Lemma 1 row with the total built from it."""
     if n < 1:
         raise OutOfRange(f"need n >= 1, got {n}")
-    for m in range(n - 1):  # bottom-up, so no call recurses deeper than one level
-        _eq20(m)
     return _eq20(n - 1)[0]
 
 

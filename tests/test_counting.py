@@ -7,6 +7,7 @@ union-find tree check) before being inlined.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import comb, factorial
 
@@ -138,6 +139,38 @@ class TestLemma1Lhs:
     def test_convolution_matches_composition_sum(self, n):
         for k in range(1, n):
             assert lemma1_lhs(n, k) == oracles.lemma1_sum(n, k)
+
+    def test_never_uses_closed_form(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("closed form evaluated")
+
+        counting._eq20.cache_clear()
+        monkeypatch.setattr(counting, "count_total_trees", refuse)
+        n = 30
+        for k in range(1, n):
+            assert lemma1_lhs(n, k) == (n - 1) ** (n - 1 - k) * comb(n - 2, k - 1)
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+class TestMemoDepth:
+    def test_cold_memo_needs_no_deep_recursion(self):
+        # the memo entries are asked for in increasing order, so a cold call
+        # at n = 150 recurses a few frames, not 150
+        counting._eq20.cache_clear()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_stack_depth() + 60)
+        try:
+            assert recursion_T(150) == 150**148
+            counting._eq20.cache_clear()
+            assert lemma1_lhs(150, 2) == 149**147 * 148
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 class TestRecursion:

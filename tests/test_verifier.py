@@ -189,6 +189,22 @@ class TestFaultInjection:
         assert failure.parameters == "n=4,d=2,2,1,1"
         assert failure.expected == 2 and failure.got == 3
 
+    def test_theorem1_reads_degrees_from_decoded_trees(self, monkeypatch):
+        # one word at n = 5 decodes to the star at 2 instead of the star at 1:
+        # the word count per degree vector is unchanged, the trees are not
+        decode = enumeration._decode_edges
+
+        def wrong(n, symbols):
+            return decode(n, (2, 2, 2) if tuple(symbols) == (1, 1, 1) else symbols)
+
+        monkeypatch.setattr(enumeration, "_decode_edges", wrong)
+        report = verify_theorem1(5)
+        assert report.status == "FAIL"
+        assert [(f.parameters, f.expected, f.got) for f in report.failures] == [
+            ("n=5,d=1,4,1,1,1", 2, 1),
+            ("n=5,d=4,1,1,1,1", 0, 1),
+        ]
+
     def test_collects_all_failures(self):
         report = verify_recursion_and_collapse(6, recursion=lambda n: 0)
         assert report.status == "FAIL"
