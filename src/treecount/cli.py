@@ -4,6 +4,9 @@ Exit codes are a stable contract: 0 success (or all identities PASS),
 1 verification failure, 2 usage or validation error, 3 enumeration or
 work cap exceeded.  All output is UTF-8, line-feed terminated, and
 deterministic given the flags (sample streams included, via the seed).
+Argv is parsed by a parser built for the named command alone; whatever
+that parser would report goes to the full parser, which prints
+argparse's usage, help and error text.
 """
 
 from __future__ import annotations
@@ -281,53 +284,96 @@ def cmd_verify(args, stdin: IO[str], stdout: IO[str]) -> int:
 # parser and dispatch
 
 
+COMMAND_HELP = {
+    "count": "print an exact tree count",
+    "enumerate": "stream all trees on n vertices",
+    "prufer": "convert between edge lists and Prufer sequences",
+    "sample": "draw seeded uniform random trees",
+    "verify": "check counting identities against oracles",
+}
+
+
+def _add_arguments(name: str, parser: argparse.ArgumentParser) -> None:
+    """Give the parser of command `name` its arguments and handler: the one
+    grammar of each command, for the full parser and the lone one alike."""
+    if name == "count":
+        parser.add_argument("subject", choices=["total", "degrees", "degv1"])
+        parser.add_argument("-n", type=int, help="vertex count")
+        parser.add_argument("-d", "--degrees", help="comma-separated degrees, vertex i at position i")
+        parser.add_argument("-k", type=int, help="degree of vertex 1 (degv1 subject)")
+        parser.add_argument("--format", choices=["text", "json", "csv"], default="text")
+        parser.set_defaults(handler=cmd_count)
+    elif name == "enumerate":
+        parser.add_argument("-n", type=int, required=True)
+        filt = parser.add_mutually_exclusive_group()
+        filt.add_argument("--degrees", help="restrict to this degree sequence")
+        filt.add_argument("--deg-v1", type=int, help="restrict to trees with this degree at vertex 1")
+        parser.add_argument("--format", choices=list(TREE_FORMATS), default="edges")
+        parser.add_argument("--limit", type=int, help="stop after this many trees")
+        parser.add_argument("--count", action="store_true", help="append a final count line")
+        parser.set_defaults(handler=cmd_enumerate)
+    elif name == "prufer":
+        parser.add_argument("direction", choices=["encode", "decode"])
+        parser.add_argument("--format", choices=["text", "json"], default="text")
+        parser.set_defaults(handler=cmd_prufer)
+    elif name == "sample":
+        target = parser.add_mutually_exclusive_group(required=True)
+        target.add_argument("-n", type=int)
+        target.add_argument("--degrees", help="sample with this exact degree sequence")
+        parser.add_argument("--count", type=int, default=1)
+        parser.add_argument("--seed", type=int, default=0)
+        parser.add_argument("--format", choices=list(TREE_FORMATS), default="edges")
+        parser.set_defaults(handler=cmd_sample)
+    else:  # verify
+        parser.add_argument("subject", choices=["all", *VERIFY_SUBJECTS])
+        parser.add_argument("--max-n", type=int, help="top of the parameter grid for every selected identity")
+        parser.add_argument("--json", action="store_true", help="emit one JSON document")
+        parser.add_argument("--format", choices=["table", "json"], default="table")
+        parser.set_defaults(handler=cmd_verify)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treecount",
         description="Exact counting, enumeration, verification, and sampling of labeled trees.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    c = sub.add_parser("count", help="print an exact tree count")
-    c.add_argument("subject", choices=["total", "degrees", "degv1"])
-    c.add_argument("-n", type=int, help="vertex count")
-    c.add_argument("-d", "--degrees", help="comma-separated degrees, vertex i at position i")
-    c.add_argument("-k", type=int, help="degree of vertex 1 (degv1 subject)")
-    c.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    c.set_defaults(handler=cmd_count)
-
-    e = sub.add_parser("enumerate", help="stream all trees on n vertices")
-    e.add_argument("-n", type=int, required=True)
-    filt = e.add_mutually_exclusive_group()
-    filt.add_argument("--degrees", help="restrict to this degree sequence")
-    filt.add_argument("--deg-v1", type=int, help="restrict to trees with this degree at vertex 1")
-    e.add_argument("--format", choices=list(TREE_FORMATS), default="edges")
-    e.add_argument("--limit", type=int, help="stop after this many trees")
-    e.add_argument("--count", action="store_true", help="append a final count line")
-    e.set_defaults(handler=cmd_enumerate)
-
-    p = sub.add_parser("prufer", help="convert between edge lists and Prufer sequences")
-    p.add_argument("direction", choices=["encode", "decode"])
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(handler=cmd_prufer)
-
-    s = sub.add_parser("sample", help="draw seeded uniform random trees")
-    target = s.add_mutually_exclusive_group(required=True)
-    target.add_argument("-n", type=int)
-    target.add_argument("--degrees", help="sample with this exact degree sequence")
-    s.add_argument("--count", type=int, default=1)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--format", choices=list(TREE_FORMATS), default="edges")
-    s.set_defaults(handler=cmd_sample)
-
-    v = sub.add_parser("verify", help="check counting identities against oracles")
-    v.add_argument("subject", choices=["all", *VERIFY_SUBJECTS])
-    v.add_argument("--max-n", type=int, help="top of the parameter grid for every selected identity")
-    v.add_argument("--json", action="store_true", help="emit one JSON document")
-    v.add_argument("--format", choices=["table", "json"], default="table")
-    v.set_defaults(handler=cmd_verify)
-
+    for name, help_text in COMMAND_HELP.items():
+        _add_arguments(name, sub.add_parser(name, help=help_text))
     return parser
+
+
+class _Refused(Exception):
+    """The lone command parser met argv it would print or exit on."""
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """The parser of one command, which never prints or exits: where argparse
+    would, it raises `_Refused` instead."""
+
+    def _refuse(self, *args, **kwargs):
+        raise _Refused
+
+    error = exit = print_help = print_usage = _refuse
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv with a parser built for its command alone; building the
+    full parser costs more than a small count.  Argv that parser refuses,
+    and argv that names no command, go to the full parser, which prints
+    argparse's own usage, help and error text and exits."""
+    name = argv[0] if argv else None
+    if name in COMMAND_HELP:
+        parser = _CommandParser(prog=f"treecount {name}")
+        _add_arguments(name, parser)
+        try:
+            args = parser.parse_args(argv[1:])
+        except _Refused:
+            pass
+        else:
+            args.command = name
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(
@@ -340,9 +386,8 @@ def main(
     stdin = sys.stdin if stdin is None else stdin
     stdout = sys.stdout if stdout is None else stdout
     stderr = sys.stderr if stderr is None else stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import argparse
+import gc
 import io
 import json
 import os
 import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import islice
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +34,7 @@ from treecount.core import (
 )
 
 STAR_TEXT = "n 4\n1 4\n2 4\n3 4\n"
+TOP_USAGE = "usage: treecount [-h] {count,enumerate,prufer,sample,verify} ..."
 
 
 def run_cli(argv, stdin_text: str = ""):
@@ -71,8 +76,12 @@ class TestCount:
         assert code == 2
 
     def test_usage_error_exit_2(self, capsys):
-        assert run_cli(["count", "nonsense"])[0] == 2
-        capsys.readouterr()
+        assert run_cli(["count", "nonsense"]) == (2, "", "")
+        assert capsys.readouterr().err.startswith("usage: treecount count ")
+        # an argument no parser takes is reported by the top-level parser
+        assert run_cli(["count", "total", "-n", "5", "--bogus"]) == (2, "", "")
+        err = capsys.readouterr().err.splitlines()
+        assert err == [TOP_USAGE, "treecount: error: unrecognized arguments: --bogus"]
 
     def test_size_cap_exit_3(self):
         cap = cli.COUNT_N_CAP
@@ -333,8 +342,10 @@ class TestSample:
         assert len(records) == 3 and all(r["n"] == 4 for r in records)
 
     def test_requires_target(self, capsys):
-        assert run_cli(["sample", "--count", "2"])[0] == 2
-        capsys.readouterr()
+        assert run_cli(["sample", "--count", "2"]) == (2, "", "")
+        err = capsys.readouterr().err
+        assert err.startswith("usage: treecount sample ")
+        assert err.endswith("error: one of the arguments -n --degrees is required\n")
 
     def test_validation_exit_2(self):
         assert run_cli(["sample", "--degrees", "1,2", "--count", "1"])[0] == 2
@@ -481,12 +492,166 @@ class TestVerify:
 
 class TestUsage:
     def test_no_command(self, capsys):
-        assert run_cli([])[0] == 2
-        capsys.readouterr()
+        assert run_cli([]) == (2, "", "")
+        err = capsys.readouterr().err.splitlines()
+        assert err == [TOP_USAGE, "treecount: error: the following arguments are required: command"]
 
     def test_unknown_command(self, capsys):
-        assert run_cli(["frobnicate"])[0] == 2
-        capsys.readouterr()
+        assert run_cli(["frobnicate"]) == (2, "", "")
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == TOP_USAGE and len(err) == 2
+        assert err[1].startswith("treecount: error: argument command: invalid choice: 'frobnicate'")
+
+    def test_argv_none_reads_sys_argv(self, monkeypatch):
+        for argv in (["count", "total", "-n", "4"], ["count", "total", "-n", "x"]):
+            monkeypatch.setattr(sys, "argv", ["treecount", *argv])
+            assert _outcome(None) == _outcome(argv)
+        assert _outcome(None)[0] == 2
+
+    def test_no_parser_outlives_main(self):
+        def parsers():
+            gc.collect()
+            return sum(isinstance(o, argparse.ArgumentParser) for o in gc.get_objects())
+
+        before = parsers()
+        for argv in (["count", "total", "-n", "4"], ["count", "-h"], ["frobnicate"]):
+            _outcome(argv)
+        assert parsers() == before
+
+
+def _outcome(argv, stdin_text: str = ""):
+    """What main makes of argv: the exit code, what it writes to its stdout
+    and stderr, and what argparse writes to sys.stdout and sys.stderr."""
+    out, err, sys_out, sys_err = (io.StringIO() for _ in range(4))
+    with redirect_stdout(sys_out), redirect_stderr(sys_err):
+        code = main(argv, stdin=io.StringIO(stdin_text), stdout=out, stderr=err)
+    return code, out.getvalue(), err.getvalue(), sys_out.getvalue(), sys_err.getvalue()
+
+
+def _full_parse(argv):
+    return cli.build_parser().parse_args(argv)
+
+
+HELP_ARGV = [
+    [*command, flag]
+    for command in ([], *([name] for name in cli.COMMAND_HELP))
+    for flag in ("-h", "--help", "--he")
+]
+
+# argv on which main must act as if it parsed with the full parser alone
+DIFFERENTIAL_ARGV = [
+    ["count", "total", "-n", "5"],
+    ["count", "degrees", "--degrees=2,2,1,1", "--form", "json"],
+    ["count", "degv1", "-n", "6", "-k", "2", "--format=csv"],
+    ["count", "degv1", "-n", "4", "-k", "-1"],
+    ["count", "total", "-n", "-3"],
+    ["count", "-n", "4", "--", "total"],
+    ["enumerate", "-n", "4", "--lim", "3", "--count"],
+    ["enumerate", "-n", "5", "--deg-v1", "2", "--format", "csv"],
+    ["enumerate", "-n", "4", "--degrees", "1,1,1,3", "--form=json"],
+    ["enumerate", "-n", "3", "--limit", "-1"],
+    ["prufer", "encode"],
+    ["prufer", "decode", "--format", "json"],
+    ["sample", "-n", "6", "--count", "3", "--seed", "-7"],
+    ["sample", "--degrees", "1,1,1,3", "--format", "prufer"],
+    ["verify", "collapse", "--max-n", "4"],
+    ["verify", "lemma1", "--max-n", "3", "--json"],
+    *HELP_ARGV,
+    ["count"],
+    ["count", "nonsense"],
+    ["count", "total", "-n", "x"],
+    ["enumerate"],
+    ["enumerate", "-n", "4", "--degrees", "1,1,1,3", "--deg-v1", "2"],
+    ["sample"],
+    ["sample", "-n", "3", "--degrees", "1,2,1"],
+    ["prufer"],
+    ["verify", "all", "--max-n"],
+    ["frobnicate"],
+    ["--bogus", "count", "total", "-n", "5"],
+    [],
+    ["count", "total", "-n", "5", "--bogus"],
+    ["count", "total", "-n", "5", "extra"],
+    ["count", "total", "-n", "5", "--", "--bogus"],
+]
+
+# each command's subjects, options that take a value, and flags
+GRAMMAR = {
+    "count": (("total", "degrees", "degv1"), ("-n", "-d", "--degrees", "-k", "--format", "--form"), ()),
+    "enumerate": ((), ("-n", "--degrees", "--deg-v1", "--format", "--limit", "--lim"), ("--count",)),
+    "prufer": (("encode", "decode"), ("--format",), ()),
+    "sample": ((), ("-n", "--degrees", "--count", "--seed", "--format"), ()),
+    "verify": (("all", "collapse"), ("--max-n", "--format"), ("--json",)),
+}
+INTS = ("3", "-1", "0", "1_0", "\u0665", "x")
+FORMATS = ("text", "json", "csv", "edges", "prufer", "table")
+VALUES = {"--format": FORMATS, "--form": FORMATS, "-d": ("2,2,1,1", "2,x"), "--degrees": ("1,1,2", "2,x")}
+STRAYS = ("-h", "--help", "--he", "--", "--bogus", "--format=json", "--lim=2", "--count", "--json", "3")
+
+
+@st.composite
+def argvs(draw):
+    """Argv drawn from the tokens of the grammar: mostly a command, its
+    subject, options with values and flags, at times with a stray token."""
+    command = draw(st.sampled_from(list(GRAMMAR)))
+    subjects, options, flags = GRAMMAR[command]
+    argv = [command, draw(st.sampled_from(subjects))] if subjects else [command]
+    for option in draw(st.lists(st.sampled_from(options + flags), max_size=3)):
+        argv += [option] if option in flags else [option, draw(st.sampled_from(VALUES.get(option, INTS)))]
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(STRAYS)))
+    return argv
+
+
+def _parse_outcome(parse_args, argv):
+    """The namespace parse_args makes of argv, or the code it exits with,
+    and what it writes to sys.stdout and sys.stderr."""
+    sys_out, sys_err = io.StringIO(), io.StringIO()
+    with redirect_stdout(sys_out), redirect_stderr(sys_err):
+        try:
+            result = vars(parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, sys_out.getvalue(), sys_err.getvalue()
+
+
+class TestSingleCommandParser:
+    """main parses with a parser built for the named command alone, and
+    falls back to the full parser for whatever that parser refuses: the
+    exit code and every byte written must be those of the full parser."""
+
+    @pytest.mark.parametrize("argv", DIFFERENTIAL_ARGV, ids=" ".join)
+    def test_same_as_full_parser(self, argv):
+        assert _parse_outcome(cli._parse_args, argv) == _parse_outcome(_full_parse, argv)
+        stdin_text = "4,4\n" if "decode" in argv else STAR_TEXT
+        with mock.patch.object(cli, "_parse_args", _full_parse):
+            expected = _outcome(argv, stdin_text)
+        assert _outcome(argv, stdin_text) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv=argvs())
+    def test_same_namespace_as_full_parser(self, argv):
+        # main dispatches the namespace the same way on both paths, so the
+        # parse alone is compared
+        assert _parse_outcome(cli._parse_args, argv) == _parse_outcome(_full_parse, argv)
+
+
+class TestNumberGrammar:
+    """Ints in argv and on stdin are read by int(), and the fields of an
+    edge-list line split by str.split(), so they take what those take:
+    underscores between digits, digits of any script, and any Unicode
+    whitespace between fields."""
+
+    def test_underscore_int(self):
+        assert run_cli(["count", "total", "-n", "1_0"]) == (0, "100000000\n", "")
+
+    def test_arabic_indic_int(self):
+        assert run_cli(["count", "total", "-n", "\u0665"]) == (0, "125\n", "")
+
+    def test_arabic_indic_symbols(self):
+        assert run_cli(["prufer", "decode"], "\u0661,\u0662\n") == run_cli(["prufer", "decode"], "1,2\n")
+
+    def test_no_break_space_in_header(self):
+        assert run_cli(["prufer", "encode"], "n\u00a03\n1 2\n2 3\n") == (0, "2\n", "")
 
 
 def _python(*argv, env=None):
