@@ -46,11 +46,15 @@ def _parse_degrees(text: str) -> tuple[int, ...]:
     return degrees
 
 
-def _tree_texts(n: int, fmt: str, words: Iterable[tuple[int, ...]]) -> Iterator[str]:
+def _tree_texts(
+    n: int, fmt: str, words: Iterable[tuple[int, ...]], tables: dict
+) -> Iterator[str]:
     """The text of the tree of each Prufer word on n vertices in the edges,
     json or csv format; a csv row starts with the tree's index in the
     stream.  Each word is decoded once, and its text is put together from
-    pieces made once for n and the format, with no per-edge formatting."""
+    pieces made once for n and the format, with no per-edge formatting.
+    The pieces are kept in `tables`, keyed by (n, format), a dict the
+    caller owns: a caller writing many runs of words makes them once."""
     if n == 1:
         text = {"edges": "n 1\n", "json": '{"n": 1, "edges": []}\n', "csv": ""}[fmt]
         return (text for _ in words)
@@ -59,8 +63,11 @@ def _tree_texts(n: int, fmt: str, words: Iterable[tuple[int, ...]]) -> Iterator[
         # sizes a sweep reaches
         decode = enumeration._decode_codes
         m = n + 1
-        piece = {"edges": "%d %d\n", "json": "[%d, %d]", "csv": "%d,%d\n"}[fmt]
-        get = [piece % divmod(code, m) for code in range(m * m)].__getitem__
+        get = tables.get((n, fmt))
+        if get is None:
+            piece = {"edges": "%d %d\n", "json": "[%d, %d]", "csv": "%d,%d\n"}[fmt]
+            get = [piece % divmod(code, m) for code in range(m * m)].__getitem__
+            tables[n, fmt] = get
         if fmt == "edges":
             head = "n %d\n" % n
             return (head + "".join(map(get, decode(n, w))) for w in words)
@@ -103,7 +110,7 @@ def _tree_lines(
     if fmt == "prufer":
         lines = map((",".join(["%d"] * (n - 2)) + "\n").__mod__, words)
     else:
-        lines = _tree_texts(n, fmt, words)
+        lines = _tree_texts(n, fmt, words, {})
     total = 0
     for total, line in enumerate(lines, start=1):
         yield line
@@ -182,24 +189,70 @@ def cmd_enumerate(args, stdin: IO[str], stdout: IO[str]) -> int:
 # prufer
 
 
+def _encode_blocks(lines: list[str]) -> list[tuple[int, tuple[int, ...]]] | None:
+    """The vertex count and Prufer word of each edge-list block in lines,
+    or None at the first block that is malformed or no tree on n >= 2
+    vertices, which `read_trees` then names.  Each block's lines are
+    parsed straight into two lists of labels, and the leaf-peeling walk
+    of the encode is also its tree test."""
+    encoded = []
+    i, end = 0, len(lines)
+    while i < end:
+        fields = lines[i].split()
+        i += 1
+        if not fields:
+            continue
+        if len(fields) != 2 or fields[0] != "n":
+            return None
+        try:
+            n = int(fields[1])
+        except ValueError:
+            return None
+        block = lines[i : i + n - 1]
+        if n < 2 or len(block) != n - 1:
+            return None
+        i += n - 1
+        try:
+            # a line of other than two fields makes zip or the unpacking fail
+            us, vs = zip(*map(str.split, block), strict=True)
+            us, vs = list(map(int, us)), list(map(int, vs))
+        except ValueError:
+            return None
+        if min(us) < 1 or min(vs) < 1 or max(us) > n or max(vs) > n:
+            return None
+        word = enumeration._encode_walk(n, us, vs)
+        if word is None:
+            return None
+        encoded.append((n, word))
+    return encoded
+
+
 def cmd_prufer(args, stdin: IO[str], stdout: IO[str]) -> int:
     # every record is parsed and converted before any is written, so a bad
     # record ends in its diagnostic alone, not after partial output
     if args.direction == "encode":
-        encoded = ((tree.n, enumeration.prufer_encode(tree)) for tree in read_trees(stdin))
+        lines = stdin.read().split("\n")
+        if not lines[-1]:
+            lines.pop()  # the empty piece after a final line feed is no line
+        encoded = _encode_blocks(lines)
+        if encoded is None:
+            # the same text again through the validating reader, for the
+            # diagnostic of the first bad block and its line number
+            encoded = [(tree.n, enumeration.prufer_encode(tree)) for tree in read_trees(lines)]
         if args.format == "json":
             template = '{"n": %d, "symbols": [%s]}\n'
-            lines = [template % (n, ", ".join(map(str, w))) for n, w in encoded]
+            out = [template % (n, ", ".join(map(str, w))) for n, w in encoded]
         else:
-            lines = [",".join(map(str, w)) + "\n" for _, w in encoded]
+            out = [",".join(map(str, w)) + "\n" for _, w in encoded]
     else:
         fmt = "json" if args.format == "json" else "edges"
-        lines = [
+        tables: dict = {}  # edge-code texts made once per n, for this call alone
+        out = [
             text
             for length, words in groupby(read_prufer_lines(stdin), len)
-            for text in _tree_texts(length + 2, fmt, words)
+            for text in _tree_texts(length + 2, fmt, words, tables)
         ]
-    stdout.writelines(lines)
+    stdout.writelines(out)
     return 0
 
 

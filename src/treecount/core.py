@@ -298,11 +298,11 @@ def read_prufer_lines(lines: Iterable[str]) -> Iterator[tuple[int, ...]]:
             yield ()
             continue
         try:
-            symbols = tuple(int(tok) for tok in text.split(","))
+            symbols = tuple(map(int, text.split(",")))
         except ValueError:
             raise EdgeTextError(line_no, "symbols must be comma-separated integers") from None
         n = len(symbols) + 2
-        for s in symbols:
-            if not 1 <= s <= n:
-                raise EdgeTextError(line_no, f"symbol {s} outside 1..{n}")
+        if min(symbols) < 1 or max(symbols) > n:
+            bad = next(s for s in symbols if not 1 <= s <= n)
+            raise EdgeTextError(line_no, f"symbol {bad} outside 1..{n}")
         yield symbols

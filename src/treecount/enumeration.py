@@ -11,7 +11,11 @@ The decode is one pointer walk in two forms: ``_decode_edges`` gives the
 sorted edge pairs that the tree streams and ``prufer_decode`` wrap, and
 ``_decode_codes`` the sorted integer codes u*(n+1)+v of the edges
 (u, v), u < v, from which the CLI writes its small tree formats.  The
-encode walks leaves with the same pointer, so both directions take
+encode, ``_encode_walk``, peels leaves smallest first with the same
+pointer, never vertex n, keeping each vertex's degree and the XOR of its
+neighbours; it is also the tree test of the edges it is given, so the
+CLI encodes edge text without building a tree and goes back to the
+validating reader only for text it refuses.  Both directions take
 linear time.
 
 Enumeration sizes are capped by the module constants PRUFER_ENUM_CAP,
@@ -29,6 +33,7 @@ from typing import Iterable, Iterator
 from treecount.core import (
     Edge,
     LabeledTree,
+    NotATree,
     OutOfRange,
     _acyclic,
     _check_cap,
@@ -108,37 +113,35 @@ def prufer_decode(n: int, symbols: tuple[int, ...]) -> LabeledTree:
     return LabeledTree(n, _decode_edges(n, symbols))
 
 
-def prufer_encode(tree: LabeledTree) -> tuple[int, ...]:
-    """Encode by repeatedly removing the smallest-labeled leaf and
-    recording its neighbor.
-
-    Linear time: rooted at n, which is never removed, a leaf's one
-    remaining neighbor is its parent, and the smallest leaf is tracked
-    with the same pointer as the decode."""
-    n = tree.n
-    if n < 2:
-        raise OutOfRange("encoding needs at least 2 vertices")
-    adj: list[list[int]] = [[] for _ in range(n + 1)]
-    for u, v in tree.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    parent = [0] * (n + 1)
-    stack = [n]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v != parent[u]:
-                parent[v] = u
-                stack.append(v)
-    deg = list(map(len, adj))
+def _encode_walk(n: int, us: Iterable[int], vs: Iterable[int]) -> tuple[int, ...] | None:
+    # the Prufer word of the multigraph on 1..n, n >= 2, with the n-1 edges
+    # (us[i], vs[i]), or None when they form no tree.  Each vertex keeps its
+    # degree and the XOR of its neighbours, which is its one neighbour once
+    # it is a leaf, and leaves are peeled smallest first with the decode's
+    # pointer, never vertex n.  Peeling n-2 leaves and then finding one more
+    # leaf, joined to n as the only other vertex left, succeeds exactly when
+    # the edges form a tree: a cycle, a repeated edge or a self-loop never
+    # becomes a leaf, so the peel runs out of leaves first.
+    deg = [0] * (n + 2)
+    nbr = [0] * (n + 1)
+    for u, v in zip(us, vs):
+        deg[u] += 1
+        deg[v] += 1
+        nbr[u] ^= v
+        nbr[v] ^= u
+    deg[n] += n  # never 1, so n is never peeled
+    deg[n + 1] = 1  # stops the scan past n - 1
     out = []
     ptr = 1
     while deg[ptr] != 1:
         ptr += 1
+    if ptr > n:
+        return None
     leaf = ptr
     for _ in range(n - 2):
-        p = parent[leaf]
+        p = nbr[leaf]
         out.append(p)
+        nbr[p] ^= leaf
         deg[p] -= 1
         if deg[p] == 1 and p < ptr:
             leaf = p
@@ -146,8 +149,26 @@ def prufer_encode(tree: LabeledTree) -> tuple[int, ...]:
             ptr += 1
             while deg[ptr] != 1:
                 ptr += 1
+            if ptr > n:
+                return None
             leaf = ptr
     return tuple(out)
+
+
+def prufer_encode(tree: LabeledTree) -> tuple[int, ...]:
+    """Encode by repeatedly removing the smallest-labeled leaf and
+    recording its neighbor.
+
+    Linear time: each vertex keeps the XOR of its remaining neighbours,
+    which is its one neighbour once it is a leaf, and the smallest leaf
+    is tracked with the same pointer as the decode."""
+    n = tree.n
+    if n < 2:
+        raise OutOfRange("encoding needs at least 2 vertices")
+    word = _encode_walk(n, [u for u, _ in tree.edges], [v for _, v in tree.edges])
+    if word is None:
+        raise NotATree(f"the edges do not form a tree on {n} vertices")
+    return word
 
 
 # ---------------------------------------------------------------------------

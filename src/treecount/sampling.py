@@ -20,6 +20,7 @@ words, with the same draws.
 from __future__ import annotations
 
 import random
+from itertools import islice, repeat
 from typing import Iterator
 
 from treecount.core import LabeledTree, OutOfRange, _check_cap, validate_degrees
@@ -30,20 +31,15 @@ from treecount.enumeration import decode_sequences
 SAMPLE_N_CAP = 200_000
 
 
-def _below(rng: random.Random, n: int) -> int:
-    # unbiased uniform draw from [0, n) by rejection on the top bit width
-    if n <= 1:
-        return 0
-    bits = (n - 1).bit_length()
-    r = rng.getrandbits(bits)
-    while r >= n:
-        r = rng.getrandbits(bits)
-    return r
-
-
 def _shuffle(rng: random.Random, items: list[int]) -> None:
+    # Fisher-Yates; j is drawn uniformly from [0, i] by rejection on the
+    # bit width of i
+    getrandbits = rng.getrandbits
     for i in range(len(items) - 1, 0, -1):
-        j = _below(rng, i + 1)
+        bits = i.bit_length()
+        j = getrandbits(bits)
+        while j > i:
+            j = getrandbits(bits)
         items[i], items[j] = items[j], items[i]
 
 
@@ -59,10 +55,13 @@ def sample_uniform_sequence(n: int, *, seed: int, count: int) -> Iterator[tuple[
 
 
 def _uniform_words(n: int, seed: int, count: int) -> Iterator[tuple[int, ...]]:
+    # one stream of uniform draws from [0, n), by rejection on the bit width
+    # of n - 1; no draws for n <= 2, whose sequence is empty
     rng = random.Random(seed)
+    draws = filter(n.__gt__, map(rng.getrandbits, repeat((n - 1).bit_length())))
+    length = max(n - 2, 0)
     for _ in range(count):
-        # no draws for n <= 2, whose sequence is empty
-        yield tuple(_below(rng, n) + 1 for _ in range(n - 2))
+        yield tuple(map((1).__add__, islice(draws, length)))
 
 
 def sample_uniform_tree(n: int, *, seed: int, count: int) -> Iterator[LabeledTree]:

@@ -10,17 +10,24 @@ C(n(n-1)/2, n-1)).
 The literal sums over compositions and partitions behind Lemma 1, Eq. 20
 and L3 live here too, written with math.comb and math.factorial only:
 the package computes the same sums as binomial convolutions.  So do the
-textbook heap Prufer encode and the per-edge text of the json and csv
-tree formats, which the package replaced with faster equivalents.
+textbook heap Prufer encode, `prufer encode` as the validating edge-list
+reader followed by that encode, the per-edge text of the json and csv
+tree formats, and the samplers' one-draw-per-call word generators, which
+the package replaced with faster equivalents.
 """
 
 from __future__ import annotations
 
 import heapq
+import io
+import json
+import random
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial, prod
+
+from treecount.core import TreeCountError, read_trees
 
 Edge = tuple[int, int]
 
@@ -95,6 +102,24 @@ def prufer_encode_heap(n: int, edges: tuple[Edge, ...]) -> tuple[int, ...]:
         if len(adj[v]) == 1:
             heapq.heappush(leaves, v)
     return tuple(out)
+
+
+def prufer_encode_output(text: str, fmt: str) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of `treecount prufer encode
+    --format fmt` on the stdin text: every block read by core.read_trees,
+    which names the first bad one, and each tree encoded by the heap walk
+    before the next block is read."""
+    encoded = []
+    try:
+        for tree in read_trees(io.StringIO(text)):
+            if tree.n < 2:
+                raise TreeCountError("encoding needs at least 2 vertices")
+            encoded.append((tree.n, prufer_encode_heap(tree.n, tree.edges)))
+    except TreeCountError as err:
+        return 2, "", f"treecount: {err}\n"
+    if fmt == "json":
+        return 0, "".join(json.dumps({"n": n, "symbols": list(w)}) + "\n" for n, w in encoded), ""
+    return 0, "".join(",".join(map(str, w)) + "\n" for _, w in encoded), ""
 
 
 def json_tree(n: int, edges: tuple[Edge, ...]) -> str:
@@ -198,3 +223,35 @@ def l3_sum(parts: tuple[int, ...]) -> int:
         _multinomial(c) * prod(a ** (e + 1) for a, e in zip(parts, c))
         for c in compositions(k - 2, k, allow_zero=True)
     )
+
+
+def _below(rng: random.Random, n: int) -> int:
+    # unbiased uniform draw from [0, n) by rejection on the top bit width
+    if n <= 1:
+        return 0
+    bits = (n - 1).bit_length()
+    r = rng.getrandbits(bits)
+    while r >= n:
+        r = rng.getrandbits(bits)
+    return r
+
+
+def uniform_words(n: int, seed: int, count: int):
+    """The seeded uniform word stream, one call per symbol: ``count``
+    words of n-2 symbols, each _below(rng, n) + 1."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield tuple(_below(rng, n) + 1 for _ in range(n - 2))
+
+
+def degree_words(degrees: tuple[int, ...], seed: int, count: int):
+    """The seeded degree-vector word stream: the symbol multiset, vertex i
+    d_i - 1 times, shuffled by Fisher-Yates with one _below per swap."""
+    rng = random.Random(seed)
+    base = [v for v, deg in enumerate(degrees, start=1) for _ in range(deg - 1)]
+    for _ in range(count):
+        symbols = base[:]
+        for i in range(len(symbols) - 1, 0, -1):
+            j = _below(rng, i + 1)
+            symbols[i], symbols[j] = symbols[j], symbols[i]
+        yield tuple(symbols)

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 import treecount
 import oracles
 from oracles import parse_decimal
+from strategies import edge_texts
 from treecount import cli, counting, enumeration, sampling, verifier
 from treecount.cli import _verify_exit, main
 from treecount.core import (
@@ -916,3 +917,121 @@ class TestTreeFormatGoldens:
         stdin = "".join(",".join(map(str, w)) + "\n" for w in words)
         expected = _oracle_texts([(len(w) + 2, w) for w in words], fmt.replace("text", "edges"))
         assert run_cli(["prufer", "decode", "--format", fmt], stdin) == (0, "".join(expected), "")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_prufer_decode_of_alternating_lengths(self, fmt):
+        # every line its own run of one length: the pieces of each n are
+        # made once for the call and reused, with the same bytes
+        words = []
+        for n in (8, 9):
+            words.append(list(sampling.sample_uniform_sequence(n, seed=n, count=50)))
+        words = [w for pair in zip(*words) for w in pair]
+        argv = ["prufer", "decode", "--format", fmt]
+        alone = "".join(run_cli(argv, ",".join(map(str, w)) + "\n")[1] for w in words)
+        stdin = "".join(",".join(map(str, w)) + "\n" for w in words)
+        assert run_cli(argv, stdin) == (0, alone, "")
+
+
+# ---------------------------------------------------------------------------
+# prufer encode parses each block straight into label lists and lets the
+# encode's leaf peel test for a tree; any block it refuses sends the whole
+# text through core.read_trees.  Both must write what the validating reader
+# followed by the heap encode writes (oracles.prufer_encode_output).
+
+_CYCLE_1000 = "n 1000\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 999)) + "1 999\n"
+_DUPLICATE_1000 = "n 1000\n1 2\n2 1\n" + "".join(f"{v} {v + 1}\n" for v in range(2, 999))
+_PATH_TEXT = "n 3\n1 2\n2 3\n"
+
+ENCODE_INPUTS = [
+    # the malformed inputs of TestPrufer
+    "n 3\n1 2\nbogus line\n",
+    "n 3\n1 2\n2 3\nn 1\n",
+    "n 1\n",
+    # trees, and trees in the shapes the reader allows
+    STAR_TEXT + "n 2\n1 2\n" + _PATH_TEXT,
+    "n 3\r\n1 2\r\n2 3\r\n",
+    "\n\n" + STAR_TEXT + "\n  \n" + _PATH_TEXT + "\n",
+    "n 4\n4 1\n 4   2 \n3\t4",
+    "n\u00a03\n1 2\n2 3\n",
+    "",
+    # a bad block after good ones, and n = 1 before and after a good block
+    STAR_TEXT + _PATH_TEXT + "n 3\n1 2\n1 2\n",
+    "n 1\n" + STAR_TEXT,
+    STAR_TEXT + "n 1\n",
+    "n 1\n" + "n 3\n1 2\n",
+    # a cycle with an isolated vertex, and a repeated edge, at n = 1000
+    _CYCLE_1000,
+    _DUPLICATE_1000,
+    # self-loop, labels 0 and n + 1, too few lines, fields per line
+    "n 3\n1 1\n2 3\n",
+    "n 3\n0 1\n2 3\n",
+    "n 3\n1 4\n2 3\n",
+    "n 4\n1 2\n2 3\n",
+    "n 4\n1 2\n2 3\n\n3 4\n",
+    "n 100000000000\n1 2\n",
+    "n 3\n1 2 3\n4\n",
+    "n 3\n1\n2 3 4\n",
+    "n 3\n1 2 3\n2 3\n",
+    "n 3\n1 2\n2 3 1\n",
+    "n 3\n1 2\n2 x\n",
+    "n 3\n1 2\n",
+    "n 2\n1 2\nn 3",
+    # characters str.splitlines() would end a line at
+    "n 3\n1 2\x0c2 3\n",
+    "n 3\n1 2\u20282 3\n",
+    "n 3\n1 2\x1c2 3\n",
+    # headers
+    "n x\n1 2\n",
+    "m 3\n1 2\n2 3\n",
+    "n 3 4\n1 2\n2 3\n",
+    "n 0\n",
+    "n -2\n",
+    "1 2\n",
+]
+
+
+class TestEncodeFastPath:
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("text", ENCODE_INPUTS)
+    def test_same_as_validating_reader(self, text, fmt):
+        argv = ["prufer", "encode", "--format", fmt]
+        assert run_cli(argv, text) == oracles.prufer_encode_output(text, fmt)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=edge_texts(), fmt=st.sampled_from(["text", "json"]))
+    def test_mutated_blocks_same_as_validating_reader(self, text, fmt):
+        argv = ["prufer", "encode", "--format", fmt]
+        assert run_cli(argv, text) == oracles.prufer_encode_output(text, fmt)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (_CYCLE_1000, "line 1: edge set contains a cycle"),
+            (_DUPLICATE_1000, "line 1: edge (1, 2) appears more than once"),
+            ("n 3\n1 2\x0c2 3\n", "line 2: expected two vertex labels"),
+            ("n 3\n1 2\u20282 3\n", "line 2: expected two vertex labels"),
+            ("n 3\n1 2 3\n4\n", "line 2: expected two vertex labels"),
+            ("n 4\n1 2\n2 3\n", "line 1: expected 3 edge lines, got 2"),
+            ("n 1\n" + STAR_TEXT + "n 3\n1 1\n", "encoding needs at least 2 vertices"),
+        ],
+    )
+    def test_diagnostics(self, text, message):
+        for fmt in ("text", "json"):
+            assert run_cli(["prufer", "encode", "--format", fmt], text) == (
+                2,
+                "",
+                f"treecount: {message}\n",
+            )
+
+    def test_trees_skip_the_validating_reader(self, monkeypatch):
+        trees = list(sampling.sample_uniform_tree(300, seed=4, count=3))
+        text = "".join(map(tree_to_text, trees)) + STAR_TEXT + "n 2\n2 1\n"
+        expected = oracles.prufer_encode_output(text, "text")
+        assert expected[0] == 0
+
+        def refuse(*args):
+            raise AssertionError("read_trees was called")
+
+        monkeypatch.setattr(cli, "read_trees", refuse)
+        monkeypatch.setattr(enumeration, "prufer_encode", refuse)
+        assert run_cli(["prufer", "encode"], text) == expected

@@ -218,3 +218,10 @@ class TestPruferText:
     def test_not_integers(self):
         with pytest.raises(EdgeTextError):
             list(read_prufer_lines(["a,b"]))
+
+    def test_first_symbol_out_of_range_is_named(self):
+        for line, bad in (("1,9,0", 9), ("0,9,1", 0), ("5,5,5,-1", -1), ("6,6,6,7", 7)):
+            with pytest.raises(EdgeTextError) as exc:
+                list(read_prufer_lines(["4,4", line]))
+            assert str(exc.value) == f"line 2: symbol {bad} outside 1..{len(line.split(',')) + 2}"
+        assert list(read_prufer_lines(["1,5,3"])) == [(1, 5, 3)]

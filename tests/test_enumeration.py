@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import comb
 
 import pytest
@@ -14,6 +14,7 @@ from strategies import labeled_trees
 from treecount.core import (
     CapExceeded,
     LabeledTree,
+    NotATree,
     OutOfRange,
     canonicalize_tree,
     degree_of,
@@ -88,6 +89,31 @@ class TestCodec:
             raw = [(order[i], order[rng.choice((rng.randrange(i), i - 1))]) for i in range(1, n)]
             tree = canonicalize_tree(n, raw)
             assert prufer_encode(tree) == oracles.prufer_encode_heap(n, tree.edges)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_encode_walk_accepts_exactly_the_trees(self, n):
+        # every multiset of n-1 pairs of 1..n, self-loops and repeats
+        # included, each edge in a random orientation: the walk gives the
+        # heap encode's word on the spanning trees and None on the rest
+        trees = oracles.spanning_trees(n)
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u, n + 1)]
+        rng = random.Random(n)
+        accepted = 0
+        for edges in combinations_with_replacement(pairs, n - 1):
+            flipped = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+            word = enumeration._encode_walk(n, [u for u, _ in flipped], [v for _, v in flipped])
+            if edges in trees:
+                accepted += 1
+                assert word == oracles.prufer_encode_heap(n, edges)
+            else:
+                assert word is None, edges
+        assert accepted == n ** (n - 2)
+
+    def test_encode_rejects_a_non_tree(self):
+        with pytest.raises(NotATree):
+            prufer_encode(LabeledTree(4, ((1, 2), (1, 2), (3, 4))))
+        with pytest.raises(NotATree):
+            prufer_encode(LabeledTree(3, ()))
 
     @given(labeled_trees(min_n=2, max_n=9))
     def test_round_trip_from_tree_side(self, tree):

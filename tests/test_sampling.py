@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import pytest
+
+import oracles
 
 from treecount import sampling
 from treecount.core import (
@@ -130,6 +133,23 @@ class TestSequenceSamplers:
         words = list(sample_sequence_with_degrees(d, **cfg))
         want = list(decode_sequences(len(d), words))
         assert list(sample_tree_with_degrees(d, **cfg)) == want
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 63, 64, 65, 1000, 1024, 1025])
+    def test_uniform_words_are_the_one_draw_per_call_stream(self, n):
+        # the same draws in the same order, across word boundaries too
+        for seed in (0, 1, 2**40 + 3):
+            got = list(sample_uniform_sequence(n, seed=seed, count=6))
+            assert got == list(oracles.uniform_words(n, seed, 6))
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 63, 64, 65, 1000, 1024, 1025])
+    def test_degree_words_are_the_one_draw_per_call_stream(self, n):
+        rng = random.Random(n)
+        for seed in (0, 7):
+            # a random degree vector: one plus each vertex's count in a random word
+            counts = Counter(rng.randint(1, n) for _ in range(n - 2))
+            d = tuple(1 + counts[v] for v in range(1, n + 1))
+            got = list(sample_sequence_with_degrees(d, seed=seed, count=6))
+            assert got == list(oracles.degree_words(d, seed, 6))
 
     def test_size_cap(self):
         cap = sampling.SAMPLE_N_CAP
