@@ -20,12 +20,14 @@ from typing import IO, Iterable, Iterator
 from treecount import counting, enumeration, sampling, verifier
 from treecount.core import (
     CapExceeded,
+    EdgeTextError,
     OutOfRange,
     TreeCountError,
     _check_cap,
+    _edge_blocks,
+    canonicalize_tree,
     int_to_text,
     read_prufer_lines,
-    read_trees,
     validate_degrees,
 )
 
@@ -189,44 +191,6 @@ def cmd_enumerate(args, stdin: IO[str], stdout: IO[str]) -> int:
 # prufer
 
 
-def _encode_blocks(lines: list[str]) -> list[tuple[int, tuple[int, ...]]] | None:
-    """The vertex count and Prufer word of each edge-list block in lines,
-    or None at the first block that is malformed or no tree on n >= 2
-    vertices, which `read_trees` then names.  Each block's lines are
-    parsed straight into two lists of labels, and the leaf-peeling walk
-    of the encode is also its tree test."""
-    encoded = []
-    i, end = 0, len(lines)
-    while i < end:
-        fields = lines[i].split()
-        i += 1
-        if not fields:
-            continue
-        if len(fields) != 2 or fields[0] != "n":
-            return None
-        try:
-            n = int(fields[1])
-        except ValueError:
-            return None
-        block = lines[i : i + n - 1]
-        if n < 2 or len(block) != n - 1:
-            return None
-        i += n - 1
-        try:
-            # a line of other than two fields makes zip or the unpacking fail
-            us, vs = zip(*map(str.split, block), strict=True)
-            us, vs = list(map(int, us)), list(map(int, vs))
-        except ValueError:
-            return None
-        if min(us) < 1 or min(vs) < 1 or max(us) > n or max(vs) > n:
-            return None
-        word = enumeration._encode_walk(n, us, vs)
-        if word is None:
-            return None
-        encoded.append((n, word))
-    return encoded
-
-
 def cmd_prufer(args, stdin: IO[str], stdout: IO[str]) -> int:
     # every record is parsed and converted before any is written, so a bad
     # record ends in its diagnostic alone, not after partial output
@@ -234,11 +198,20 @@ def cmd_prufer(args, stdin: IO[str], stdout: IO[str]) -> int:
         lines = stdin.read().split("\n")
         if not lines[-1]:
             lines.pop()  # the empty piece after a final line feed is no line
-        encoded = _encode_blocks(lines)
-        if encoded is None:
-            # the same text again through the validating reader, for the
-            # diagnostic of the first bad block and its line number
-            encoded = [(tree.n, enumeration.prufer_encode(tree)) for tree in read_trees(lines)]
+        encoded = []
+        for header, n, us, vs in _edge_blocks(lines):
+            if n < 2:
+                raise OutOfRange("encoding needs at least 2 vertices")
+            word = None
+            if min(us) >= 1 and min(vs) >= 1 and max(us) <= n and max(vs) <= n:
+                # the leaf peel refuses exactly the edges that form no tree
+                word = enumeration._encode_walk(n, us, vs)
+            if word is None:
+                try:
+                    canonicalize_tree(n, zip(us, vs))  # raises the block's diagnostic
+                except TreeCountError as err:
+                    raise EdgeTextError(header, str(err)) from err
+            encoded.append((n, word))
         if args.format == "json":
             template = '{"n": %d, "symbols": [%s]}\n'
             out = [template % (n, ", ".join(map(str, w))) for n, w in encoded]

@@ -11,7 +11,9 @@ threads.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Union
 
 Edge = tuple[int, int]
@@ -250,14 +252,18 @@ def tree_to_text(tree: LabeledTree) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_trees(lines: Iterable[str]) -> Iterator[LabeledTree]:
-    """Parse a stream of edge-list blocks; blank lines between blocks are skipped."""
-    numbered = enumerate(lines, start=1)
-    for line_no, raw in numbered:
-        text = raw.strip()
-        if not text:
+def _edge_blocks(lines: Iterable[str]) -> Iterator[tuple[int, int, list[int], list[int]]]:
+    """The header line number, vertex count n and two label lists, us and
+    vs, of each edge-list block; blank lines between blocks are skipped.
+    A block's n - 1 lines are read before anything is sized by n, and
+    the first malformed line is named ahead of a block that is short."""
+    it = iter(lines)
+    line_no = 0
+    for raw in it:
+        line_no += 1
+        fields = raw.split()
+        if not fields:
             continue
-        fields = text.split()
         if len(fields) != 2 or fields[0] != "n":
             raise EdgeTextError(line_no, "expected header 'n <vertex-count>'")
         try:
@@ -266,27 +272,37 @@ def read_trees(lines: Iterable[str]) -> Iterator[LabeledTree]:
             raise EdgeTextError(line_no, f"vertex count {fields[1]!r} is not an integer") from None
         if n < 1:
             raise EdgeTextError(line_no, f"vertex count must be >= 1, got {n}")
-        header_line = line_no
-        raw_edges: list[Edge] = []
-        for _ in range(n - 1):
-            try:
-                line_no, raw = next(numbered)
-            except StopIteration:
-                raise EdgeTextError(
-                    header_line, f"expected {n - 1} edge lines, got {len(raw_edges)}"
-                ) from None
-            tokens = raw.split()
-            if len(tokens) != 2:
-                raise EdgeTextError(line_no, "expected two vertex labels")
-            try:
-                u, v = int(tokens[0]), int(tokens[1])
-            except ValueError:
-                raise EdgeTextError(line_no, "vertex labels must be integers") from None
-            raw_edges.append((u, v))
+        header = line_no
+        # islice stops at most at sys.maxsize, more lines than any text has
+        block = list(islice(it, min(n - 1, sys.maxsize)))
+        line_no += len(block)
         try:
-            yield canonicalize_tree(n, raw_edges)
+            # a line of other than two fields makes zip or the unpacking fail
+            us, vs = zip(*map(str.split, block), strict=True)
+            us, vs = list(map(int, us)), list(map(int, vs))
+        except ValueError:
+            for bad_no, raw in enumerate(block, start=header + 1):
+                tokens = raw.split()
+                if len(tokens) != 2:
+                    raise EdgeTextError(bad_no, "expected two vertex labels") from None
+                try:
+                    int(tokens[0]), int(tokens[1])
+                except ValueError:
+                    raise EdgeTextError(bad_no, "vertex labels must be integers") from None
+            us, vs = [], []  # every line is well formed: the block has none
+        if len(block) != n - 1:
+            raise EdgeTextError(header, f"expected {n - 1} edge lines, got {len(block)}")
+        yield header, n, us, vs
+
+
+def read_trees(lines: Iterable[str]) -> Iterator[LabeledTree]:
+    """Parse a stream of edge-list blocks; blank lines between blocks are skipped."""
+    for header, n, us, vs in _edge_blocks(lines):
+        try:
+            tree = canonicalize_tree(n, zip(us, vs))
         except TreeCountError as err:
-            raise EdgeTextError(header_line, str(err)) from err
+            raise EdgeTextError(header, str(err)) from err
+        yield tree
 
 
 def read_prufer_lines(lines: Iterable[str]) -> Iterator[tuple[int, ...]]:

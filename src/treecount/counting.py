@@ -173,7 +173,7 @@ def count_supervertex_trees(degrees: tuple[int, ...], sizes: tuple[int, ...]) ->
         raise CompositionSumMismatch(f"need {k} component sizes, got {len(sizes)}")
     if any(x < 1 for x in sizes):
         raise CompositionSumMismatch(f"component sizes must be positive: {sizes}")
-    ways = count_trees_with_degrees(degrees)
+    ways = multinomial(d - 1 for d in degrees)
     for a, d in zip(sizes, degrees):
         ways *= a**d
     return ways

@@ -14,9 +14,9 @@ sorted edge pairs that the tree streams and ``prufer_decode`` wrap, and
 encode, ``_encode_walk``, peels leaves smallest first with the same
 pointer, never vertex n, keeping each vertex's degree and the XOR of its
 neighbours; it is also the tree test of the edges it is given, so the
-CLI encodes edge text without building a tree and goes back to the
-validating reader only for text it refuses.  Both directions take
-linear time.
+CLI encodes edge text without building a tree and hands only a block it
+refuses to ``canonicalize_tree``, for its diagnostic.  Both directions
+take linear time.
 
 Enumeration sizes are capped by the module constants PRUFER_ENUM_CAP,
 EDGE_ENUM_CAP and PAIR_ENUM_CAP, so accidental huge sweeps fail fast

@@ -10,10 +10,11 @@ C(n(n-1)/2, n-1)).
 The literal sums over compositions and partitions behind Lemma 1, Eq. 20
 and L3 live here too, written with math.comb and math.factorial only:
 the package computes the same sums as binomial convolutions.  So do the
-textbook heap Prufer encode, `prufer encode` as the validating edge-list
-reader followed by that encode, the per-edge text of the json and csv
-tree formats, and the samplers' one-draw-per-call word generators, which
-the package replaced with faster equivalents.
+textbook heap Prufer encode, the edge-list reader that checks one line
+at a time, `prufer encode` as that reader followed by that encode, the
+per-edge text of the json and csv tree formats, and the samplers'
+one-draw-per-call word generators, which the package replaced with
+faster equivalents.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial, prod
 
-from treecount.core import TreeCountError, read_trees
+from treecount.core import EdgeTextError, TreeCountError, canonicalize_tree
 
 Edge = tuple[int, int]
 
@@ -104,14 +105,55 @@ def prufer_encode_heap(n: int, edges: tuple[Edge, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def read_trees_by_line(lines):
+    """core.read_trees one line at a time: each edge line is split,
+    checked and converted as it is read, and the block is a tree of
+    canonicalize_tree once its n - 1 lines are in."""
+    numbered = enumerate(lines, start=1)
+    for line_no, raw in numbered:
+        text = raw.strip()
+        if not text:
+            continue
+        fields = text.split()
+        if len(fields) != 2 or fields[0] != "n":
+            raise EdgeTextError(line_no, "expected header 'n <vertex-count>'")
+        try:
+            n = int(fields[1])
+        except ValueError:
+            raise EdgeTextError(line_no, f"vertex count {fields[1]!r} is not an integer") from None
+        if n < 1:
+            raise EdgeTextError(line_no, f"vertex count must be >= 1, got {n}")
+        header_line = line_no
+        raw_edges = []
+        for _ in range(n - 1):
+            try:
+                line_no, raw = next(numbered)
+            except StopIteration:
+                raise EdgeTextError(
+                    header_line, f"expected {n - 1} edge lines, got {len(raw_edges)}"
+                ) from None
+            tokens = raw.split()
+            if len(tokens) != 2:
+                raise EdgeTextError(line_no, "expected two vertex labels")
+            try:
+                u, v = int(tokens[0]), int(tokens[1])
+            except ValueError:
+                raise EdgeTextError(line_no, "vertex labels must be integers") from None
+            raw_edges.append((u, v))
+        try:
+            yield canonicalize_tree(n, raw_edges)
+        except TreeCountError as err:
+            raise EdgeTextError(header_line, str(err)) from err
+
+
 def prufer_encode_output(text: str, fmt: str) -> tuple[int, str, str]:
     """The exit code, stdout and stderr of `treecount prufer encode
-    --format fmt` on the stdin text: every block read by core.read_trees,
-    which names the first bad one, and each tree encoded by the heap walk
-    before the next block is read."""
+    --format fmt` on the stdin text: every block read by
+    read_trees_by_line, which names the first bad one, and each tree
+    encoded by the heap walk before the next block is read."""
     encoded = []
     try:
-        for tree in read_trees(io.StringIO(text)):
+        for tree in read_trees_by_line(io.StringIO(text)):
             if tree.n < 2:
                 raise TreeCountError("encoding needs at least 2 vertices")
             encoded.append((tree.n, prufer_encode_heap(tree.n, tree.edges)))

@@ -933,10 +933,11 @@ class TestTreeFormatGoldens:
 
 
 # ---------------------------------------------------------------------------
-# prufer encode parses each block straight into label lists and lets the
-# encode's leaf peel test for a tree; any block it refuses sends the whole
-# text through core.read_trees.  Both must write what the validating reader
-# followed by the heap encode writes (oracles.prufer_encode_output).
+# prufer encode parses each block into label lists with the parser of
+# core.read_trees and lets the encode's leaf peel test for a tree; a block
+# it refuses goes to canonicalize_tree alone for its diagnostic.  It must
+# write what the line-by-line reader followed by the heap encode writes
+# (oracles.prufer_encode_output).
 
 _CYCLE_1000 = "n 1000\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 999)) + "1 999\n"
 _DUPLICATE_1000 = "n 1000\n1 2\n2 1\n" + "".join(f"{v} {v + 1}\n" for v in range(2, 999))
@@ -1030,8 +1031,8 @@ class TestEncodeFastPath:
         assert expected[0] == 0
 
         def refuse(*args):
-            raise AssertionError("read_trees was called")
+            raise AssertionError("a validating path was called")
 
-        monkeypatch.setattr(cli, "read_trees", refuse)
+        monkeypatch.setattr(cli, "canonicalize_tree", refuse)
         monkeypatch.setattr(enumeration, "prufer_encode", refuse)
         assert run_cli(["prufer", "encode"], text) == expected

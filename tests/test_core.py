@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import io
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import parse_decimal
-from strategies import labeled_trees
+from oracles import parse_decimal, read_trees_by_line
+from strategies import edge_texts, labeled_trees
+from test_cli import ENCODE_INPUTS
 from treecount.core import (
     BadVertex,
     DuplicateEdge,
@@ -19,6 +22,7 @@ from treecount.core import (
     NonIntegralResult,
     NotATree,
     OutOfRange,
+    TreeCountError,
     as_integer,
     binomial,
     canonicalize_tree,
@@ -204,6 +208,58 @@ class TestEdgeText:
         with pytest.raises(EdgeTextError) as exc:
             list(read_trees(["n 4", "1 2", "1 2", "3 4"]))
         assert exc.value.line_no == 1
+
+
+def _read_all(reader, text):
+    """The trees reader yields from text, and the type, message and line
+    number of the error it ends in, or None."""
+    trees = []
+    try:
+        for tree in reader(io.StringIO(text)):
+            trees.append(tree)
+    except TreeCountError as err:
+        return trees, (type(err), str(err), getattr(err, "line_no", None))
+    return trees, None
+
+
+class TestReadTreesAgainstLineReader:
+    @pytest.mark.parametrize("text", ENCODE_INPUTS + ["n %d\n1 2\n" % 10**30])
+    def test_fixed_inputs(self, text):
+        assert _read_all(read_trees, text) == _read_all(read_trees_by_line, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=edge_texts())
+    def test_mutated_blocks(self, text):
+        assert _read_all(read_trees, text) == _read_all(read_trees_by_line, text)
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (["n 4", "1 2", "1 x"], "line 3: vertex labels must be integers"),
+            (["n 5", "1 2", "1 2 3"], "line 3: expected two vertex labels"),
+        ],
+    )
+    def test_malformed_line_before_short_block(self, lines, message):
+        with pytest.raises(EdgeTextError, match=f"^{message}$"):
+            list(read_trees(lines))
+
+    def test_huge_header_allocates_nothing(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(EdgeTextError) as exc:
+                list(read_trees(["n 100000000000", "1 2"]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == "line 1: expected 99999999999 edge lines, got 1"
+        assert peak < 1 << 20
+
+    def test_yields_before_reading_the_next_block(self):
+        def lines():
+            yield from ["n 2", "1 2"]
+            raise AssertionError("read past the first block")
+
+        assert next(read_trees(lines())) == LabeledTree(2, ((1, 2),))
 
 
 class TestPruferText:
