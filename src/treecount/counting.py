@@ -31,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Sequence
+from operator import mul
 
 from treecount.core import (
     CompositionSumMismatch,
@@ -43,17 +43,6 @@ from treecount.core import (
     validate_degrees,
 )
 from treecount.enumeration import enumerate_compositions
-
-
-def _binomial_convolution(m: int, f: Sequence[int], g: Sequence[int]) -> int:
-    """sum_a C(m, a) f[a] g[m-a]: coefficient m of the binomial convolution
-    of f and g, i.e. m! [x^m] F(x) G(x) for F = sum_a f[a] x^a / a! and G
-    likewise.  Entries past the end of f or g are zero.  Taken k times
-    from g = (1,), it is the labelled product: the sum over ordered
-    compositions (a_1..a_k) of m of m!/prod(a_i!) * prod f(a_i)."""
-    lo = max(0, m - len(g) + 1)
-    hi = min(m, len(f) - 1)
-    return sum(comb(m, a) * f[a] * g[m - a] for a in range(lo, hi + 1))
 
 
 def count_total_trees(n: int) -> int:
@@ -154,12 +143,14 @@ def expand_L3(parts: tuple[int, ...], m: int) -> int:
     k = len(parts)
     if k == 1:
         return 1
-    # the binomial convolution of f_i(c) = a_i^(c+1), c = 0..k-2, over i
+    # the binomial convolution of f_i(c) = a_i^(c+1), c = 0..k-2, over i:
+    # coefficient j of f * g is sum_c C(j, c) f[c] g[j-c]
     top = k - 2
-    g = [1]
-    for base in parts:
+    rows = [[comb(j, c) for c in range(j + 1)] for j in range(top + 1)]
+    g = [parts[0] ** (c + 1) for c in range(top + 1)]
+    for base in parts[1:]:
         f = [base ** (c + 1) for c in range(top + 1)]
-        g = [_binomial_convolution(j, f, g) for j in range(top + 1)]
+        g = [sum(map(mul, map(mul, row, f), g[j::-1])) for j, row in enumerate(rows)]
     return g[top]
 
 

@@ -8,15 +8,18 @@ strings so arbitrarily large values survive JSON.
 
 Checks accept an optional replacement for the formula side, which lets
 tests inject a corrupted formula and watch the counterexamples surface.
+
+Failure and IdentityReport are immutable named tuples: besides field
+access they can be indexed and unpacked, and each compares equal to a
+plain tuple of the same fields.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from treecount import counting, enumeration
 from treecount.core import (
@@ -56,8 +59,7 @@ SUPERVERTEX_CAP = 16
 TOTALS_CAP = 500
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(NamedTuple):
     parameters: str
     expected: object
     got: object
@@ -74,8 +76,7 @@ def _text(value: object) -> str:
     return int_to_text(value) if isinstance(value, int) else str(value)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     identity_id: str
     checked: int
     failures: tuple[Failure, ...]

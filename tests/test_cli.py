@@ -688,6 +688,19 @@ class TestModuleRun:
         )
         assert caps.stdout == "9 6 6\n"
 
+    def test_import_loads_every_submodule_and_no_dataclasses(self):
+        # the benchmark clears memos it finds in sys.modules after importing
+        # cli, and --trace looks the six submodules up by name: all stay eager
+        done = _python(
+            "-c",
+            "import sys; before = set(sys.modules); import treecount.cli;"
+            "print(*set(sys.modules) - before)",
+        )
+        added = set(done.stdout.split())
+        assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+        submodules = ("cli", "core", "counting", "enumeration", "sampling", "verifier")
+        assert {f"treecount.{m}" for m in submodules} <= added
+
 
 def _json_trees(text):
     records = map(json.loads, text.splitlines())

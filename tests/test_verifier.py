@@ -22,6 +22,8 @@ from treecount.verifier import (
     LEMMA_1_CAP,
     SUPERVERTEX_CAP,
     TOTALS_CAP,
+    Failure,
+    IdentityReport,
     verify_all,
     verify_binomial_collapse,
     verify_deg_v1_totality,
@@ -454,3 +456,29 @@ class TestReportSerialization:
         assert good.status == "PASS" and not good.failures
         bad = verify_lemma1(3, lhs=lambda n, k: -1)
         assert bad.status == "FAIL" and bad.failures
+
+    def test_records_print_and_freeze_as_before(self):
+        failure = Failure("n=2", 1, 2)
+        report = IdentityReport("X", 3, (failure,), 0.0125)
+        assert repr(failure) == "Failure(parameters='n=2', expected=1, got=2)"
+        assert repr(report) == (
+            "IdentityReport(identity_id='X', checked=3, failures=("
+            "Failure(parameters='n=2', expected=1, got=2),), elapsed=0.0125)"
+        )
+        for record, field in ((failure, "got"), (report, "checked")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, 0)
+        assert (report.status, report.elapsed_ms, report.capped) == ("FAIL", 12, False)
+        assert report.to_record() == {
+            "identity_id": "X",
+            "status": "FAIL",
+            "checked": 3,
+            "failures": [{"parameters": "n=2", "expected": "1", "got": "2"}],
+            "elapsed_ms": 12,
+        }
+
+    def test_records_are_tuples_of_their_fields(self):
+        failure = Failure("n=2", 1, 2)
+        parameters, expected, got = failure
+        assert (parameters, expected, got, failure[2]) == ("n=2", 1, 2, 2)
+        assert failure == ("n=2", 1, 2)
