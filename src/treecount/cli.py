@@ -4,9 +4,10 @@ Exit codes are a stable contract: 0 success (or all identities PASS),
 1 verification failure, 2 usage or validation error, 3 enumeration or
 work cap exceeded.  All output is UTF-8, line-feed terminated, and
 deterministic given the flags (sample streams included, via the seed).
-Argv is parsed by a parser built for the named command alone; whatever
-that parser would report goes to the full parser, which prints
-argparse's usage, help and error text.
+The grammar of every command is declared once, in `COMMANDS`.  Argv in
+its plain form is read against that table with no argparse parser
+built; anything else goes to the full argparse parser built from the
+same table, which prints argparse's usage, help and error text.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import argparse
 import json
 import sys
 from itertools import chain, count, groupby, islice
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from treecount import counting, enumeration, sampling, verifier
 from treecount.core import (
@@ -310,96 +311,182 @@ def cmd_verify(args, stdin: IO[str], stdout: IO[str]) -> int:
 # parser and dispatch
 
 
-COMMAND_HELP = {
-    "count": "print an exact tree count",
-    "enumerate": "stream all trees on n vertices",
-    "prufer": "convert between edge lists and Prufer sequences",
-    "sample": "draw seeded uniform random trees",
-    "verify": "check counting identities against oracles",
+class _Option(NamedTuple):
+    """One option of a command.  `kind` is int or str for an option that
+    takes a value, a tuple of the values it may take, or bool for a flag
+    that stores True; `group` indexes the command's exclusive groups."""
+
+    flags: tuple[str, ...]
+    dest: str
+    kind: object = str
+    default: object = None
+    help: str | None = None
+    required: bool = False
+    group: int | None = None
+
+
+class _Command(NamedTuple):
+    """One command: its help line, its positional (dest and choices) if it
+    takes one, its options in the order help lists them, the `required`
+    setting of each exclusive group, and its handler."""
+
+    help: str
+    positional: tuple[str, tuple[str, ...]] | None
+    options: tuple[_Option, ...]
+    groups: tuple[bool, ...]
+    handler: object
+
+
+# The grammar of every command, declared once: build_parser() makes the
+# argparse parsers from it, and _parse_args() reads argv against it.
+COMMANDS = {
+    "count": _Command(
+        "print an exact tree count",
+        ("subject", ("total", "degrees", "degv1")),
+        (
+            _Option(("-n",), "n", int, help="vertex count"),
+            _Option(("-d", "--degrees"), "degrees", help="comma-separated degrees, vertex i at position i"),
+            _Option(("-k",), "k", int, help="degree of vertex 1 (degv1 subject)"),
+            _Option(("--format",), "format", ("text", "json", "csv"), "text"),
+        ),
+        (),
+        cmd_count,
+    ),
+    "enumerate": _Command(
+        "stream all trees on n vertices",
+        None,
+        (
+            _Option(("-n",), "n", int, required=True),
+            _Option(("--degrees",), "degrees", help="restrict to this degree sequence", group=0),
+            _Option(("--deg-v1",), "deg_v1", int, help="restrict to trees with this degree at vertex 1", group=0),
+            _Option(("--format",), "format", TREE_FORMATS, "edges"),
+            _Option(("--limit",), "limit", int, help="stop after this many trees"),
+            _Option(("--count",), "count", bool, False, "append a final count line"),
+        ),
+        (False,),
+        cmd_enumerate,
+    ),
+    "prufer": _Command(
+        "convert between edge lists and Prufer sequences",
+        ("direction", ("encode", "decode")),
+        (_Option(("--format",), "format", ("text", "json"), "text"),),
+        (),
+        cmd_prufer,
+    ),
+    "sample": _Command(
+        "draw seeded uniform random trees",
+        None,
+        (
+            _Option(("-n",), "n", int, group=0),
+            _Option(("--degrees",), "degrees", help="sample with this exact degree sequence", group=0),
+            _Option(("--count",), "count", int, 1),
+            _Option(("--seed",), "seed", int, 0),
+            _Option(("--format",), "format", TREE_FORMATS, "edges"),
+        ),
+        (True,),
+        cmd_sample,
+    ),
+    "verify": _Command(
+        "check counting identities against oracles",
+        ("subject", ("all", *VERIFY_SUBJECTS)),
+        (
+            _Option(("--max-n",), "max_n", int, help="top of the parameter grid for every selected identity"),
+            _Option(("--json",), "json", bool, False, "emit one JSON document"),
+            _Option(("--format",), "format", ("table", "json"), "table"),
+        ),
+        (),
+        cmd_verify,
+    ),
 }
 
 
-def _add_arguments(name: str, parser: argparse.ArgumentParser) -> None:
-    """Give the parser of command `name` its arguments and handler: the one
-    grammar of each command, for the full parser and the lone one alike."""
-    if name == "count":
-        parser.add_argument("subject", choices=["total", "degrees", "degv1"])
-        parser.add_argument("-n", type=int, help="vertex count")
-        parser.add_argument("-d", "--degrees", help="comma-separated degrees, vertex i at position i")
-        parser.add_argument("-k", type=int, help="degree of vertex 1 (degv1 subject)")
-        parser.add_argument("--format", choices=["text", "json", "csv"], default="text")
-        parser.set_defaults(handler=cmd_count)
-    elif name == "enumerate":
-        parser.add_argument("-n", type=int, required=True)
-        filt = parser.add_mutually_exclusive_group()
-        filt.add_argument("--degrees", help="restrict to this degree sequence")
-        filt.add_argument("--deg-v1", type=int, help="restrict to trees with this degree at vertex 1")
-        parser.add_argument("--format", choices=list(TREE_FORMATS), default="edges")
-        parser.add_argument("--limit", type=int, help="stop after this many trees")
-        parser.add_argument("--count", action="store_true", help="append a final count line")
-        parser.set_defaults(handler=cmd_enumerate)
-    elif name == "prufer":
-        parser.add_argument("direction", choices=["encode", "decode"])
-        parser.add_argument("--format", choices=["text", "json"], default="text")
-        parser.set_defaults(handler=cmd_prufer)
-    elif name == "sample":
-        target = parser.add_mutually_exclusive_group(required=True)
-        target.add_argument("-n", type=int)
-        target.add_argument("--degrees", help="sample with this exact degree sequence")
-        parser.add_argument("--count", type=int, default=1)
-        parser.add_argument("--seed", type=int, default=0)
-        parser.add_argument("--format", choices=list(TREE_FORMATS), default="edges")
-        parser.set_defaults(handler=cmd_sample)
-    else:  # verify
-        parser.add_argument("subject", choices=["all", *VERIFY_SUBJECTS])
-        parser.add_argument("--max-n", type=int, help="top of the parameter grid for every selected identity")
-        parser.add_argument("--json", action="store_true", help="emit one JSON document")
-        parser.add_argument("--format", choices=["table", "json"], default="table")
-        parser.set_defaults(handler=cmd_verify)
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser, which prints argparse's usage, help and error text."""
     parser = argparse.ArgumentParser(
         prog="treecount",
         description="Exact counting, enumeration, verification, and sampling of labeled trees.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in COMMAND_HELP.items():
-        _add_arguments(name, sub.add_parser(name, help=help_text))
+    for name, command in COMMANDS.items():
+        cmd_parser = sub.add_parser(name, help=command.help)
+        if command.positional is not None:
+            dest, choices = command.positional
+            cmd_parser.add_argument(dest, choices=choices)
+        groups = [cmd_parser.add_mutually_exclusive_group(required=r) for r in command.groups]
+        for option in command.options:
+            kwargs: dict = {"dest": option.dest, "default": option.default, "help": option.help}
+            if option.kind is bool:
+                kwargs["action"] = "store_true"
+            elif option.kind is int:
+                kwargs["type"] = int
+            elif option.kind is not str:
+                kwargs["choices"] = option.kind
+            if option.required:
+                kwargs["required"] = True
+            target = cmd_parser if option.group is None else groups[option.group]
+            target.add_argument(*option.flags, **kwargs)
+        cmd_parser.set_defaults(handler=command.handler)
     return parser
 
 
-class _Refused(Exception):
-    """The lone command parser met argv it would print or exit on."""
-
-
-class _CommandParser(argparse.ArgumentParser):
-    """The parser of one command, which never prints or exits: where argparse
-    would, it raises `_Refused` instead."""
-
-    def _refuse(self, *args, **kwargs):
-        raise _Refused
-
-    error = exit = print_help = print_usage = _refuse
+def _read_argv(name: str, tokens: list[str]) -> argparse.Namespace | None:
+    """The namespace the full parser makes of `name` and its tokens, when
+    they keep to a form whose reading is plain: exact option strings, each
+    at most once, each value apart and not starting with "-", ints that
+    int() takes, values among the choices, one positional where the
+    command takes one, and required options and groups satisfied.  None
+    for anything else."""
+    command = COMMANDS[name]
+    flags = {flag: option for option in command.options for flag in option.flags}
+    dest, choices = command.positional or (None, ())
+    values: dict = {}
+    rest = iter(tokens)
+    for token in rest:
+        if not token.startswith("-"):
+            if token not in choices or dest in values:
+                return None
+            values[dest] = token
+            continue
+        option = flags.get(token)
+        if option is None or option.dest in values:
+            return None
+        if option.kind is bool:
+            values[option.dest] = True
+            continue
+        value = next(rest, None)
+        if value is None or value.startswith("-"):
+            return None
+        if option.kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif option.kind is not str and value not in option.kind:
+            return None
+        values[option.dest] = value
+    if dest is not None and dest not in values:
+        return None
+    if any(o.required and o.dest not in values for o in command.options):
+        return None
+    for group, required in enumerate(command.groups):
+        given = sum(o.group == group and o.dest in values for o in command.options)
+        if given > 1 or (required and not given):
+            return None
+    defaults = {o.dest: o.default for o in command.options}
+    return argparse.Namespace(command=name, handler=command.handler, **{**defaults, **values})
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse argv with a parser built for its command alone; building the
-    full parser costs more than a small count.  Argv that parser refuses,
-    and argv that names no command, go to the full parser, which prints
-    argparse's own usage, help and error text and exits."""
-    name = argv[0] if argv else None
-    if name in COMMAND_HELP:
-        parser = _CommandParser(prog=f"treecount {name}")
-        _add_arguments(name, parser)
-        try:
-            args = parser.parse_args(argv[1:])
-        except _Refused:
-            pass
-        else:
-            args.command = name
-            return args
-    return build_parser().parse_args(argv)
+    """Read argv against the command table with no argparse parser: building
+    one costs more than a small count.  Argv outside the plain form
+    `_read_argv` takes (help, "--", "--opt=value", "-n5", abbreviations,
+    repeated options, values starting with "-", bad ints and choices,
+    missing or extra arguments, no command) goes unchanged to the full
+    parser, which prints argparse's own usage, help and error text."""
+    args = None
+    if argv and argv[0] in COMMANDS:
+        args = _read_argv(argv[0], argv[1:])
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(

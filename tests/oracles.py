@@ -12,13 +12,15 @@ and L3 live here too, written with math.comb and math.factorial only:
 the package computes the same sums as binomial convolutions.  So do the
 textbook heap Prufer encode, the edge-list reader that checks one line
 at a time, `prufer encode` as that reader followed by that encode, the
-per-edge text of the json and csv tree formats, and the samplers'
-one-draw-per-call word generators, which the package replaced with
-faster equivalents.
+per-edge text of the json and csv tree formats, the samplers'
+one-draw-per-call word generators, and the command line's parser as a
+chain of add_argument calls, which the package replaced with faster
+equivalents or with a table.
 """
 
 from __future__ import annotations
 
+import argparse
 import heapq
 import io
 import json
@@ -28,6 +30,15 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial, prod
 
+from treecount.cli import (
+    TREE_FORMATS,
+    VERIFY_SUBJECTS,
+    cmd_count,
+    cmd_enumerate,
+    cmd_prufer,
+    cmd_sample,
+    cmd_verify,
+)
 from treecount.core import EdgeTextError, TreeCountError, canonicalize_tree
 
 Edge = tuple[int, int]
@@ -297,3 +308,63 @@ def degree_words(degrees: tuple[int, ...], seed: int, count: int):
             j = _below(rng, i + 1)
             symbols[i], symbols[j] = symbols[j], symbols[i]
         yield tuple(symbols)
+
+
+# The command line's parser as add_argument calls, one command at a time:
+# the parser the command table of treecount.cli must build byte for byte.
+
+COMMAND_HELP = {
+    "count": "print an exact tree count",
+    "enumerate": "stream all trees on n vertices",
+    "prufer": "convert between edge lists and Prufer sequences",
+    "sample": "draw seeded uniform random trees",
+    "verify": "check counting identities against oracles",
+}
+
+
+def _add_arguments(name: str, parser: argparse.ArgumentParser) -> None:
+    if name == "count":
+        parser.add_argument("subject", choices=["total", "degrees", "degv1"])
+        parser.add_argument("-n", type=int, help="vertex count")
+        parser.add_argument("-d", "--degrees", help="comma-separated degrees, vertex i at position i")
+        parser.add_argument("-k", type=int, help="degree of vertex 1 (degv1 subject)")
+        parser.add_argument("--format", choices=["text", "json", "csv"], default="text")
+        parser.set_defaults(handler=cmd_count)
+    elif name == "enumerate":
+        parser.add_argument("-n", type=int, required=True)
+        filt = parser.add_mutually_exclusive_group()
+        filt.add_argument("--degrees", help="restrict to this degree sequence")
+        filt.add_argument("--deg-v1", type=int, help="restrict to trees with this degree at vertex 1")
+        parser.add_argument("--format", choices=list(TREE_FORMATS), default="edges")
+        parser.add_argument("--limit", type=int, help="stop after this many trees")
+        parser.add_argument("--count", action="store_true", help="append a final count line")
+        parser.set_defaults(handler=cmd_enumerate)
+    elif name == "prufer":
+        parser.add_argument("direction", choices=["encode", "decode"])
+        parser.add_argument("--format", choices=["text", "json"], default="text")
+        parser.set_defaults(handler=cmd_prufer)
+    elif name == "sample":
+        target = parser.add_mutually_exclusive_group(required=True)
+        target.add_argument("-n", type=int)
+        target.add_argument("--degrees", help="sample with this exact degree sequence")
+        parser.add_argument("--count", type=int, default=1)
+        parser.add_argument("--seed", type=int, default=0)
+        parser.add_argument("--format", choices=list(TREE_FORMATS), default="edges")
+        parser.set_defaults(handler=cmd_sample)
+    else:  # verify
+        parser.add_argument("subject", choices=["all", *VERIFY_SUBJECTS])
+        parser.add_argument("--max-n", type=int, help="top of the parameter grid for every selected identity")
+        parser.add_argument("--json", action="store_true", help="emit one JSON document")
+        parser.add_argument("--format", choices=["table", "json"], default="table")
+        parser.set_defaults(handler=cmd_verify)
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="treecount",
+        description="Exact counting, enumeration, verification, and sampling of labeled trees.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text in COMMAND_HELP.items():
+        _add_arguments(name, sub.add_parser(name, help=help_text))
+    return parser

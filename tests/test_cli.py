@@ -535,7 +535,7 @@ def _full_parse(argv):
 
 HELP_ARGV = [
     [*command, flag]
-    for command in ([], *([name] for name in cli.COMMAND_HELP))
+    for command in ([], *([name] for name in cli.COMMANDS))
     for flag in ("-h", "--help", "--he")
 ]
 
@@ -575,24 +575,32 @@ DIFFERENTIAL_ARGV = [
     ["count", "total", "-n", "5", "--", "--bogus"],
 ]
 
-# each command's subjects, options that take a value, and flags
+# each command's subjects, options that take a value, and flags; -d is an
+# option of count alone
 GRAMMAR = {
     "count": (("total", "degrees", "degv1"), ("-n", "-d", "--degrees", "-k", "--format", "--form"), ()),
-    "enumerate": ((), ("-n", "--degrees", "--deg-v1", "--format", "--limit", "--lim"), ("--count",)),
+    "enumerate": ((), ("-n", "-d", "--degrees", "--deg-v1", "--format", "--limit", "--lim"), ("--count",)),
     "prufer": (("encode", "decode"), ("--format",), ()),
-    "sample": ((), ("-n", "--degrees", "--count", "--seed", "--format"), ()),
-    "verify": (("all", "collapse"), ("--max-n", "--format"), ("--json",)),
+    "sample": ((), ("-n", "-d", "--degrees", "--count", "--seed", "--format"), ()),
+    "verify": (("all", *cli.VERIFY_SUBJECTS), ("--max-n", "--format"), ("--json",)),
 }
-INTS = ("3", "-1", "0", "1_0", "\u0665", "x")
+# ints int() takes and refuses, with and without spaces, one past the
+# interpreter's digit limit, and an option string in place of a value
+INTS = ("3", "-1", "0", "1_0", "\u0665", "x", "", " 5", "-5 ", "9" * 4400, "--count")
 FORMATS = ("text", "json", "csv", "edges", "prufer", "table")
-VALUES = {"--format": FORMATS, "--form": FORMATS, "-d": ("2,2,1,1", "2,x"), "--degrees": ("1,1,2", "2,x")}
-STRAYS = ("-h", "--help", "--he", "--", "--bogus", "--format=json", "--lim=2", "--count", "--json", "3")
+DEGREES = ("2,2,1,1", "1,1,2", "2,x", "", "-n")
+VALUES = {"--format": FORMATS, "--form": FORMATS, "-d": DEGREES, "--degrees": DEGREES}
+STRAYS = (
+    "-h", "--help", "--he", "--", "--bogus", "--format=json", "--lim=2", "--count", "--json", "3",
+    "-n5", "--seed=-7",
+)
 
 
 @st.composite
 def argvs(draw):
     """Argv drawn from the tokens of the grammar: mostly a command, its
-    subject, options with values and flags, at times with a stray token."""
+    subject, options with values and flags, at times with a stray token.
+    An option may be drawn more than once."""
     command = draw(st.sampled_from(list(GRAMMAR)))
     subjects, options, flags = GRAMMAR[command]
     argv = [command, draw(st.sampled_from(subjects))] if subjects else [command]
@@ -616,9 +624,10 @@ def _parse_outcome(parse_args, argv):
 
 
 class TestSingleCommandParser:
-    """main parses with a parser built for the named command alone, and
-    falls back to the full parser for whatever that parser refuses: the
-    exit code and every byte written must be those of the full parser."""
+    """main reads argv in its plain form against the command table, with
+    no argparse parser built, and hands any other argv to the full parser
+    built from the same table: the namespace, the exit code and every
+    byte written must be those of the full parser."""
 
     @pytest.mark.parametrize("argv", DIFFERENTIAL_ARGV, ids=" ".join)
     def test_same_as_full_parser(self, argv):
@@ -634,6 +643,62 @@ class TestSingleCommandParser:
         # main dispatches the namespace the same way on both paths, so the
         # parse alone is compared
         assert _parse_outcome(cli._parse_args, argv) == _parse_outcome(_full_parse, argv)
+
+    def test_plain_argv_builds_no_parser(self, capsys):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("an argparse parser was built")
+
+        cases = [
+            (["count", "total", "-n", "4"], "", "16\n"),
+            (["enumerate", "-n", "3", "--format", "prufer"], "", "1\n2\n3\n"),
+            (["prufer", "decode"], "4,4\n", STAR_TEXT),
+            (["sample", "-n", "2", "--count", "3", "--seed", "7"], "", "n 2\n1 2\n" * 3),
+        ]
+        with mock.patch.object(argparse.ArgumentParser, "__init__", refuse):
+            for argv, stdin_text, expected in cases:
+                assert run_cli(argv, stdin_text) == (0, expected, ""), argv
+            code, out, err = run_cli(["verify", "lemma1", "--max-n", "2"])
+        assert (code, err) == (0, "")
+        assert [line.split()[:3] for line in out.splitlines()[1:]] == [["LEMMA_1", "PASS", "1"]]
+        assert capsys.readouterr() == ("", "")
+        # argv the table does not read still reaches argparse
+        assert run_cli(["count", "total", "-n", "5", "--bogus"]) == (2, "", "")
+        err = capsys.readouterr().err.splitlines()
+        assert err == [TOP_USAGE, "treecount: error: unrecognized arguments: --bogus"]
+
+
+def _subparsers(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _reference_parse(argv):
+    return oracles.reference_parser().parse_args(argv)
+
+
+class TestReferenceParser:
+    """The parser build_parser() makes from the command table is the one
+    the add_argument calls of oracles.reference_parser make, as argparse
+    of the running interpreter formats and applies it."""
+
+    def test_same_help_and_usage(self):
+        table, reference = cli.build_parser(), oracles.reference_parser()
+        assert table.format_help() == reference.format_help()
+        assert table.format_usage() == reference.format_usage()
+        commands = _subparsers(table)
+        assert list(commands) == list(_subparsers(reference)) == list(cli.COMMANDS)
+        for name, parser in _subparsers(reference).items():
+            assert commands[name].format_help() == parser.format_help(), name
+            assert commands[name].format_usage() == parser.format_usage(), name
+
+    @pytest.mark.parametrize("argv", DIFFERENTIAL_ARGV, ids=" ".join)
+    def test_same_outcome(self, argv):
+        assert _parse_outcome(cli._parse_args, argv) == _parse_outcome(_reference_parse, argv)
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv=argvs())
+    def test_same_namespace(self, argv):
+        assert _parse_outcome(cli._parse_args, argv) == _parse_outcome(_reference_parse, argv)
 
 
 class TestNumberGrammar:
