@@ -4,10 +4,12 @@ Exit codes are a stable contract: 0 success (or all identities PASS),
 1 verification failure, 2 usage or validation error, 3 enumeration or
 work cap exceeded.  All output is UTF-8, line-feed terminated, and
 deterministic given the flags (sample streams included, via the seed).
-The grammar of every command is declared once, in `COMMANDS`.  Argv in
-its plain form is read against that table with no argparse parser
-built; anything else goes to the full argparse parser built from the
-same table, which prints argparse's usage, help and error text.
+The grammar of every command is declared once, in `COMMANDS`, in the
+keywords argparse's add_argument takes.  Argv in its plain form (exact
+option strings, values apart or as "--opt=value") is read against that
+table with no argparse parser built; anything else goes to the full
+argparse parser, which passes the same keywords to add_argument and
+prints argparse's usage, help and error text.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import argparse
 import json
 import sys
 from itertools import chain, count, groupby, islice
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Iterable, Iterator
 
 from treecount import counting, enumeration, sampling, verifier
 from treecount.core import (
@@ -311,91 +313,69 @@ def cmd_verify(args, stdin: IO[str], stdout: IO[str]) -> int:
 # parser and dispatch
 
 
-class _Option(NamedTuple):
-    """One option of a command.  `kind` is int or str for an option that
-    takes a value, a tuple of the values it may take, or bool for a flag
-    that stores True; `group` indexes the command's exclusive groups."""
-
-    flags: tuple[str, ...]
-    dest: str
-    kind: object = str
-    default: object = None
-    help: str | None = None
-    required: bool = False
-    group: int | None = None
-
-
-class _Command(NamedTuple):
-    """One command: its help line, its positional (dest and choices) if it
-    takes one, its options in the order help lists them, the `required`
-    setting of each exclusive group, and its handler."""
-
-    help: str
-    positional: tuple[str, tuple[str, ...]] | None
-    options: tuple[_Option, ...]
-    groups: tuple[bool, ...]
-    handler: object
-
-
-# The grammar of every command, declared once: build_parser() makes the
-# argparse parsers from it, and _parse_args() reads argv against it.
+# The grammar of every command, declared once in add_argument's own words:
+# (help line, handler, arguments, exclusive groups).  An argument is its
+# flag strings, or the positional's name, then the keywords add_argument
+# takes; an exclusive group is (required, dests of its options).
+# build_parser() passes the keywords to add_argument as they are, and
+# _read_argv() reads argv against the same keywords.
 COMMANDS = {
-    "count": _Command(
+    "count": (
         "print an exact tree count",
-        ("subject", ("total", "degrees", "degv1")),
-        (
-            _Option(("-n",), "n", int, help="vertex count"),
-            _Option(("-d", "--degrees"), "degrees", help="comma-separated degrees, vertex i at position i"),
-            _Option(("-k",), "k", int, help="degree of vertex 1 (degv1 subject)"),
-            _Option(("--format",), "format", ("text", "json", "csv"), "text"),
-        ),
-        (),
         cmd_count,
+        (
+            ("subject", {"choices": ("total", "degrees", "degv1")}),
+            ("-n", {"dest": "n", "type": int, "help": "vertex count"}),
+            ("-d", "--degrees", {"dest": "degrees", "help": "comma-separated degrees, vertex i at position i"}),
+            ("-k", {"dest": "k", "type": int, "help": "degree of vertex 1 (degv1 subject)"}),
+            ("--format", {"dest": "format", "choices": ("text", "json", "csv"), "default": "text"}),
+        ),
+        (),
     ),
-    "enumerate": _Command(
+    "enumerate": (
         "stream all trees on n vertices",
-        None,
-        (
-            _Option(("-n",), "n", int, required=True),
-            _Option(("--degrees",), "degrees", help="restrict to this degree sequence", group=0),
-            _Option(("--deg-v1",), "deg_v1", int, help="restrict to trees with this degree at vertex 1", group=0),
-            _Option(("--format",), "format", TREE_FORMATS, "edges"),
-            _Option(("--limit",), "limit", int, help="stop after this many trees"),
-            _Option(("--count",), "count", bool, False, "append a final count line"),
-        ),
-        (False,),
         cmd_enumerate,
+        (
+            ("-n", {"dest": "n", "type": int, "required": True}),
+            ("--degrees", {"dest": "degrees", "help": "restrict to this degree sequence"}),
+            ("--deg-v1", {"dest": "deg_v1", "type": int, "help": "restrict to trees with this degree at vertex 1"}),
+            ("--format", {"dest": "format", "choices": TREE_FORMATS, "default": "edges"}),
+            ("--limit", {"dest": "limit", "type": int, "help": "stop after this many trees"}),
+            ("--count", {"dest": "count", "action": "store_true", "help": "append a final count line"}),
+        ),
+        ((False, ("degrees", "deg_v1")),),
     ),
-    "prufer": _Command(
+    "prufer": (
         "convert between edge lists and Prufer sequences",
-        ("direction", ("encode", "decode")),
-        (_Option(("--format",), "format", ("text", "json"), "text"),),
-        (),
         cmd_prufer,
-    ),
-    "sample": _Command(
-        "draw seeded uniform random trees",
-        None,
         (
-            _Option(("-n",), "n", int, group=0),
-            _Option(("--degrees",), "degrees", help="sample with this exact degree sequence", group=0),
-            _Option(("--count",), "count", int, 1),
-            _Option(("--seed",), "seed", int, 0),
-            _Option(("--format",), "format", TREE_FORMATS, "edges"),
-        ),
-        (True,),
-        cmd_sample,
-    ),
-    "verify": _Command(
-        "check counting identities against oracles",
-        ("subject", ("all", *VERIFY_SUBJECTS)),
-        (
-            _Option(("--max-n",), "max_n", int, help="top of the parameter grid for every selected identity"),
-            _Option(("--json",), "json", bool, False, "emit one JSON document"),
-            _Option(("--format",), "format", ("table", "json"), "table"),
+            ("direction", {"choices": ("encode", "decode")}),
+            ("--format", {"dest": "format", "choices": ("text", "json"), "default": "text"}),
         ),
         (),
+    ),
+    "sample": (
+        "draw seeded uniform random trees",
+        cmd_sample,
+        (
+            ("-n", {"dest": "n", "type": int}),
+            ("--degrees", {"dest": "degrees", "help": "sample with this exact degree sequence"}),
+            ("--count", {"dest": "count", "type": int, "default": 1}),
+            ("--seed", {"dest": "seed", "type": int, "default": 0}),
+            ("--format", {"dest": "format", "choices": TREE_FORMATS, "default": "edges"}),
+        ),
+        ((True, ("n", "degrees")),),
+    ),
+    "verify": (
+        "check counting identities against oracles",
         cmd_verify,
+        (
+            ("subject", {"choices": ("all", *VERIFY_SUBJECTS)}),
+            ("--max-n", {"dest": "max_n", "type": int, "help": "top of the parameter grid for every selected identity"}),
+            ("--json", {"dest": "json", "action": "store_true", "help": "emit one JSON document"}),
+            ("--format", {"dest": "format", "choices": ("table", "json"), "default": "table"}),
+        ),
+        (),
     ),
 }
 
@@ -407,82 +387,92 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact counting, enumeration, verification, and sampling of labeled trees.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
-        cmd_parser = sub.add_parser(name, help=command.help)
-        if command.positional is not None:
-            dest, choices = command.positional
-            cmd_parser.add_argument(dest, choices=choices)
-        groups = [cmd_parser.add_mutually_exclusive_group(required=r) for r in command.groups]
-        for option in command.options:
-            kwargs: dict = {"dest": option.dest, "default": option.default, "help": option.help}
-            if option.kind is bool:
-                kwargs["action"] = "store_true"
-            elif option.kind is int:
-                kwargs["type"] = int
-            elif option.kind is not str:
-                kwargs["choices"] = option.kind
-            if option.required:
-                kwargs["required"] = True
-            target = cmd_parser if option.group is None else groups[option.group]
-            target.add_argument(*option.flags, **kwargs)
-        cmd_parser.set_defaults(handler=command.handler)
+    for name, (help_line, handler, arguments, groups) in COMMANDS.items():
+        cmd_parser = sub.add_parser(name, help=help_line)
+        owners = {}  # dest -> the exclusive group that holds its option
+        for required, dests in groups:
+            group = cmd_parser.add_mutually_exclusive_group(required=required)
+            owners.update(dict.fromkeys(dests, group))
+        for *strings, keywords in arguments:
+            owners.get(keywords.get("dest"), cmd_parser).add_argument(*strings, **keywords)
+        cmd_parser.set_defaults(handler=handler)
     return parser
 
 
 def _read_argv(name: str, tokens: list[str]) -> argparse.Namespace | None:
     """The namespace the full parser makes of `name` and its tokens, when
     they keep to a form whose reading is plain: exact option strings, each
-    at most once, each value apart and not starting with "-", ints that
-    int() takes, values among the choices, one positional where the
-    command takes one, and required options and groups satisfied.  None
-    for anything else."""
-    command = COMMANDS[name]
-    flags = {flag: option for option in command.options for flag in option.flags}
-    dest, choices = command.positional or (None, ())
+    at most once, each value its own token not starting with "-" or joined
+    to an exact long option as "--opt=value", ints that int() takes,
+    values among the choices, one positional where the command takes one,
+    and required options and groups satisfied.  None for anything else.
+    Defaults are argparse's: `default` if given, else False for a
+    store_true flag, else None."""
+    _, handler, arguments, groups = COMMANDS[name]
+    flags: dict = {}
+    defaults: dict = {}
+    positional, choices = None, ()
+    for argument in arguments:
+        keywords = argument[-1]
+        if argument[0][0] != "-":
+            positional, choices = argument[0], keywords["choices"]
+            continue
+        for flag in argument[:-1]:
+            flags[flag] = keywords
+        store_true = keywords.get("action") == "store_true"
+        defaults[keywords["dest"]] = keywords.get("default", False if store_true else None)
     values: dict = {}
     rest = iter(tokens)
     for token in rest:
         if not token.startswith("-"):
-            if token not in choices or dest in values:
+            if token not in choices or positional in values:
                 return None
-            values[dest] = token
+            values[positional] = token
             continue
-        option = flags.get(token)
-        if option is None or option.dest in values:
+        keywords = flags.get(token)
+        if keywords is None:
+            # "--opt=value": argparse takes any value after the "=", even
+            # an empty one or one starting with "-"
+            option, _, value = token.partition("=")
+            keywords = flags.get(option) if option.startswith("--") else None
+            if keywords is None or keywords.get("action") == "store_true":
+                return None
+        elif keywords.get("action") == "store_true":
+            value = True
+        else:
+            value = next(rest, None)
+            if value is None or value.startswith("-"):
+                return None
+        dest = keywords["dest"]
+        if dest in values:
             return None
-        if option.kind is bool:
-            values[option.dest] = True
-            continue
-        value = next(rest, None)
-        if value is None or value.startswith("-"):
-            return None
-        if option.kind is int:
+        if keywords.get("type") is int:
             try:
                 value = int(value)
             except ValueError:
                 return None
-        elif option.kind is not str and value not in option.kind:
+        if "choices" in keywords and value not in keywords["choices"]:
             return None
-        values[option.dest] = value
-    if dest is not None and dest not in values:
+        values[dest] = value
+    if positional is not None and positional not in values:
         return None
-    if any(o.required and o.dest not in values for o in command.options):
+    if any(kw.get("required") and kw["dest"] not in values for kw in flags.values()):
         return None
-    for group, required in enumerate(command.groups):
-        given = sum(o.group == group and o.dest in values for o in command.options)
+    for required, dests in groups:
+        given = sum(dest in values for dest in dests)
         if given > 1 or (required and not given):
             return None
-    defaults = {o.dest: o.default for o in command.options}
-    return argparse.Namespace(command=name, handler=command.handler, **{**defaults, **values})
+    return argparse.Namespace(command=name, handler=handler, **{**defaults, **values})
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     """Read argv against the command table with no argparse parser: building
     one costs more than a small count.  Argv outside the plain form
-    `_read_argv` takes (help, "--", "--opt=value", "-n5", abbreviations,
-    repeated options, values starting with "-", bad ints and choices,
-    missing or extra arguments, no command) goes unchanged to the full
-    parser, which prints argparse's own usage, help and error text."""
+    `_read_argv` takes (help, "--", "-n5", "-n=5", "--flag=x",
+    abbreviations, repeated options, values apart from their option that
+    start with "-", bad ints and choices, missing or extra arguments, no
+    command) goes unchanged to the full parser, which prints argparse's
+    own usage, help and error text."""
     args = None
     if argv and argv[0] in COMMANDS:
         args = _read_argv(argv[0], argv[1:])

@@ -31,8 +31,6 @@ from itertools import combinations
 from math import comb, factorial, prod
 
 from treecount.cli import (
-    TREE_FORMATS,
-    VERIFY_SUBJECTS,
     cmd_count,
     cmd_enumerate,
     cmd_prufer,
@@ -312,6 +310,13 @@ def degree_words(degrees: tuple[int, ...], seed: int, count: int):
 
 # The command line's parser as add_argument calls, one command at a time:
 # the parser the command table of treecount.cli must build byte for byte.
+# Its choices are written out here, not taken from treecount.cli, so a
+# choice dropped from the table is a difference.
+
+TREE_FORMATS = ("edges", "prufer", "json", "csv")
+VERIFY_SUBJECTS = (
+    "theorem1", "degv1", "lemma1", "recursion", "doublecount", "l3", "supervertex", "collapse", "roundtrip",
+)
 
 COMMAND_HELP = {
     "count": "print an exact tree count",

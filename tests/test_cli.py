@@ -83,6 +83,11 @@ class TestCount:
         assert run_cli(["count", "total", "-n", "5", "--bogus"]) == (2, "", "")
         err = capsys.readouterr().err.splitlines()
         assert err == [TOP_USAGE, "treecount: error: unrecognized arguments: --bogus"]
+        # so does a value joined to a flag
+        assert run_cli(["enumerate", "-n", "3", "--count=x"]) == (2, "", "")
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: treecount enumerate [-h] -n N")
+        assert err[-1] == "treecount enumerate: error: argument --count: ignored explicit argument 'x'"
 
     def test_size_cap_exit_3(self):
         cap = cli.COUNT_N_CAP
@@ -551,6 +556,15 @@ DIFFERENTIAL_ARGV = [
     ["enumerate", "-n", "5", "--deg-v1", "2", "--format", "csv"],
     ["enumerate", "-n", "4", "--degrees", "1,1,1,3", "--form=json"],
     ["enumerate", "-n", "3", "--limit", "-1"],
+    ["enumerate", "-n", "3", "--limit=-1"],
+    ["enumerate", "-n", "4", "--degrees=-n"],
+    ["enumerate", "-n", "3", "--count=x"],
+    ["count", "degrees", "--degrees="],
+    ["count", "total", "-n=5", "--format="],
+    ["count", "total", "-n", "5", "--format=json=x"],
+    ["count", "total", "-n", "5", "--=x"],
+    ["sample", "-n", "6", "--count=2", "--seed=-7"],
+    ["verify", "collapse", "--max-n=4", "--json=1"],
     ["prufer", "encode"],
     ["prufer", "decode", "--format", "json"],
     ["sample", "-n", "6", "--count", "3", "--seed", "-7"],
@@ -572,6 +586,7 @@ DIFFERENTIAL_ARGV = [
     [],
     ["count", "total", "-n", "5", "--bogus"],
     ["count", "total", "-n", "5", "extra"],
+    ["prufer", "encode", "decode"],
     ["count", "total", "-n", "5", "--", "--bogus"],
 ]
 
@@ -582,7 +597,7 @@ GRAMMAR = {
     "enumerate": ((), ("-n", "-d", "--degrees", "--deg-v1", "--format", "--limit", "--lim"), ("--count",)),
     "prufer": (("encode", "decode"), ("--format",), ()),
     "sample": ((), ("-n", "-d", "--degrees", "--count", "--seed", "--format"), ()),
-    "verify": (("all", *cli.VERIFY_SUBJECTS), ("--max-n", "--format"), ("--json",)),
+    "verify": (("all", *oracles.VERIFY_SUBJECTS), ("--max-n", "--format"), ("--json",)),
 }
 # ints int() takes and refuses, with and without spaces, one past the
 # interpreter's digit limit, and an option string in place of a value
@@ -599,13 +614,19 @@ STRAYS = (
 @st.composite
 def argvs(draw):
     """Argv drawn from the tokens of the grammar: mostly a command, its
-    subject, options with values and flags, at times with a stray token.
-    An option may be drawn more than once."""
+    subject, options with values, the value its own token or joined as
+    "--opt=value", and flags, at times given a value as "--flag=x", at
+    times with a stray token.  An option may be drawn more than once."""
     command = draw(st.sampled_from(list(GRAMMAR)))
     subjects, options, flags = GRAMMAR[command]
     argv = [command, draw(st.sampled_from(subjects))] if subjects else [command]
     for option in draw(st.lists(st.sampled_from(options + flags), max_size=3)):
-        argv += [option] if option in flags else [option, draw(st.sampled_from(VALUES.get(option, INTS)))]
+        if option in flags:
+            joined = draw(st.integers(0, 4)) == 0
+            argv.append(option + "=" + draw(st.sampled_from(("x", "1"))) if joined else option)
+            continue
+        value = draw(st.sampled_from(VALUES.get(option, INTS)))
+        argv += [f"{option}={value}"] if draw(st.integers(0, 4)) < 2 else [option, value]
     if draw(st.integers(0, 3)) == 0:
         argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(STRAYS)))
     return argv
@@ -624,10 +645,10 @@ def _parse_outcome(parse_args, argv):
 
 
 class TestSingleCommandParser:
-    """main reads argv in its plain form against the command table, with
-    no argparse parser built, and hands any other argv to the full parser
-    built from the same table: the namespace, the exit code and every
-    byte written must be those of the full parser."""
+    """main reads argv in its plain form, "--opt=value" included, against
+    the command table, with no argparse parser built, and hands any other
+    argv to the full parser built from the same table: the namespace, the
+    exit code and every byte written must be those of the full parser."""
 
     @pytest.mark.parametrize("argv", DIFFERENTIAL_ARGV, ids=" ".join)
     def test_same_as_full_parser(self, argv):
@@ -653,6 +674,16 @@ class TestSingleCommandParser:
             (["enumerate", "-n", "3", "--format", "prufer"], "", "1\n2\n3\n"),
             (["prufer", "decode"], "4,4\n", STAR_TEXT),
             (["sample", "-n", "2", "--count", "3", "--seed", "7"], "", "n 2\n1 2\n" * 3),
+            (
+                ["count", "total", "-n", "12", "--format=json"],
+                "",
+                '{"subject": "total", "n": 12, "count": "61917364224"}\n',
+            ),
+            (
+                ["sample", "-n", "6", "--count=2", "--seed=7"],
+                "",
+                "n 6\n1 3\n2 3\n2 4\n4 6\n5 6\nn 6\n1 2\n1 3\n1 5\n1 6\n4 5\n",
+            ),
         ]
         with mock.patch.object(argparse.ArgumentParser, "__init__", refuse):
             for argv, stdin_text, expected in cases:
@@ -665,6 +696,11 @@ class TestSingleCommandParser:
         assert run_cli(["count", "total", "-n", "5", "--bogus"]) == (2, "", "")
         err = capsys.readouterr().err.splitlines()
         assert err == [TOP_USAGE, "treecount: error: unrecognized arguments: --bogus"]
+        # so does a value joined to a flag
+        assert run_cli(["enumerate", "-n", "3", "--count=x"]) == (2, "", "")
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: treecount enumerate [-h] -n N")
+        assert err[-1] == "treecount enumerate: error: argument --count: ignored explicit argument 'x'"
 
 
 def _subparsers(parser):
