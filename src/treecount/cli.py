@@ -208,7 +208,7 @@ def cmd_prufer(args, stdin: IO[str], stdout: IO[str]) -> int:
             word = None
             if min(us) >= 1 and min(vs) >= 1 and max(us) <= n and max(vs) <= n:
                 # the leaf peel refuses exactly the edges that form no tree
-                word = enumeration._encode_walk(n, us, vs)
+                word = enumeration._encode_walk(n, zip(us, vs))
             if word is None:
                 try:
                     canonicalize_tree(n, zip(us, vs))  # raises the block's diagnostic

@@ -169,7 +169,7 @@ def validate_degrees(degrees: tuple[int, ...]) -> None:
     n = len(degrees)
     if n < 2:
         raise InvalidDegreeSequence(f"need at least 2 vertices, got {n}")
-    if any(d < 1 for d in degrees):
+    if min(degrees) < 1:
         raise InvalidDegreeSequence(f"degrees must be positive: {degrees}")
     if sum(degrees) != 2 * n - 2:
         raise InvalidDegreeSequence(

@@ -30,7 +30,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from itertools import accumulate, repeat
+from math import comb, prod
 from operator import mul
 
 from treecount.core import (
@@ -129,6 +130,12 @@ def recursion_T(n: int) -> int:
     return _eq20(n - 1)[0]
 
 
+@lru_cache(maxsize=None)
+def _pascal_rows(top: int) -> tuple[tuple[int, ...], ...]:
+    # rows 0..top of Pascal's triangle, the weights of expand_L3's convolutions
+    return tuple(tuple(map(comb, repeat(j), range(j + 1))) for j in range(top + 1))
+
+
 def expand_L3(parts: tuple[int, ...], m: int) -> int:
     """m^(k-2) * prod(a_i) written as the multinomial expansion
     sum over nonnegative (c_1..c_k) with sum k-2 of
@@ -136,22 +143,26 @@ def expand_L3(parts: tuple[int, ...], m: int) -> int:
 
     For k = 1 the value is defined as 1 (a_1 = m cancels m^(-1)).
     """
-    if any(x < 1 for x in parts):
+    if min(parts, default=1) < 1:
         raise CompositionSumMismatch(f"parts must be positive: {parts}")
     if sum(parts) != m:
         raise CompositionSumMismatch(f"parts must sum to {m}, got {sum(parts)}")
+    if not parts:  # () passes the checks above only for m = 0
+        raise CompositionSumMismatch("parts must be nonempty")
     k = len(parts)
     if k == 1:
         return 1
     # the binomial convolution of f_i(c) = a_i^(c+1), c = 0..k-2, over i:
-    # coefficient j of f * g is sum_c C(j, c) f[c] g[j-c]
+    # coefficient j of f * g is sum_c C(j, c) f[c] g[j-c].  The Pascal rows
+    # are one memo per k; of the last product only coefficient k-2 is needed
     top = k - 2
-    rows = [[comb(j, c) for c in range(j + 1)] for j in range(top + 1)]
-    g = [parts[0] ** (c + 1) for c in range(top + 1)]
-    for base in parts[1:]:
-        f = [base ** (c + 1) for c in range(top + 1)]
+    rows = _pascal_rows(top)
+    g = list(accumulate(repeat(parts[0], top + 1), mul))
+    for base in parts[1:-1]:
+        f = list(accumulate(repeat(base, top + 1), mul))
         g = [sum(map(mul, map(mul, row, f), g[j::-1])) for j, row in enumerate(rows)]
-    return g[top]
+    f = accumulate(repeat(parts[-1], top + 1), mul)
+    return sum(map(mul, map(mul, rows[top], f), reversed(g)))
 
 
 def count_supervertex_trees(degrees: tuple[int, ...], sizes: tuple[int, ...]) -> int:
@@ -162,12 +173,10 @@ def count_supervertex_trees(degrees: tuple[int, ...], sizes: tuple[int, ...]) ->
     k = len(degrees)
     if len(sizes) != k:
         raise CompositionSumMismatch(f"need {k} component sizes, got {len(sizes)}")
-    if any(x < 1 for x in sizes):
+    # validate_degrees has seen at least 2 degrees, so sizes is not empty
+    if min(sizes) < 1:
         raise CompositionSumMismatch(f"component sizes must be positive: {sizes}")
-    ways = multinomial(d - 1 for d in degrees)
-    for a, d in zip(sizes, degrees):
-        ways *= a**d
-    return ways
+    return multinomial([d - 1 for d in degrees]) * prod(map(pow, sizes, degrees))
 
 
 def assemble_double_count(m: int, k: int) -> int:
@@ -196,4 +205,5 @@ def binomial_collapse(n: int) -> int:
     the binomial theorem collapses it to ((n-1)+1)^(n-2) = n^(n-2)."""
     if n < 2:
         raise OutOfRange(f"need n >= 2, got {n}")
-    return sum(binomial(n - 2, j) * (n - 1) ** (n - 2 - j) for j in range(n - 1))
+    # 0 <= j <= n-2, so comb needs no range check
+    return sum(comb(n - 2, j) * (n - 1) ** (n - 2 - j) for j in range(n - 1))

@@ -26,7 +26,8 @@ caller may assign a new value, which is read at call time.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from collections import Counter
+from itertools import combinations, product, repeat
 from operator import sub
 from typing import Iterable, Iterator
 
@@ -113,9 +114,11 @@ def prufer_decode(n: int, symbols: tuple[int, ...]) -> LabeledTree:
     return LabeledTree(n, _decode_edges(n, symbols))
 
 
-def _encode_walk(n: int, us: Iterable[int], vs: Iterable[int]) -> tuple[int, ...] | None:
+def _encode_walk(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...] | None:
     # the Prufer word of the multigraph on 1..n, n >= 2, with the n-1 edges
-    # (us[i], vs[i]), or None when they form no tree.  Each vertex keeps its
+    # (u, v) of pairs, in any order and orientation, or None when they form
+    # no tree.  pairs is read once, so a tree's edges or a zip of the CLI's
+    # label lists go in as they are, with no copy.  Each vertex keeps its
     # degree and the XOR of its neighbours, which is its one neighbour once
     # it is a leaf, and leaves are peeled smallest first with the decode's
     # pointer, never vertex n.  Peeling n-2 leaves and then finding one more
@@ -124,7 +127,7 @@ def _encode_walk(n: int, us: Iterable[int], vs: Iterable[int]) -> tuple[int, ...
     # becomes a leaf, so the peel runs out of leaves first.
     deg = [0] * (n + 2)
     nbr = [0] * (n + 1)
-    for u, v in zip(us, vs):
+    for u, v in pairs:
         deg[u] += 1
         deg[v] += 1
         nbr[u] ^= v
@@ -165,7 +168,7 @@ def prufer_encode(tree: LabeledTree) -> tuple[int, ...]:
     n = tree.n
     if n < 2:
         raise OutOfRange("encoding needs at least 2 vertices")
-    word = _encode_walk(n, [u for u, _ in tree.edges], [v for _, v in tree.edges])
+    word = _encode_walk(n, tree.edges)
     if word is None:
         raise NotATree(f"the edges do not form a tree on {n} vertices")
     return word
@@ -254,10 +257,8 @@ def deg_v1_histogram(n: int) -> dict[int, int]:
     symbol occurrences (degree = occurrences + 1), without decoding."""
     if n < 2:
         raise OutOfRange(f"need n >= 2, got {n}")
-    hist = {k: 0 for k in range(1, n)}
-    for symbols in enumerate_sequences(n):
-        hist[symbols.count(1) + 1] += 1
-    return hist
+    ones = Counter(map(tuple.count, enumerate_sequences(n), repeat(1)))
+    return {k: ones[k - 1] for k in range(1, n)}
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,14 @@ enumerators.  Only practical for small n (the subset count is
 C(n(n-1)/2, n-1)).
 
 The literal sums over compositions and partitions behind Lemma 1, Eq. 20
-and L3 live here too, written with math.comb and math.factorial only:
-the package computes the same sums as binomial convolutions.  So do the
-textbook heap Prufer encode, the edge-list reader that checks one line
-at a time, `prufer encode` as that reader followed by that encode, the
-per-edge text of the json and csv tree formats, the samplers'
-one-draw-per-call word generators, and the command line's parser as a
-chain of add_argument calls, which the package replaced with faster
-equivalents or with a table.
+and L3 live here too, with the super-vertex join count, written with
+math.comb and math.factorial only: the package computes the same sums as
+binomial convolutions.  So do the textbook heap Prufer encode, the
+edge-list reader that checks one line at a time, `prufer encode` as that
+reader followed by that encode, the per-edge text of the json and csv
+tree formats, the samplers' one-draw-per-call word generators, and the
+command line's parser as a chain of add_argument calls, which the
+package replaced with faster equivalents or with a table.
 """
 
 from __future__ import annotations
@@ -274,6 +274,13 @@ def l3_sum(parts: tuple[int, ...]) -> int:
         _multinomial(c) * prod(a ** (e + 1) for a, e in zip(parts, c))
         for c in compositions(k - 2, k, allow_zero=True)
     )
+
+
+def supervertex_count(degrees: tuple[int, ...], sizes: tuple[int, ...]) -> int:
+    """The super-vertex join count in its literal form,
+    (k-2)!/prod((d_i-1)!) * prod(a_i^d_i), with factorials throughout."""
+    ways = factorial(len(degrees) - 2) // prod(factorial(d - 1) for d in degrees)
+    return ways * prod(a**d for a, d in zip(sizes, degrees))
 
 
 def _below(rng: random.Random, n: int) -> int:

@@ -171,6 +171,22 @@ class TestFactories:
         with pytest.raises(InvalidDegreeSequence):
             validate_degrees(bad)
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ((), "need at least 2 vertices, got 0"),
+            ((1,), "need at least 2 vertices, got 1"),
+            ((0, 2), "degrees must be positive: (0, 2)"),
+            ((3, -1, 2), "degrees must be positive: (3, -1, 2)"),
+            ((1, 2), "degree sum must be 2 for n=2, got 3"),
+            ((2, 2, 2, 2), "degree sum must be 6 for n=4, got 8"),
+        ],
+    )
+    def test_degree_sequence_messages(self, bad, message):
+        with pytest.raises(InvalidDegreeSequence) as info:
+            validate_degrees(bad)
+        assert str(info.value) == message
+
 
 class TestEdgeText:
     def test_format_single_vertex(self):

@@ -7,6 +7,7 @@ union-find tree check) before being inlined.
 
 from __future__ import annotations
 
+import random
 import sys
 from fractions import Fraction
 from math import comb, factorial
@@ -248,6 +249,36 @@ class TestExpandL3:
             for parts in oracles.compositions(m, k):
                 assert expand_L3(parts, m) == oracles.l3_sum(parts)
 
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_large_parts_match_multinomial_expansion(self, k):
+        # k = 2 takes no inner convolution, only the last coefficient
+        rng = random.Random(k)
+        for _ in range(20):
+            parts = tuple(rng.randint(1, 10**6) for _ in range(k))
+            assert expand_L3(parts, sum(parts)) == oracles.l3_sum(parts)
+
+    @pytest.mark.parametrize(
+        "parts, m, message",
+        [
+            ((), 0, "parts must be nonempty"),
+            ((), 3, "parts must sum to 3, got 0"),
+            ((0, 3), 3, "parts must be positive: (0, 3)"),
+            ((2, -1), 1, "parts must be positive: (2, -1)"),
+            ((1, 2), 4, "parts must sum to 4, got 3"),
+        ],
+    )
+    def test_validation_messages(self, parts, m, message):
+        with pytest.raises(CompositionSumMismatch) as info:
+            expand_L3(parts, m)
+        assert str(info.value) == message
+
+    def test_pascal_rows_memo_starts_cold_after_clear(self):
+        counting._pascal_rows.cache_clear()
+        assert expand_L3((1, 2, 3, 4), 10) == 10**2 * 24
+        assert counting._pascal_rows.cache_info().currsize == 1
+        counting._pascal_rows.cache_clear()
+        assert expand_L3((1, 2, 3, 4), 10) == 10**2 * 24
+
 
 class TestSupervertex:
     def test_examples(self):
@@ -264,6 +295,36 @@ class TestSupervertex:
             count_supervertex_trees((1, 1), (1, 1, 1))
         with pytest.raises(CompositionSumMismatch):
             count_supervertex_trees((1, 1), (0, 2))
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_matches_factorial_form(self, k):
+        rng = random.Random(k)
+        degree_choices = list(enumerate_compositions(2 * k - 2, k))
+        for _ in range(30):
+            degrees = rng.choice(degree_choices)
+            sizes = tuple(rng.randint(1, 10**6) for _ in range(k))
+            assert count_supervertex_trees(degrees, sizes) == oracles.supervertex_count(
+                degrees, sizes
+            )
+
+    @pytest.mark.parametrize(
+        "degrees, sizes, error, message",
+        [
+            ((), (), InvalidDegreeSequence, "need at least 2 vertices, got 0"),
+            ((1,), (1,), InvalidDegreeSequence, "need at least 2 vertices, got 1"),
+            ((0, 2), (1, 1), InvalidDegreeSequence, "degrees must be positive: (0, 2)"),
+            ((2, 2), (1, 1), InvalidDegreeSequence, "degree sum must be 2 for n=2, got 4"),
+            ((1, 1), (), CompositionSumMismatch, "need 2 component sizes, got 0"),
+            ((1, 1), (1, 1, 1), CompositionSumMismatch, "need 2 component sizes, got 3"),
+            ((1, 1), (0, 2), CompositionSumMismatch, "component sizes must be positive: (0, 2)"),
+            ((1, 1), (3, -2), CompositionSumMismatch, "component sizes must be positive: (3, -2)"),
+        ],
+    )
+    def test_validation_messages(self, degrees, sizes, error, message):
+        with pytest.raises(error) as info:
+            count_supervertex_trees(degrees, sizes)
+        assert type(info.value) is error
+        assert str(info.value) == message
 
     def test_marginalizes_to_expansion(self):
         for k in range(2, 6):

@@ -101,13 +101,30 @@ class TestCodec:
         accepted = 0
         for edges in combinations_with_replacement(pairs, n - 1):
             flipped = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
-            word = enumeration._encode_walk(n, [u for u, _ in flipped], [v for _, v in flipped])
+            word = enumeration._encode_walk(n, flipped)
             if edges in trees:
                 accepted += 1
                 assert word == oracles.prufer_encode_heap(n, edges)
             else:
                 assert word is None, edges
         assert accepted == n ** (n - 2)
+
+    def test_encode_reads_edges_in_any_order(self):
+        # the walk reads the edge pairs as they are, unsorted or flipped
+        canonical = canonicalize_tree(6, [(1, 4), (2, 4), (3, 5), (4, 5), (5, 6)])
+        word = prufer_encode(canonical)
+        assert word == oracles.prufer_encode_heap(6, canonical.edges)
+        unsorted = LabeledTree(6, tuple(reversed(canonical.edges)))
+        flipped = LabeledTree(6, tuple((v, u) for u, v in canonical.edges))
+        shuffled = LabeledTree(6, ((5, 4), (6, 5), (1, 4), (5, 3), (4, 2)))
+        for tree in (unsorted, flipped, shuffled):
+            assert prufer_encode(tree) == word
+
+    @pytest.mark.parametrize("tree", [LabeledTree(3, ()), LabeledTree(3, ((1, 2), (2, 3), (1, 3)))])
+    def test_encode_rejects_no_edges_and_a_cycle(self, tree):
+        with pytest.raises(NotATree) as info:
+            prufer_encode(tree)
+        assert str(info.value) == "the edges do not form a tree on 3 vertices"
 
     def test_encode_rejects_a_non_tree(self):
         with pytest.raises(NotATree):
@@ -249,6 +266,17 @@ class TestDegV1Histogram:
         hist = deg_v1_histogram(n)
         for k in range(1, n):
             assert hist[k] == len(oracles.trees_with_deg_v1(n, k))
+
+    def test_two_vertices(self):
+        assert deg_v1_histogram(2) == {1: 1}
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_equals_oracle_sizes(self, n):
+        # every k in 1..n-1 is a key, in increasing order
+        hist = deg_v1_histogram(n)
+        expected = {k: len(oracles.trees_with_deg_v1(n, k)) for k in range(1, n)}
+        assert hist == expected
+        assert list(hist) == list(expected)
 
     def test_range(self):
         with pytest.raises(OutOfRange):
