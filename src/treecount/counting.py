@@ -36,6 +36,7 @@ from operator import mul
 
 from treecount.core import (
     CompositionSumMismatch,
+    InvalidDegreeSequence,
     OutOfRange,
     binomial,
     exact_div,
@@ -165,18 +166,37 @@ def expand_L3(parts: tuple[int, ...], m: int) -> int:
     return sum(map(mul, map(mul, rows[top], f), reversed(g)))
 
 
+@lru_cache(maxsize=256, typed=True)
+def _join_weight(*degrees: int) -> int:
+    # (k-2)!/prod((d_i - 1)!), the factor of count_supervertex_trees that
+    # depends on the degree vector alone, once per vector.  typed keys the
+    # memo on each entry's type as well, so (1.0, 1.0) never reads the
+    # entry of (1, 1) and still fails in multinomial as it always did
+    validate_degrees(degrees)
+    return multinomial([d - 1 for d in degrees])
+
+
 def count_supervertex_trees(degrees: tuple[int, ...], sizes: tuple[int, ...]) -> int:
     """Ways to join k components of sizes (a_1..a_k) into one tree where
     component i sends out d_i edges, each startable at any of its a_i
     vertices: (k-2)!/prod((d_i-1)!) * prod(a_i^(d_i))."""
-    validate_degrees(degrees)
+    try:
+        weight = _join_weight(*degrees)
+    except (InvalidDegreeSequence, TypeError):
+        # a failure is never memoized: the unmemoized checks run on the
+        # caller's own degrees, so the error, its order after the checks of
+        # sizes and its message (a list shown as a list) are as they were
+        validate_degrees(degrees)
+        weight = None
     k = len(degrees)
     if len(sizes) != k:
         raise CompositionSumMismatch(f"need {k} component sizes, got {len(sizes)}")
     # validate_degrees has seen at least 2 degrees, so sizes is not empty
     if min(sizes) < 1:
         raise CompositionSumMismatch(f"component sizes must be positive: {sizes}")
-    return multinomial([d - 1 for d in degrees]) * prod(map(pow, sizes, degrees))
+    if weight is None:
+        weight = multinomial([d - 1 for d in degrees])
+    return weight * prod(map(pow, sizes, degrees))
 
 
 def assemble_double_count(m: int, k: int) -> int:

@@ -17,7 +17,8 @@ plain tuple of the same fields.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, deque
+from itertools import count, repeat
 from time import perf_counter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
@@ -29,7 +30,6 @@ from treecount.core import (
     as_integer,
     binomial,
     int_to_text,
-    tree_degrees,
 )
 
 # Default grid tops, kept only here (the checks take their top without a
@@ -54,7 +54,8 @@ DEFAULT_LIMITS: dict[str, int] = {
 # BINOMIAL_COLLAPSE.  At the cap each check takes at most about 1.2 s of
 # CPU.  Best of 3 with time.process_time, in five processes, on a 2-vCPU
 # VM with Python 3.11.7: EQ_20 0.41-0.60 s, LEMMA_1 0.76-1.07 s, L3
-# 0.35-0.55 s, SUPERVERTEX 0.73-0.95 s, DEG_V1_TOTALITY 0.84-1.19 s and
+# 0.35-0.55 s, SUPERVERTEX 0.28-0.47 s (with the joiner's memo of
+# counting._join_weight), DEG_V1_TOTALITY 0.84-1.19 s and
 # BINOMIAL_COLLAPSE 0.75-1.10 s.
 EQ_20_CAP = 175
 LEMMA_1_CAP = 30
@@ -146,7 +147,21 @@ def _run_totals(identity_id: str, n_max: int, legs: Callable[[int], tuple]) -> I
 
 
 def _ilen(stream: Iterable) -> int:
-    return sum(1 for _ in stream)
+    # zip draws the stream and the counter in step inside C, and the deque
+    # keeps nothing: the counter's next value is the number of items drawn
+    counter = count()
+    deque(zip(stream, counter), maxlen=0)
+    return next(counter)
+
+
+def _degree_vector(n: int, edges: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    # core.tree_degrees of the tree on 1..n with these edges, built from
+    # the edge pairs alone, with no LabeledTree
+    deg = [0] * (n + 1)
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    return tuple(deg[1:])
 
 
 def _parts_label(m: int, parts: tuple[int, ...]) -> str:
@@ -162,8 +177,12 @@ def verify_theorem1(
     fn = formula if formula is not None else counting.count_trees_with_degrees
 
     def cases() -> Iterator[_Case]:
+        # the edges of each word's decode, with _decode_edges read here so
+        # that a replaced decode is the one checked
+        decode = enumeration._decode_edges
         for n in range(2, n_max + 1):
-            hist = Counter(map(tree_degrees, enumeration.enumerate_all_trees(n)))
+            trees = map(decode, repeat(n), enumeration.enumerate_sequences(n))
+            hist = Counter(map(_degree_vector, repeat(n), trees))
             for d in enumeration.enumerate_compositions(2 * n - 2, n):
                 yield (n, d), hist[d], (("", fn(d)),)
 
@@ -286,7 +305,7 @@ def verify_supervertex_marginal(m_max: int, *, joiner=None) -> IdentityReport:
             k = len(sizes)
             if k not in degree_choices:
                 degree_choices[k] = list(enumeration.enumerate_compositions(2 * k - 2, k))
-            got = sum(fn(d, sizes) for d in degree_choices[k])
+            got = sum(map(fn, degree_choices[k], repeat(sizes)))
             yield (m, sizes), counting.expand_L3(sizes, m), (("", got),)
 
     return _run("SUPERVERTEX_MARGINAL", _parts_label, cases())

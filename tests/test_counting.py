@@ -341,6 +341,73 @@ class TestSupervertex:
         # 1 * 2 ways (either vertex of the larger side)
         assert count_supervertex_trees((1, 1), (1, 2)) == 2
 
+    @pytest.mark.parametrize(
+        "degrees, sizes",
+        [
+            ((0, 2), (1, 1)),
+            ((2, 2), (1, 1)),
+            ((1,), (1,)),
+            ([2, 2], (1, 1)),
+            ((1, "a"), (1, 1)),
+            ((1.0, 1.0), (1, 2)),
+            ((1.0, 1.0), (1,)),
+        ],
+    )
+    def test_errors_are_not_memoized(self, degrees, sizes):
+        counting._join_weight.cache_clear()
+        count_supervertex_trees((1, 1), (1, 2))  # the int twin of (1.0, 1.0)
+        raised = []
+        for _ in range(2):
+            with pytest.raises(Exception) as info:
+                count_supervertex_trees(degrees, sizes)
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0] == raised[1]
+        assert counting._join_weight.cache_info().currsize == 1
+
+    def test_float_vector_fails_after_its_int_twin_is_memoized(self):
+        # equal tuples of ints and floats hash alike; the memo keys on types
+        assert count_supervertex_trees((1, 2, 1), (2, 2, 2)) == 16
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
+            count_supervertex_trees((1, 2.0, 1), (2, 2, 2))
+        # the size checks still come before the multinomial's
+        with pytest.raises(CompositionSumMismatch, match="need 3 component sizes, got 2"):
+            count_supervertex_trees((1, 2.0, 1), (2, 2))
+
+    def test_list_degrees(self):
+        for _ in range(2):  # cold and with the tuple's entry memoized
+            assert count_supervertex_trees([1, 2, 1], (2, 3, 4)) == 2 * 9 * 4
+            assert count_supervertex_trees((1, 2, 1), (2, 3, 4)) == 2 * 9 * 4
+        with pytest.raises(InvalidDegreeSequence) as info:
+            count_supervertex_trees([0, 2], (1, 1))
+        assert str(info.value) == "degrees must be positive: [0, 2]"
+        with pytest.raises(InvalidDegreeSequence) as info:
+            count_supervertex_trees([1, 2, 2], (1, 1, 1))
+        assert str(info.value) == "degree sum must be 4 for n=3, got 5"
+
+    def test_join_weight_memo_is_bounded(self):
+        info = counting._join_weight.cache_info()
+        assert info.maxsize is not None and info.maxsize >= 49  # the k <= 5 vectors
+
+
+class TestMemos:
+    def test_package_memos_are_the_three_counting_caches(self):
+        # the benchmark clears every cache_clear callable of the package's
+        # modules before each op; a memo outside this list would stay warm
+        import treecount.cli  # noqa: F401  loads every module of the package
+
+        found = {
+            f"{name}.{attr}"
+            for name, module in sorted(sys.modules.items())
+            if name.startswith("treecount")
+            for attr, obj in vars(module).items()
+            if callable(getattr(obj, "cache_clear", None))
+        }
+        assert found == {
+            "treecount.counting._eq20",
+            "treecount.counting._pascal_rows",
+            "treecount.counting._join_weight",
+        }
+
 
 class TestDoubleCountAssembly:
     def test_small_values(self):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
 import pytest
@@ -303,6 +303,17 @@ class TestEdgeSubsetPairs:
             assert len(cut) == 2
             seen.add((tree.edges, cut))
         assert len(seen) == 16 * comb(3, 2)
+
+    @pytest.mark.parametrize("m", range(2, 6))
+    def test_stream_matches_nested_loop(self, m):
+        # pairs and order pinned against the tree-then-cut double loop
+        for k in range(1, m + 1):
+            expected = [
+                (tree, cut)
+                for tree in enumerate_all_trees(m)
+                for cut in combinations(tree.edges, k - 1)
+            ]
+            assert list(enumerate_edge_subsets_pairs(m, k)) == expected
 
     def test_validation(self):
         with pytest.raises(OutOfRange):

@@ -8,7 +8,8 @@ from math import comb
 
 import pytest
 
-from treecount import counting, enumeration
+import oracles
+from treecount import counting, enumeration, verifier
 from treecount.core import (
     CapExceeded,
     LabeledTree,
@@ -152,6 +153,14 @@ def _cold(check, top: int):
     return report, time.perf_counter() - start
 
 
+class TestIlen:
+    def test_counts_every_item(self):
+        assert verifier._ilen(iter(())) == 0
+        assert verifier._ilen([]) == 0
+        assert verifier._ilen(x for x in range(5)) == 5
+        assert verifier._ilen(enumeration.enumerate_edge_subsets_pairs(4, 2)) == 16 * 3
+
+
 class TestFormulaGridReach:
     def test_recursion_to_100(self):
         report, elapsed = _cold(verify_recursion_and_collapse, 100)
@@ -206,6 +215,22 @@ class TestFaultInjection:
             ("n=5,d=1,4,1,1,1", 2, 1),
             ("n=5,d=4,1,1,1,1", 0, 1),
         ]
+
+    def test_theorem1_builds_no_tree(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("LabeledTree built")
+
+        monkeypatch.setattr(enumeration, "LabeledTree", refuse)
+        report = verify_theorem1(6)
+        assert report.status == "PASS" and report.checked == sum(
+            comb(2 * n - 3, n - 1) for n in range(2, 7)
+        )
+
+    def test_supervertex_oracle_joiner_gives_the_same_report(self):
+        default = verify_supervertex_marginal(8)
+        oracle = verify_supervertex_marginal(8, joiner=oracles.supervertex_count)
+        assert default.status == "PASS"
+        assert oracle._replace(elapsed=0) == default._replace(elapsed=0)
 
     def test_collects_all_failures(self):
         report = verify_recursion_and_collapse(6, recursion=lambda n: 0)
