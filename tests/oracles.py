@@ -12,7 +12,9 @@ and L3 live here too, with the super-vertex join count, written with
 math.comb and math.factorial only: the package computes the same sums as
 binomial convolutions.  So do the textbook heap Prufer encode, the
 edge-list reader that checks one line at a time, `prufer encode` as that
-reader followed by that encode, the per-edge text of the json and csv
+reader followed by that encode, the Prufer line reader that converts
+every symbol with int(), `prufer decode` as that reader followed by the
+textbook heap decode, the per-edge text of the json and csv
 tree formats, the samplers' one-draw-per-call word generators, and the
 command line's parser as a chain of add_argument calls, which the
 package replaced with faster equivalents or with a table.
@@ -153,6 +155,62 @@ def read_trees_by_line(lines):
             yield canonicalize_tree(n, raw_edges)
         except TreeCountError as err:
             raise EdgeTextError(header_line, str(err)) from err
+
+
+def read_prufer_lines_by_line(lines):
+    """core.read_prufer_lines converting every symbol with int(): one word
+    per line, on len(word) + 2 vertices; an empty line is the n=2 word ()."""
+    for line_no, raw in enumerate(lines, start=1):
+        text = raw.strip()
+        if not text:
+            yield ()
+            continue
+        try:
+            symbols = tuple(map(int, text.split(",")))
+        except ValueError:
+            raise EdgeTextError(line_no, "symbols must be comma-separated integers") from None
+        n = len(symbols) + 2
+        if min(symbols) < 1 or max(symbols) > n:
+            bad = next(s for s in symbols if not 1 <= s <= n)
+            raise EdgeTextError(line_no, f"symbol {bad} outside 1..{n}")
+        yield symbols
+
+
+def prufer_decode_heap(n: int, symbols: tuple[int, ...]) -> tuple[Edge, ...]:
+    """The textbook decode, n >= 2: join the smallest leaf to each symbol
+    in turn, then the last two vertices; edges sorted (min, max)."""
+    remaining = Counter(symbols)
+    leaves = [v for v in range(1, n + 1) if not remaining[v]]
+    heapq.heapify(leaves)
+    edges = []
+    for s in symbols:
+        leaf = heapq.heappop(leaves)
+        edges.append((min(leaf, s), max(leaf, s)))
+        remaining[s] -= 1
+        if not remaining[s]:
+            heapq.heappush(leaves, s)
+    u, v = sorted(leaves)
+    edges.append((u, v))
+    return tuple(sorted(edges))
+
+
+def prufer_decode_output(text: str, fmt: str) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of `treecount prufer decode
+    --format fmt` on the stdin text: every line read by
+    read_prufer_lines_by_line, which names the first bad one, and each
+    word's tree written by the heap decode."""
+    try:
+        words = list(read_prufer_lines_by_line(io.StringIO(text)))
+    except TreeCountError as err:
+        return 2, "", f"treecount: {err}\n"
+    out = []
+    for w in words:
+        n, edges = len(w) + 2, prufer_decode_heap(len(w) + 2, w)
+        if fmt == "json":
+            out.append(json_tree(n, edges))
+        else:
+            out.append(f"n {n}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    return 0, "".join(out), ""
 
 
 def prufer_encode_output(text: str, fmt: str) -> tuple[int, str, str]:

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import treecount
 import oracles
 from oracles import parse_decimal
-from strategies import edge_texts
+from strategies import edge_texts, prufer_texts
 from treecount import cli, counting, enumeration, sampling, verifier
 from treecount.cli import _verify_exit, main
 from treecount.core import (
@@ -299,6 +299,12 @@ class TestPrufer:
             '{"n": 4, "edges": [[1, 2], [2, 3], [3, 4]]}\n'
         )
         assert run_cli(["prufer", "decode", "--format", "json"], words) == (0, as_json, "")
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=prufer_texts(), fmt=st.sampled_from(["text", "json"]))
+    def test_decode_same_as_line_reader(self, text, fmt):
+        argv = ["prufer", "decode", "--format", fmt]
+        assert run_cli(argv, text) == oracles.prufer_decode_output(text, fmt)
 
     def test_decode_empty_symbol_prints_nothing(self):
         assert run_cli(["prufer", "decode"], "4,4\n1,,2\n") == (
@@ -1056,6 +1062,7 @@ class TestTreeFormatGoldens:
 _CYCLE_1000 = "n 1000\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 999)) + "1 999\n"
 _DUPLICATE_1000 = "n 1000\n1 2\n2 1\n" + "".join(f"{v} {v + 1}\n" for v in range(2, 999))
 _PATH_TEXT = "n 3\n1 2\n2 3\n"
+_PATH_10 = "n 10\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 10))
 
 ENCODE_INPUTS = [
     # the malformed inputs of TestPrufer
@@ -1095,6 +1102,21 @@ ENCODE_INPUTS = [
     "n 3\n1 2\x0c2 3\n",
     "n 3\n1 2\u20282 3\n",
     "n 3\n1 2\x1c2 3\n",
+    # labels respelled as int() reads them and a label table does not,
+    # alone and after blocks of the same n read through the table
+    "n 3\n+1 02\n3 2\n",
+    _PATH_TEXT * 3 + "n 3\n+1 02\n3 2\n" + _PATH_TEXT,
+    _PATH_TEXT * 2 + "n 3\n\u0661 \u0662\n\u0662 \u0663\n",
+    _PATH_10 * 2 + _PATH_10.replace("9 10", "9 1_0"),
+    # bad labels, spellings and lines after blocks read through the table
+    _PATH_TEXT * 2 + "n 3\n+4 1\n2 3\n",
+    _PATH_TEXT * 2 + "n 3\n0 1\n2 3\n",
+    _PATH_TEXT * 2 + "n 3\n1 4\n2 3\n",
+    _PATH_TEXT * 2 + "n 3\n1 -1\n2 3\n",
+    _PATH_TEXT * 2 + "n 3\n1 2\n2 x\n",
+    _PATH_TEXT * 2 + "n 3\n1 2 3\n2 3\n",
+    _PATH_TEXT * 2 + "n 3\n1 2\n1 2\n",
+    _PATH_TEXT * 2 + "n 3\n1 2\n",
     # headers
     "n x\n1 2\n",
     "m 3\n1 2\n2 3\n",

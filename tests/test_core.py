@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import parse_decimal, read_trees_by_line
-from strategies import edge_texts, labeled_trees
+from oracles import parse_decimal, read_prufer_lines_by_line, read_trees_by_line
+from strategies import edge_texts, labeled_trees, prufer_texts
 from test_cli import ENCODE_INPUTS
+from treecount import core
 from treecount.core import (
     BadVertex,
     DuplicateEdge,
@@ -297,3 +298,53 @@ class TestPruferText:
                 list(read_prufer_lines(["4,4", line]))
             assert str(exc.value) == f"line 2: symbol {bad} outside 1..{len(line.split(',')) + 2}"
         assert list(read_prufer_lines(["1,5,3"])) == [(1, 5, 3)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=prufer_texts())
+    def test_drawn_lines_same_as_line_reader(self, text):
+        assert _read_all(read_prufer_lines, text) == _read_all(read_prufer_lines_by_line, text)
+
+
+def _refuse_tables(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"a label table was made for n = {n}")
+
+    monkeypatch.setattr(core, "_label_table", refuse)
+
+
+class TestLabelTableBounds:
+    """A reader makes a label table only for a second record of one n, and
+    only up to the size switch; past it, or for one record, the tokens go
+    through int() alone."""
+
+    @pytest.mark.parametrize("n", [3, 1000, core._LABEL_TABLE_MAX_N, 10**5])
+    def test_one_record_makes_no_table(self, monkeypatch, n):
+        edges = "n %d\n" % n + "".join(f"{v} {v + 1}\n" for v in range(1, n))
+        word = ",".join(["1"] * (n - 2))
+        _refuse_tables(monkeypatch)
+        assert len(list(read_trees(io.StringIO(edges + "n 2\n1 2\n")))) == 2
+        assert len(list(read_prufer_lines([word, ""]))) == 2
+
+    def test_no_table_above_the_switch(self, monkeypatch):
+        n = core._LABEL_TABLE_MAX_N + 1
+        edges = ("n %d\n" % n + "".join(f"{v} {v + 1}\n" for v in range(1, n))) * 3
+        word = ",".join(["1"] * (n - 2))
+        _refuse_tables(monkeypatch)
+        assert len(list(read_trees(io.StringIO(edges)))) == 3
+        assert len(list(read_prufer_lines([word] * 3))) == 3
+
+    def test_second_record_at_the_switch_makes_one_table(self, monkeypatch):
+        n = core._LABEL_TABLE_MAX_N
+        label_table, made = core._label_table, []
+
+        def counted(m):
+            made.append(m)
+            return label_table(m)
+
+        monkeypatch.setattr(core, "_label_table", counted)
+        edges = ("n %d\n" % n + "".join(f"{v} {v + 1}\n" for v in range(1, n))) * 3
+        assert len(set(read_trees(io.StringIO(edges)))) == 1
+        word = ",".join(["1"] * (n - 2))
+        assert list(read_prufer_lines([word] * 3)) == [(1,) * (n - 2)] * 3
+        assert made == [n, n]
+
