@@ -26,6 +26,8 @@ from treecount.core import (
     EdgeTextError,
     OutOfRange,
     TreeCountError,
+    _LABEL_MAX,
+    _TEXTS,
     _check_cap,
     _edge_blocks,
     canonicalize_tree,
@@ -202,14 +204,11 @@ def cmd_prufer(args, stdin: IO[str], stdout: IO[str]) -> int:
         if not lines[-1]:
             lines.pop()  # the empty piece after a final line feed is no line
         encoded = []
-        for header, n, us, vs, texts in _edge_blocks(lines):
+        for header, n, us, vs in _edge_blocks(lines):
             if n < 2:
                 raise OutOfRange("encoding needs at least 2 vertices")
             word = None
-            # labels found in the label table (texts is set) lie in 1..n
-            if texts is not None or (
-                min(us) >= 1 and min(vs) >= 1 and max(us) <= n and max(vs) <= n
-            ):
+            if min(us) >= 1 and min(vs) >= 1 and max(us) <= n and max(vs) <= n:
                 # the leaf peel refuses exactly the edges that form no tree
                 word = enumeration._encode_walk(n, zip(us, vs))
             if word is None:
@@ -217,7 +216,7 @@ def cmd_prufer(args, stdin: IO[str], stdout: IO[str]) -> int:
                     canonicalize_tree(n, zip(us, vs))  # raises the block's diagnostic
                 except TreeCountError as err:
                     raise EdgeTextError(header, str(err)) from err
-            encoded.append((n, map(str if texts is None else texts.__getitem__, word)))
+            encoded.append((n, map(_TEXTS.__getitem__ if n <= _LABEL_MAX else str, word)))
         if args.format == "json":
             template = '{"n": %d, "symbols": [%s]}\n'
             out = [template % (n, ", ".join(symbols)) for n, symbols in encoded]

@@ -14,7 +14,7 @@ import math
 import sys
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 Edge = tuple[int, int]
 
@@ -155,13 +155,19 @@ def degree_of(tree: LabeledTree, v: int) -> int:
     return sum(1 for u, w in tree.edges if u == v or w == v)
 
 
-def tree_degrees(tree: LabeledTree) -> tuple[int, ...]:
-    """The full degree vector (d_1..d_n) of a tree."""
-    deg = [0] * (tree.n + 1)
-    for u, v in tree.edges:
+def _degree_vector(n: int, edges: Iterable[Edge]) -> tuple[int, ...]:
+    # the degree vector of the edges on 1..n, read from the pairs alone,
+    # with no LabeledTree
+    deg = [0] * (n + 1)
+    for u, v in edges:
         deg[u] += 1
         deg[v] += 1
     return tuple(deg[1:])
+
+
+def tree_degrees(tree: LabeledTree) -> tuple[int, ...]:
+    """The full degree vector (d_1..d_n) of a tree."""
+    return _degree_vector(tree.n, tree.edges)
 
 
 def validate_degrees(degrees: tuple[int, ...]) -> None:
@@ -246,45 +252,37 @@ def int_to_text(value: int) -> str:
 # (empty) sequence for n = 2.
 #
 # Labels and symbols are read with int(), which takes any spelling of an
-# int ("+3", "03", "1_0", other scripts' digits).  Each call of a reader
-# keeps label tables: when a second record of some n <= _LABEL_TABLE_MAX_N
-# has been read, it makes the table of _label_table(n) and looks every
-# token of that record, and of each later record of n, up in it.  A token
-# found there is a label in 1..n equal to its int(), so the record needs
-# no int() and no range check, and prufer encode writes its word from the
-# table's texts with no str().  A record with any token not found (another
-# spelling, 0, n + 1, garbage) goes through int() and the range checks,
-# which give its diagnostics.  One record of an n makes no table.
+# int ("+3", "03", "1_0", other scripts' digits).  Up to n = _LABEL_MAX
+# the tokens of a sequence line, or of an edge block's column of first or
+# second labels, are first looked up in _LABELS, the texts str() writes
+# for 1.._LABEL_MAX, which give exactly the ints int() gives; from the
+# first token not found there (another spelling, 0, garbage) all of them
+# go through int().  Either way every record then takes the same range
+# checks, with the same diagnostics.  prufer encode writes its symbols
+# from _TEXTS up to n = _LABEL_MAX.  Both tables are made once, at
+# import, in about 0.45 ms and 0.23 MB.
 
-# The largest n that gets a label table.  Making one costs about 160 ns a
-# label, a lookup about 50 ns against 110 ns for int() at n = 1000, and
-# lookups and reads of the table's ints slow as n grows and they leave the
-# cache.  Six-record prufer decode, the reader that gains least, is 4-5%
-# faster with tables up to n = 2500, no faster at 3000-5000 and 7% slower
-# at 10^4 (best of 21, 2-vCPU VM, Python 3.11.7).
-_LABEL_TABLE_MAX_N = 2000
-
-
-def _label_table(n: int) -> tuple[list[str], dict[str, int]]:
-    """The texts of 0..n, so that texts[label] spells a label, and the
-    dict from the texts of 1..n to their labels."""
-    texts = [str(i) for i in range(n + 1)]
-    labels = dict(zip(texts, range(n + 1)))
-    del labels["0"]  # 0 is no label
-    return texts, labels
+# The largest label read and written through the tables.  A lookup costs
+# about 50 ns against 110 ns for int() at n = 1000, and lookups slow as n
+# grows and the table's entries leave the cache: six-record prufer decode
+# is 4-5% faster up to n = 2500, no faster at 3000-5000 and 7% slower at
+# 10^4 (best of 21, 2-vCPU VM, Python 3.11.7).
+_LABEL_MAX = 2000
+_TEXTS = tuple(map(str, range(_LABEL_MAX + 1)))
+_LABELS = dict(zip(_TEXTS[1:], range(1, _LABEL_MAX + 1)))
 
 
-def _table_for(tables: dict, n: int) -> Union[tuple[list[str], dict[str, int]], None]:
-    """The label table of n that a reader call keeps in tables, made when
-    n comes a second time; None for the first record of n, and above the
-    size switch."""
-    table = tables.get(n)
-    if table is None and n <= _LABEL_TABLE_MAX_N:
-        if n in tables:
-            table = tables[n] = _label_table(n)
-        else:
-            tables[n] = None
-    return table
+def _read_labels(n: int, tokens: Sequence[str]) -> tuple[int, ...]:
+    """The ints of the tokens of a record on n vertices: looked up in
+    _LABELS up to n = _LABEL_MAX, and all read with int() from the first
+    token not found or above it, which raises ValueError for a token
+    that is no int."""
+    if n <= _LABEL_MAX:
+        try:
+            return tuple(map(_LABELS.__getitem__, tokens))
+        except KeyError:
+            pass  # a token int() alone reads, or no label
+    return tuple(map(int, tokens))
 
 
 def tree_to_text(tree: LabeledTree) -> str:
@@ -295,16 +293,12 @@ def tree_to_text(tree: LabeledTree) -> str:
 
 def _edge_blocks(
     lines: Iterable[str],
-) -> Iterator[tuple[int, int, list[int], list[int], Union[list[str], None]]]:
-    """The header line number, vertex count n, two label lists us and vs,
-    and texts of each edge-list block; blank lines between blocks are
-    skipped.  texts is the label texts of _label_table(n) when every label
-    of the block was found in that table, so each lies in 1..n and
-    texts[label] spells it; it is None when the block was read with int()
-    and its labels are unchecked.  A block's n - 1 lines are read before
-    anything is sized by n, and the first malformed line is named ahead
-    of a block that is short."""
-    tables: dict = {}
+) -> Iterator[tuple[int, int, tuple[int, ...], tuple[int, ...]]]:
+    """The header line number, vertex count n and two label tuples us and
+    vs of each edge-list block, read by _read_labels and not range
+    checked; blank lines between blocks are skipped.  A block's n - 1
+    lines are read before anything is sized by n, and the first malformed
+    line is named ahead of a block that is short."""
     it = iter(lines)
     line_no = 0
     for raw in it:
@@ -324,20 +318,10 @@ def _edge_blocks(
         # islice stops at most at sys.maxsize, more lines than any text has
         block = list(islice(it, min(n - 1, sys.maxsize)))
         line_no += len(block)
-        table = _table_for(tables, n)
-        texts = None
         try:
             # a line of other than two fields makes zip or the unpacking fail
             us, vs = zip(*map(str.split, block), strict=True)
-            if table is not None:
-                get = table[1].__getitem__
-                try:
-                    us, vs = list(map(get, us)), list(map(get, vs))
-                    texts = table[0]
-                except KeyError:
-                    pass  # a token int() alone reads, or no label of n
-            if texts is None:
-                us, vs = list(map(int, us)), list(map(int, vs))
+            us, vs = _read_labels(n, us), _read_labels(n, vs)
         except ValueError:
             for bad_no, raw in enumerate(block, start=header + 1):
                 tokens = raw.split()
@@ -347,15 +331,15 @@ def _edge_blocks(
                     int(tokens[0]), int(tokens[1])
                 except ValueError:
                     raise EdgeTextError(bad_no, "vertex labels must be integers") from None
-            us, vs = [], []  # every line is well formed: the block has none
+            us = vs = ()  # every line is well formed: the block has none
         if len(block) != n - 1:
             raise EdgeTextError(header, f"expected {n - 1} edge lines, got {len(block)}")
-        yield header, n, us, vs, texts
+        yield header, n, us, vs
 
 
 def read_trees(lines: Iterable[str]) -> Iterator[LabeledTree]:
     """Parse a stream of edge-list blocks; blank lines between blocks are skipped."""
-    for header, n, us, vs, _ in _edge_blocks(lines):
+    for header, n, us, vs in _edge_blocks(lines):
         try:
             tree = canonicalize_tree(n, zip(us, vs))
         except TreeCountError as err:
@@ -366,26 +350,17 @@ def read_trees(lines: Iterable[str]) -> Iterator[LabeledTree]:
 def read_prufer_lines(lines: Iterable[str]) -> Iterator[tuple[int, ...]]:
     """Parse one word per line, on len(word) + 2 vertices; an empty line
     is the n=2 word ()."""
-    tables: dict = {}
     for line_no, raw in enumerate(lines, start=1):
         text = raw.strip()
         if not text:
             yield ()
             continue
         n = text.count(",") + 3
-        table = _table_for(tables, n)
-        symbols = None
-        if table is not None:
-            try:
-                symbols = tuple(map(table[1].__getitem__, text.split(",")))
-            except KeyError:
-                pass  # a token int() alone reads, or no label of n
-        if symbols is None:
-            try:
-                symbols = tuple(map(int, text.split(",")))
-            except ValueError:
-                raise EdgeTextError(line_no, "symbols must be comma-separated integers") from None
-            if min(symbols) < 1 or max(symbols) > n:
-                bad = next(s for s in symbols if not 1 <= s <= n)
-                raise EdgeTextError(line_no, f"symbol {bad} outside 1..{n}")
+        try:
+            symbols = _read_labels(n, text.split(","))
+        except ValueError:
+            raise EdgeTextError(line_no, "symbols must be comma-separated integers") from None
+        if min(symbols) < 1 or max(symbols) > n:
+            bad = next(s for s in symbols if not 1 <= s <= n)
+            raise EdgeTextError(line_no, f"symbol {bad} outside 1..{n}")
         yield symbols

@@ -27,6 +27,7 @@ from treecount.core import (
     CapExceeded,
     OutOfRange,
     _check_cap,
+    _degree_vector,
     as_integer,
     binomial,
     int_to_text,
@@ -152,16 +153,6 @@ def _ilen(stream: Iterable) -> int:
     counter = count()
     deque(zip(stream, counter), maxlen=0)
     return next(counter)
-
-
-def _degree_vector(n: int, edges: Iterable[tuple[int, int]]) -> tuple[int, ...]:
-    # core.tree_degrees of the tree on 1..n with these edges, built from
-    # the edge pairs alone, with no LabeledTree
-    deg = [0] * (n + 1)
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    return tuple(deg[1:])
 
 
 def _parts_label(m: int, parts: tuple[int, ...]) -> str:

@@ -23,7 +23,7 @@ import treecount
 import oracles
 from oracles import parse_decimal
 from strategies import edge_texts, prufer_texts
-from treecount import cli, counting, enumeration, sampling, verifier
+from treecount import cli, core, counting, enumeration, sampling, verifier
 from treecount.cli import _verify_exit, main
 from treecount.core import (
     LabeledTree,
@@ -1159,6 +1159,16 @@ class TestEncodeFastPath:
                 "",
                 f"treecount: {message}\n",
             )
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_labels_either_side_of_the_tables(self, fmt):
+        # a star on its last vertex writes n, the largest symbol, n - 2 times:
+        # from core._TEXTS at n = _LABEL_MAX, with str() one past it
+        n = core._LABEL_MAX
+        stars = ("n %d\n" % m + "".join(f"{v} {m}\n" for v in range(1, m)) for m in (n, n + 1))
+        text = "".join(stars)
+        argv = ["prufer", "encode", "--format", fmt]
+        assert run_cli(argv, text) == oracles.prufer_encode_output(text, fmt)
 
     def test_trees_skip_the_validating_reader(self, monkeypatch):
         trees = list(sampling.sample_uniform_tree(300, seed=4, count=3))

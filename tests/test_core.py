@@ -305,46 +305,57 @@ class TestPruferText:
         assert _read_all(read_prufer_lines, text) == _read_all(read_prufer_lines_by_line, text)
 
 
-def _refuse_tables(monkeypatch):
-    def refuse(n):
-        raise AssertionError(f"a label table was made for n = {n}")
-
-    monkeypatch.setattr(core, "_label_table", refuse)
+def _path_block(n):
+    return "n %d\n" % n + "".join(f"{v} {v + 1}\n" for v in range(1, n))
 
 
-class TestLabelTableBounds:
-    """A reader makes a label table only for a second record of one n, and
-    only up to the size switch; past it, or for one record, the tokens go
-    through int() alone."""
+class TestLabelTables:
+    """Up to n = _LABEL_MAX a record's tokens are looked up in _LABELS,
+    and int() reads every token of a record with a token not found there;
+    above it every token goes through int()."""
 
-    @pytest.mark.parametrize("n", [3, 1000, core._LABEL_TABLE_MAX_N, 10**5])
-    def test_one_record_makes_no_table(self, monkeypatch, n):
-        edges = "n %d\n" % n + "".join(f"{v} {v + 1}\n" for v in range(1, n))
+    def test_tables_spell_every_label(self):
+        assert all(text == str(i) for i, text in enumerate(core._TEXTS))
+        assert len(core._TEXTS) == core._LABEL_MAX + 1
+        assert core._LABELS == {str(i): i for i in range(1, core._LABEL_MAX + 1)}
+
+    @pytest.mark.parametrize("n", [1000, core._LABEL_MAX])
+    def test_one_record_calls_int_on_headers_alone(self, monkeypatch, n):
+        calls = []
+
+        def counted(text):
+            calls.append(text)
+            return int(text)
+
+        monkeypatch.setattr(core, "int", counted, raising=False)
+        (tree,) = read_trees(io.StringIO(_path_block(n)))
+        assert tree.edges == tuple((v, v + 1) for v in range(1, n))
+        assert calls == [str(n)]
+        word = tuple(range(1, n - 1))
+        assert list(read_prufer_lines([",".join(map(str, word))])) == [word]
+        assert calls == [str(n)]
+
+    def test_above_the_table_no_lookup(self, monkeypatch):
+        class Refuse:
+            def __getitem__(self, token):
+                raise AssertionError(f"{token!r} looked up above the tables")
+
+        monkeypatch.setattr(core, "_LABELS", Refuse())
+        n = core._LABEL_MAX + 1
+        assert len(list(read_trees(io.StringIO(_path_block(n) * 2)))) == 2
         word = ",".join(["1"] * (n - 2))
-        _refuse_tables(monkeypatch)
-        assert len(list(read_trees(io.StringIO(edges + "n 2\n1 2\n")))) == 2
-        assert len(list(read_prufer_lines([word, ""]))) == 2
+        assert len(list(read_prufer_lines([word] * 2))) == 2
 
-    def test_no_table_above_the_switch(self, monkeypatch):
-        n = core._LABEL_TABLE_MAX_N + 1
-        edges = ("n %d\n" % n + "".join(f"{v} {v + 1}\n" for v in range(1, n))) * 3
-        word = ",".join(["1"] * (n - 2))
-        _refuse_tables(monkeypatch)
-        assert len(list(read_trees(io.StringIO(edges)))) == 3
-        assert len(list(read_prufer_lines([word] * 3))) == 3
-
-    def test_second_record_at_the_switch_makes_one_table(self, monkeypatch):
-        n = core._LABEL_TABLE_MAX_N
-        label_table, made = core._label_table, []
-
-        def counted(m):
-            made.append(m)
-            return label_table(m)
-
-        monkeypatch.setattr(core, "_label_table", counted)
-        edges = ("n %d\n" % n + "".join(f"{v} {v + 1}\n" for v in range(1, n))) * 3
-        assert len(set(read_trees(io.StringIO(edges)))) == 1
-        word = ",".join(["1"] * (n - 2))
-        assert list(read_prufer_lines([word] * 3)) == [(1,) * (n - 2)] * 3
-        assert made == [n, n]
-
+    @pytest.mark.parametrize("label", ["1500", "0", "+3", "03", "\u0663"])
+    @pytest.mark.parametrize("records", [1, 2])
+    def test_other_spellings_same_as_line_reader(self, label, records):
+        # the last record of n = 1000 carries the label; a record before it
+        # is read through the table
+        n = 1000
+        edges = _path_block(n) * (records - 1) + _path_block(n).replace(
+            "\n3 4\n", f"\n{label} 4\n"
+        )
+        assert _read_all(read_trees, edges) == _read_all(read_trees_by_line, edges)
+        plain = ",".join(["1"] * (n - 2))
+        words = "\n".join([plain] * (records - 1) + [label + plain[1:]]) + "\n"
+        assert _read_all(read_prufer_lines, words) == _read_all(read_prufer_lines_by_line, words)

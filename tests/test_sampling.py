@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from itertools import permutations, product
 
 import pytest
 
@@ -168,3 +169,62 @@ class TestSequenceSamplers:
                 "sample",
             )
         assert list(sample_uniform_sequence(cap, seed=0, count=0)) == []
+
+
+class _TapeEnd(Exception):
+    """The tape ran out before the word was decided.  It is no
+    StopIteration, which map and islice would take for the end of the
+    draws and answer with a short word."""
+
+
+class _TapeRandom:
+    """A stand-in for random.Random whose getrandbits(k) is the top k bits
+    of the next width-bit entry of a fixed tape, as CPython's is the top k
+    bits of a 32-bit output; each k-bit value is then read from equally
+    many entries."""
+
+    def __init__(self, tape, width):
+        self._next = iter(tape).__next__
+        self._width = width
+
+    def getrandbits(self, k):
+        try:
+            return self._next() >> (self._width - k)
+        except StopIteration:
+            raise _TapeEnd from None
+
+
+def _tapes_per_word(monkeypatch, words, width, draws):
+    """How many of the tapes of `draws` entries of `width` bits decide
+    each word: the first word of words() drawn from each tape in turn."""
+    tapes = product(range(1 << width), repeat=draws)
+    monkeypatch.setattr(sampling.random, "Random", lambda seed: _TapeRandom(next(tapes), width))
+    tally = Counter()
+    for _ in range(1 << (width * draws)):
+        try:
+            tally[next(words())] += 1
+        except _TapeEnd:
+            pass
+    return tally
+
+
+class TestExactUniformity:
+    """Every tape of draws is equally likely, so a sampler is exactly
+    uniform when every word is decided by the same number of tapes.  The
+    sizes are ones where draws are rejected, which no sampling frequency
+    test at n = 4 or d = (2, 2, 1, 1) reaches."""
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_uniform_words(self, monkeypatch, n):
+        width = (n - 1).bit_length()
+        tally = _tapes_per_word(monkeypatch, lambda: sampling._uniform_words(n, 0, 1), width, 5)
+        assert set(tally) == set(product(range(1, n + 1), repeat=n - 2))
+        assert len(set(tally.values())) == 1
+
+    @pytest.mark.parametrize("d", [(3, 2, 1, 1, 1), (2, 2, 2, 1, 1)])
+    def test_degree_words(self, monkeypatch, d):
+        base = [v for v, deg in enumerate(d, start=1) for _ in range(deg - 1)]
+        width = (len(base) - 1).bit_length()
+        tally = _tapes_per_word(monkeypatch, lambda: sampling._degree_words(d, 0, 1), width, 5)
+        assert set(tally) == set(permutations(base))
+        assert len(set(tally.values())) == 1
