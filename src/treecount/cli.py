@@ -26,8 +26,6 @@ from treecount.core import (
     EdgeTextError,
     OutOfRange,
     TreeCountError,
-    _LABEL_MAX,
-    _TEXTS,
     _check_cap,
     _edge_blocks,
     canonicalize_tree,
@@ -53,28 +51,27 @@ def _parse_degrees(text: str) -> tuple[int, ...]:
     return degrees
 
 
-def _tree_texts(
-    n: int, fmt: str, words: Iterable[tuple[int, ...]], tables: dict
-) -> Iterator[str]:
+# The text of each edge code 10*u+v that enumeration._decode_codes writes
+# for an edge (u, v), u < v, of a tree on n <= 9 vertices, per format:
+# one table for every such n, made once, at import.
+_EDGE_PIECES = {
+    fmt: [piece % divmod(code, 10) for code in range(100)]
+    for fmt, piece in (("edges", "%d %d\n"), ("json", "[%d, %d]"), ("csv", "%d,%d\n"))
+}
+
+
+def _tree_texts(n: int, fmt: str, words: Iterable[tuple[int, ...]]) -> Iterator[str]:
     """The text of the tree of each Prufer word on n vertices in the edges,
     json or csv format; a csv row starts with the tree's index in the
-    stream.  Each word is decoded once, and its text is put together from
-    pieces made once for n and the format, with no per-edge formatting.
-    The pieces are kept in `tables`, keyed by (n, format), a dict the
-    caller owns: a caller writing many runs of words makes them once."""
+    stream.  Each word is decoded once, with no per-edge formatting: up to
+    n = 9 to edge codes whose texts are in _EDGE_PIECES, above it to the
+    flattened edges that fill one %-template made for the run."""
     if n == 1:
         text = {"edges": "n 1\n", "json": '{"n": 1, "edges": []}\n', "csv": ""}[fmt]
         return (text for _ in words)
-    if n <= enumeration.PRUFER_ENUM_CAP:
-        # the text of every edge code u*(n+1)+v, (n+1)^2 pieces: few at the
-        # sizes a sweep reaches
+    if n < 10:  # two base-10 digits per code
         decode = enumeration._decode_codes
-        m = n + 1
-        get = tables.get((n, fmt))
-        if get is None:
-            piece = {"edges": "%d %d\n", "json": "[%d, %d]", "csv": "%d,%d\n"}[fmt]
-            get = [piece % divmod(code, m) for code in range(m * m)].__getitem__
-            tables[n, fmt] = get
+        get = _EDGE_PIECES[fmt].__getitem__
         if fmt == "edges":
             head = "n %d\n" % n
             return (head + "".join(map(get, decode(n, w))) for w in words)
@@ -84,7 +81,6 @@ def _tree_texts(
         prefixes = map("%d,".__mod__, count())
         return (p + p.join(map(get, decode(n, w))) for p, w in zip(prefixes, words))
 
-    # one %-template for the whole tree, filled from the flattened edges
     def flat(w: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(chain.from_iterable(enumeration._decode_edges(n, w)))
 
@@ -95,6 +91,18 @@ def _tree_texts(
     else:
         return ((("%d," % i + "%d,%d\n") * (n - 1)) % flat(w) for i, w in enumerate(words))
     return (template % flat(w) for w in words)
+
+
+def _word_texts(n: int, fmt: str, words: Iterable[tuple[int, ...]]) -> Iterator[str]:
+    """The text of each Prufer word on n >= 2 vertices from one %-template
+    made for the run: its symbols joined by commas (fmt "text") or the record
+    {"n": n, "symbols": [...]} (fmt "json"); %s writes an int symbol as str()
+    does, faster than %d."""
+    if fmt == "text":
+        template = ",".join(["%s"] * (n - 2)) + "\n"
+    else:
+        template = '{"n": %d, "symbols": [' % n + ", ".join(["%s"] * (n - 2)) + "]}\n"
+    return map(template.__mod__, words)
 
 
 def _tree_lines(
@@ -113,11 +121,12 @@ def _tree_lines(
     if fmt == "csv":
         yield "tree,u,v\n"
     if limit is not None:
-        words = islice(words, limit)
+        # islice stops at most at sys.maxsize, more trees than any sweep has
+        words = islice(words, min(limit, sys.maxsize))
     if fmt == "prufer":
-        lines = map((",".join(["%d"] * (n - 2)) + "\n").__mod__, words)
+        lines = _word_texts(n, "text", words)
     else:
-        lines = _tree_texts(n, fmt, words, {})
+        lines = _tree_texts(n, fmt, words)
     total = 0
     for total, line in enumerate(lines, start=1):
         yield line
@@ -203,7 +212,7 @@ def cmd_prufer(args, stdin: IO[str], stdout: IO[str]) -> int:
         lines = stdin.read().split("\n")
         if not lines[-1]:
             lines.pop()  # the empty piece after a final line feed is no line
-        encoded = []
+        words = []
         for header, n, us, vs in _edge_blocks(lines):
             if n < 2:
                 raise OutOfRange("encoding needs at least 2 vertices")
@@ -216,20 +225,13 @@ def cmd_prufer(args, stdin: IO[str], stdout: IO[str]) -> int:
                     canonicalize_tree(n, zip(us, vs))  # raises the block's diagnostic
                 except TreeCountError as err:
                     raise EdgeTextError(header, str(err)) from err
-            encoded.append((n, map(_TEXTS.__getitem__ if n <= _LABEL_MAX else str, word)))
-        if args.format == "json":
-            template = '{"n": %d, "symbols": [%s]}\n'
-            out = [template % (n, ", ".join(symbols)) for n, symbols in encoded]
-        else:
-            out = [",".join(symbols) + "\n" for _, symbols in encoded]
+            words.append(word)
+        write, fmt = _word_texts, args.format
     else:
-        fmt = "json" if args.format == "json" else "edges"
-        tables: dict = {}  # edge-code texts made once per n, for this call alone
-        out = [
-            text
-            for length, words in groupby(read_prufer_lines(stdin), len)
-            for text in _tree_texts(length + 2, fmt, words, tables)
-        ]
+        words = read_prufer_lines(stdin)
+        write, fmt = _tree_texts, "json" if args.format == "json" else "edges"
+    # a word on n vertices has n - 2 symbols
+    out = [text for length, run in groupby(words, len) for text in write(length + 2, fmt, run)]
     stdout.writelines(out)
     return 0
 

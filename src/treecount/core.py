@@ -254,22 +254,20 @@ def int_to_text(value: int) -> str:
 # Labels and symbols are read with int(), which takes any spelling of an
 # int ("+3", "03", "1_0", other scripts' digits).  Up to n = _LABEL_MAX
 # the tokens of a sequence line, or of an edge block's column of first or
-# second labels, are first looked up in _LABELS, the texts str() writes
-# for 1.._LABEL_MAX, which give exactly the ints int() gives; from the
-# first token not found there (another spelling, 0, garbage) all of them
-# go through int().  Either way every record then takes the same range
-# checks, with the same diagnostics.  prufer encode writes its symbols
-# from _TEXTS up to n = _LABEL_MAX.  Both tables are made once, at
-# import, in about 0.45 ms and 0.23 MB.
+# second labels, are first looked up in _LABELS, the dict from the texts
+# str() writes for 1.._LABEL_MAX to their ints, which are exactly the
+# ints int() gives; from the first token not found there (another
+# spelling, 0, garbage) all of them go through int().  Either way every
+# record then takes the same range checks, with the same diagnostics.
+# The table is made once, at import, in about 0.3 ms and 0.2 MB.
 
-# The largest label read and written through the tables.  A lookup costs
-# about 50 ns against 110 ns for int() at n = 1000, and lookups slow as n
-# grows and the table's entries leave the cache: six-record prufer decode
-# is 4-5% faster up to n = 2500, no faster at 3000-5000 and 7% slower at
-# 10^4 (best of 21, 2-vCPU VM, Python 3.11.7).
+# The largest label read through the table.  A lookup costs about 50 ns
+# against 110 ns for int() at n = 1000, and lookups slow as n grows and
+# the table's entries leave the cache: six-record prufer decode is 4-5%
+# faster up to n = 2500, no faster at 3000-5000 and 7% slower at 10^4
+# (best of 21, 2-vCPU VM, Python 3.11.7).
 _LABEL_MAX = 2000
-_TEXTS = tuple(map(str, range(_LABEL_MAX + 1)))
-_LABELS = dict(zip(_TEXTS[1:], range(1, _LABEL_MAX + 1)))
+_LABELS = {str(i): i for i in range(1, _LABEL_MAX + 1)}
 
 
 def _read_labels(n: int, tokens: Sequence[str]) -> tuple[int, ...]:

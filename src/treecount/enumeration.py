@@ -8,9 +8,9 @@ golden tests stay stable.  The sweeps are streams of Prufer words
 (tuples of symbols); the tree streams are their decode, so a caller
 that only needs the words, or their symbol counts, decodes nothing.
 The decode is one pointer walk in two forms: ``_decode_edges`` gives the
-sorted edge pairs that the tree streams and ``prufer_decode`` wrap, and
-``_decode_codes`` the sorted integer codes u*(n+1)+v of the edges
-(u, v), u < v, from which the CLI writes its small tree formats.  The
+sorted edge pairs that the tree streams and ``prufer_decode`` wrap, and,
+for n <= 9, ``_decode_codes`` the sorted integer codes 10*u+v of the
+edges (u, v), u < v, from which the CLI writes its small tree formats.  The
 encode, ``_encode_walk``, peels leaves smallest first with the same
 pointer, never vertex n, keeping each vertex's degree and the XOR of its
 neighbours; it is also the tree test of the edges it is given, so the
@@ -80,11 +80,10 @@ def _decode_edges(n: int, symbols: Iterable[int]) -> tuple[Edge, ...]:
 
 
 def _decode_codes(n: int, symbols: Iterable[int]) -> list[int]:
-    # the walk of _decode_edges to the sorted codes u*(n+1)+v of the edges
-    # (u, v), u < v: ints sort faster than pairs and index a table of edge
-    # texts; splitting codes back into pairs would slow the tree streams
-    m = n + 1
-    deg = [1] * m
+    # the walk of _decode_edges to the sorted codes 10*u+v of the edges
+    # (u, v), u < v, n <= 9: ints sort as the pairs do, faster, and index one
+    # table of edge texts; splitting codes into pairs would slow the streams
+    deg = [1] * (n + 1)
     for s in symbols:
         deg[s] += 1
     codes = []
@@ -93,7 +92,7 @@ def _decode_codes(n: int, symbols: Iterable[int]) -> list[int]:
         ptr += 1
     leaf = ptr
     for s in symbols:
-        codes.append(leaf * m + s if leaf < s else s * m + leaf)
+        codes.append(leaf * 10 + s if leaf < s else s * 10 + leaf)
         deg[s] -= 1
         if deg[s] == 1 and s < ptr:
             leaf = s
@@ -102,7 +101,7 @@ def _decode_codes(n: int, symbols: Iterable[int]) -> list[int]:
             while deg[ptr] != 1:
                 ptr += 1
             leaf = ptr
-    codes.append(leaf * m + n)
+    codes.append(leaf * 10 + n)
     codes.sort()
     return codes
 

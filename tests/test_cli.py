@@ -10,8 +10,9 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
-from itertools import islice
+from itertools import combinations, islice
 from pathlib import Path
 from unittest import mock
 
@@ -212,6 +213,33 @@ class TestEnumerate:
             "count 0\n",
             "",
         )
+
+    @pytest.mark.parametrize("fmt", ["edges", "prufer", "json", "csv"])
+    def test_limit_beyond_maxsize_same_as_none(self, fmt):
+        # islice takes no limit above sys.maxsize: the CLI clamps it
+        unlimited = run_cli(["enumerate", "-n", "4", "--format", fmt, "--count"])
+        assert unlimited[0] == 0
+        limit = str(10**20)
+        for spelling in (["--limit", limit], ["--limit=" + limit]):
+            argv = ["enumerate", "-n", "4", "--format", fmt, *spelling, "--count"]
+            assert run_cli(argv) == unlimited
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.sampled_from([-1, 0, 1, 2, 3, 5, 10, 10**30]),
+        limit=st.sampled_from([-1, 0, 1, sys.maxsize, sys.maxsize + 1, 10**30]),
+        deg_v1=st.none() | st.sampled_from([-1, 0, 1, 2, 4, 10**30]),
+        fmt=st.sampled_from(["edges", "prufer", "json", "csv"]),
+    )
+    def test_any_size_ends_in_output_or_one_diagnostic(self, n, limit, deg_v1, fmt):
+        argv = ["enumerate", "-n", str(n), "--limit", str(limit), "--format", fmt]
+        argv += [] if deg_v1 is None else ["--deg-v1", str(deg_v1)]
+        code, out, err = run_cli(argv)
+        assert code in (0, 2, 3), argv
+        if code:
+            assert out == "" and err.startswith("treecount: ") and err.count("\n") == 1, argv
+        else:
+            assert err == "", argv
 
     def test_cap_exit_3(self):
         code, _, err = run_cli(["enumerate", "-n", "12"])
@@ -971,8 +999,9 @@ class TestDirectOutput:
 # ---------------------------------------------------------------------------
 # edges, json and csv output against the per-edge formatters: the tree of
 # each word through prufer_decode, written by core.tree_to_text or the
-# oracles' json and csv lines.  Trees on up to PRUFER_ENUM_CAP vertices
-# are written from per-code pieces, larger ones from one template per n.
+# oracles' json and csv lines.  Trees on up to 9 vertices are written
+# from the edge pieces cli._EDGE_PIECES of the codes 10*u + v, made at
+# import, larger ones from one template per run of one n.
 
 COUNT_LINES = {"edges": "count %d\n", "json": '{"count": %d}\n', "csv": "count,%d\n"}
 
@@ -1040,8 +1069,8 @@ class TestTreeFormatGoldens:
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_prufer_decode_of_alternating_lengths(self, fmt):
-        # every line its own run of one length: the pieces of each n are
-        # made once for the call and reused, with the same bytes
+        # every line its own run of one length, written with the same bytes
+        # as the line alone
         words = []
         for n in (8, 9):
             words.append(list(sampling.sample_uniform_sequence(n, seed=n, count=50)))
@@ -1050,6 +1079,44 @@ class TestTreeFormatGoldens:
         alone = "".join(run_cli(argv, ",".join(map(str, w)) + "\n")[1] for w in words)
         stdin = "".join(",".join(map(str, w)) + "\n" for w in words)
         assert run_cli(argv, stdin) == (0, alone, "")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_prufer_codec_of_records_alternating_across_nine(self, fmt):
+        # n = 3, 2, 9, 10 record by record: each record its own run, on
+        # either side of the edge pieces' n <= 9
+        by_n = [list(sampling.sample_uniform_sequence(n, seed=n, count=4)) for n in (3, 2, 9, 10)]
+        words = [w for four in zip(*by_n) for w in four]
+        stdin = "".join(",".join(map(str, w)) + "\n" for w in words)
+        expected = _oracle_texts([(len(w) + 2, w) for w in words], fmt.replace("text", "edges"))
+        assert run_cli(["prufer", "decode", "--format", fmt], stdin) == (0, "".join(expected), "")
+        edges = "".join(_oracle_texts([(len(w) + 2, w) for w in words], "edges"))
+        argv = ["prufer", "encode", "--format", fmt]
+        assert run_cli(argv, edges) == oracles.prufer_encode_output(edges, fmt)
+
+    def test_edge_pieces_are_the_oracle_edge_texts(self):
+        for u, v in combinations(range(1, 10), 2):
+            code, edge = 10 * u + v, ((u, v),)
+            assert "n 9\n" + cli._EDGE_PIECES["edges"][code] == tree_to_text(LabeledTree(9, edge))
+            json_text = '{"n": 9, "edges": [' + cli._EDGE_PIECES["json"][code] + "]}\n"
+            assert json_text == oracles.json_tree(9, edge)
+            assert "0," + cli._EDGE_PIECES["csv"][code] == oracles.csv_tree(0, edge)
+
+    @pytest.mark.parametrize("fmt", ["edges", "json", "csv"])
+    def test_raised_sweep_cap_builds_no_table(self, monkeypatch, fmt):
+        # the edge pieces follow the code base, not the sweep cap: a library
+        # caller who raises the cap gets the same bytes, with no table sized
+        # by the cap
+        argv = ["sample", "-n", "1000", "--count", "1", "--seed", "7", "--format", fmt]
+        expected = run_cli(argv)
+        assert expected[0] == 0
+        monkeypatch.setattr(enumeration, "PRUFER_ENUM_CAP", 1000)
+        tracemalloc.start()
+        try:
+            assert run_cli(argv) == expected
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -1162,8 +1229,9 @@ class TestEncodeFastPath:
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_labels_either_side_of_the_tables(self, fmt):
-        # a star on its last vertex writes n, the largest symbol, n - 2 times:
-        # from core._TEXTS at n = _LABEL_MAX, with str() one past it
+        # a star on its last vertex writes n, the largest symbol, n - 2 times,
+        # read through the label table at n = _LABEL_MAX and with int() one
+        # past it
         n = core._LABEL_MAX
         stars = ("n %d\n" % m + "".join(f"{v} {m}\n" for v in range(1, m)) for m in (n, n + 1))
         text = "".join(stars)

@@ -214,14 +214,15 @@ class TestExactUniformity:
     sizes are ones where draws are rejected, which no sampling frequency
     test at n = 4 or d = (2, 2, 1, 1) reaches."""
 
-    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("n", [5, 6, 7])
     def test_uniform_words(self, monkeypatch, n):
         width = (n - 1).bit_length()
-        tally = _tapes_per_word(monkeypatch, lambda: sampling._uniform_words(n, 0, 1), width, 5)
+        draws = max(5, n - 1)  # the n - 2 symbols and at least one rejection
+        tally = _tapes_per_word(monkeypatch, lambda: sampling._uniform_words(n, 0, 1), width, draws)
         assert set(tally) == set(product(range(1, n + 1), repeat=n - 2))
         assert len(set(tally.values())) == 1
 
-    @pytest.mark.parametrize("d", [(3, 2, 1, 1, 1), (2, 2, 2, 1, 1)])
+    @pytest.mark.parametrize("d", [(3, 2, 1, 1, 1), (2, 2, 2, 1, 1), (4, 1, 1, 1, 2, 1)])
     def test_degree_words(self, monkeypatch, d):
         base = [v for v, deg in enumerate(d, start=1) for _ in range(deg - 1)]
         width = (len(base) - 1).bit_length()
