@@ -17,7 +17,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import chain, count, groupby, islice
+from functools import lru_cache
+from itertools import chain, count, groupby, islice, repeat
 from typing import IO, Iterable, Iterator
 
 from treecount import counting, enumeration, sampling, verifier
@@ -42,44 +43,89 @@ TREE_FORMATS = ("edges", "prufer", "json", "csv")
 COUNT_N_CAP = 40_000
 
 
-def _parse_degrees(text: str) -> tuple[int, ...]:
+def _parse_degrees(text: str, n: int | None = None) -> tuple[int, ...]:
+    # with n given, a vector of another length is refused before it is
+    # validated, whose diagnostic would name its length as n
     try:
         degrees = tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise OutOfRange(f"degrees must be comma-separated integers, got {text!r}") from None
+    if n is not None and len(degrees) != n:
+        raise OutOfRange(f"--degrees lists {len(degrees)} vertices but -n is {n}")
     validate_degrees(degrees)
     return degrees
 
 
-# The text of each edge code 10*u+v that enumeration._decode_codes writes
-# for an edge (u, v), u < v, of a tree on n <= 9 vertices, per format:
-# one table for every such n, made once, at import.
-_EDGE_PIECES = {
-    fmt: [piece % divmod(code, 10) for code in range(100)]
-    for fmt, piece in (("edges", "%d %d\n"), ("json", "[%d, %d]"), ("csv", "%d,%d\n"))
+# Edge-mask texts, 2 <= n <= 9.  Bit i of a tree's edge mask is the edge
+# enumeration._mask_pairs(n)[i].  The mask is cut into chunks, and entry m
+# of a chunk's table is the text of the edges set in m, in bit order, so a
+# tree's text is one lookup per chunk, joined.  Chunk 0 holds vertex 1's
+# n - 1 edges, bits 0..n-2; the other bits are cut into 2 chunks up to
+# n = 7 and into 4 at n = 8 and 9, each of at most 8 bits, so the writer
+# takes one of two shapes.  Every tree has an edge at vertex 1, so its
+# first edge lies in chunk 0: each chunk-0 entry carries the record's head
+# and drops the ", " a json piece starts with, and each last-chunk entry
+# carries the tail.  A csv piece starts with the placeholder "#", which
+# each row replaces with its index.
+_MASK_FORMATS = {  # piece, head, characters cut from chunk 0's entries, tail
+    "edges": ("%d %d\n", "n %d\n", 0, ""),
+    "json": (", [%d, %d]", '{"n": %d, "edges": [', 2, "]}\n"),
+    "csv": ("#,%d,%d\n", "", 0, ""),
 }
+
+
+@lru_cache(maxsize=None)
+def _chunk_tables(n: int, fmt: str) -> tuple[tuple[int, int, list[str]], ...]:
+    """(shift, width mask, table) per chunk of the edge masks on n vertices,
+    made once per (n, format), on first use: at most 768 entries."""
+    piece, head, cut, tail = _MASK_FORMATS[fmt]
+    pairs = enumeration._mask_pairs(n)
+    rest, parts = len(pairs) - (n - 1), 2 if n <= 7 else 4
+    bounds = [0] + [n - 1 + rest * j // parts for j in range(parts + 1)]
+    chunks = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        table = [""]
+        for pair in pairs[lo:hi]:
+            text = piece % pair
+            table += [t + text for t in table]
+        chunks.append((lo, (1 << (hi - lo)) - 1, table))
+    head = head % n if head else ""
+    lo, width, table = chunks[0]
+    chunks[0] = lo, width, [head + t[cut:] for t in table]
+    lo, width, table = chunks[-1]
+    chunks[-1] = lo, width, [t + tail for t in table]
+    return tuple(chunks)
+
+
+def _mask_texts(n: int, fmt: str, masks: Iterable[int]) -> Iterator[str]:
+    """The text of the tree of each edge mask on 2 <= n <= 9 vertices in the
+    edges, json or csv format, one table lookup per chunk of the mask; a
+    csv row starts with the tree's index in the stream."""
+    chunks = _chunk_tables(n, fmt)
+    if len(chunks) == 3:
+        (_, w0, t0), (s1, w1, t1), (s2, _, t2) = chunks
+        text = lambda m: t0[m & w0] + t1[m >> s1 & w1] + t2[m >> s2]  # noqa: E731
+    else:
+        (_, w0, t0), (s1, w1, t1), (s2, w2, t2), (s3, w3, t3), (s4, _, t4) = chunks
+        text = lambda m: (  # noqa: E731
+            t0[m & w0] + t1[m >> s1 & w1] + t2[m >> s2 & w2] + t3[m >> s3 & w3] + t4[m >> s4]
+        )
+    if fmt == "csv":
+        return map(str.replace, map(text, masks), repeat("#"), map(str, count()))
+    return map(text, masks)
 
 
 def _tree_texts(n: int, fmt: str, words: Iterable[tuple[int, ...]]) -> Iterator[str]:
     """The text of the tree of each Prufer word on n vertices in the edges,
     json or csv format; a csv row starts with the tree's index in the
     stream.  Each word is decoded once, with no per-edge formatting: up to
-    n = 9 to edge codes whose texts are in _EDGE_PIECES, above it to the
+    n = 9 to its edge mask, written by _mask_texts, above it to the
     flattened edges that fill one %-template made for the run."""
     if n == 1:
         text = {"edges": "n 1\n", "json": '{"n": 1, "edges": []}\n', "csv": ""}[fmt]
         return (text for _ in words)
-    if n < 10:  # two base-10 digits per code
-        decode = enumeration._decode_codes
-        get = _EDGE_PIECES[fmt].__getitem__
-        if fmt == "edges":
-            head = "n %d\n" % n
-            return (head + "".join(map(get, decode(n, w))) for w in words)
-        if fmt == "json":
-            head = '{"n": %d, "edges": [' % n
-            return (head + ", ".join(map(get, decode(n, w))) + "]}\n" for w in words)
-        prefixes = map("%d,".__mod__, count())
-        return (p + p.join(map(get, decode(n, w))) for p, w in zip(prefixes, words))
+    if n < 10:
+        return _mask_texts(n, fmt, map(enumeration._decode_mask, repeat(n), words))
 
     def flat(w: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(chain.from_iterable(enumeration._decode_edges(n, w)))
@@ -98,6 +144,9 @@ def _word_texts(n: int, fmt: str, words: Iterable[tuple[int, ...]]) -> Iterator[
     made for the run: its symbols joined by commas (fmt "text") or the record
     {"n": n, "symbols": [...]} (fmt "json"); %s writes an int symbol as str()
     does, faster than %d."""
+    if n < 2:
+        # a one-vertex tree has no sequence: refused as prufer encode does
+        raise OutOfRange("encoding needs at least 2 vertices")
     if fmt == "text":
         template = ",".join(["%s"] * (n - 2)) + "\n"
     else:
@@ -105,28 +154,24 @@ def _word_texts(n: int, fmt: str, words: Iterable[tuple[int, ...]]) -> Iterator[
     return map(template.__mod__, words)
 
 
+def _texts(n: int, fmt: str, words: Iterable[tuple[int, ...]]) -> Iterator[str]:
+    """The lines of a stream of Prufer words on n vertices in a tree format:
+    the prufer format writes each word as it is, the others its tree."""
+    if fmt == "prufer":
+        return _word_texts(n, "text", words)
+    return _tree_texts(n, fmt, words)
+
+
 def _tree_lines(
-    n: int,
-    words: Iterable[tuple[int, ...]],
-    fmt: str,
-    *,
-    want_count: bool = False,
-    limit: int | None = None,
+    fmt: str, lines: Iterable[str], *, want_count: bool = False, limit: int | None = None
 ) -> Iterator[str]:
-    """The output of a stream of Prufer words on n vertices: the prufer
-    format writes each word as it is, the other formats its tree."""
-    if fmt == "prufer" and n < 2:
-        # a one-vertex tree has no sequence: refused as prufer encode does
-        raise OutOfRange("encoding needs at least 2 vertices")
+    """The output of a stream of tree or word lines in a tree format: the
+    csv header, the lines up to limit, and the count line if wanted."""
     if fmt == "csv":
         yield "tree,u,v\n"
     if limit is not None:
         # islice stops at most at sys.maxsize, more trees than any sweep has
-        words = islice(words, min(limit, sys.maxsize))
-    if fmt == "prufer":
-        lines = _word_texts(n, "text", words)
-    else:
-        lines = _tree_texts(n, fmt, words)
+        lines = islice(lines, min(limit, sys.maxsize))
     total = 0
     for total, line in enumerate(lines, start=1):
         yield line
@@ -185,19 +230,25 @@ def cmd_enumerate(args, stdin: IO[str], stdout: IO[str]) -> int:
     if args.limit is not None and args.limit < 0:
         raise OutOfRange(f"--limit must be >= 0, got {args.limit}")
     if args.degrees is not None:
-        d = _parse_degrees(args.degrees)
-        if len(d) != n:
-            raise OutOfRange(f"--degrees lists {len(d)} vertices but -n is {n}")
-        words = enumeration.enumerate_sequences_with_degrees(d)
+        d = _parse_degrees(args.degrees, n)
+        lines = _texts(n, args.format, enumeration.enumerate_sequences_with_degrees(d))
     elif args.deg_v1 is not None:
         k = args.deg_v1
+        if n < 2:
+            raise OutOfRange(f"--deg-v1 needs n >= 2, got n={n}")
         if not 1 <= k <= n - 1:
             raise OutOfRange(f"--deg-v1 must lie in 1..{n - 1}, got {k}")
         # deg(1) = (occurrences of 1 in the word) + 1
         words = (w for w in enumeration.enumerate_sequences(n) if w.count(1) == k - 1)
+        lines = _texts(n, args.format, words)
     else:
-        words = enumeration.enumerate_sequences(n)
-    stdout.writelines(_tree_lines(n, words, args.format, want_count=args.count, limit=args.limit))
+        words = enumeration.enumerate_sequences(n)  # checks n and the sweep cap
+        if args.format != "prufer" and 3 <= n <= 9:
+            # the suffix-shared sweep stands in for the decode of every word
+            lines = _mask_texts(n, args.format, enumeration._sweep_masks(n))
+        else:
+            lines = _texts(n, args.format, words)
+    stdout.writelines(_tree_lines(args.format, lines, want_count=args.count, limit=args.limit))
     return 0
 
 
@@ -248,7 +299,7 @@ def cmd_sample(args, stdin: IO[str], stdout: IO[str]) -> int:
     else:
         n = args.n
         words = sampling.sample_uniform_sequence(n, seed=args.seed, count=args.count)
-    stdout.writelines(_tree_lines(n, words, args.format))
+    stdout.writelines(_tree_lines(args.format, _texts(n, args.format, words)))
     return 0
 
 

@@ -9,8 +9,12 @@ golden tests stay stable.  The sweeps are streams of Prufer words
 that only needs the words, or their symbol counts, decodes nothing.
 The decode is one pointer walk in two forms: ``_decode_edges`` gives the
 sorted edge pairs that the tree streams and ``prufer_decode`` wrap, and,
-for n <= 9, ``_decode_codes`` the sorted integer codes 10*u+v of the
-edges (u, v), u < v, from which the CLI writes its small tree formats.  The
+for n <= 9, ``_decode_mask`` the tree's edge mask, one bit per pair
+(u, v), u < v, in lexicographic order, from which the CLI writes its
+small tree formats.  ``_sweep_masks`` gives the masks of a whole sweep
+and walks only two words per suffix, the first of them inline: a word's
+tree is its suffix's decode on the other vertices plus one edge, and the
+suffix's decode is kept in a per-suffix row.  The
 encode, ``_encode_walk``, peels leaves smallest first with the same
 pointer, never vertex n, keeping each vertex's degree and the XOR of its
 neighbours; it is also the tree test of the edges it is given, so the
@@ -27,7 +31,7 @@ caller may assign a new value, which is read at call time.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations, product, repeat
+from itertools import combinations, count, product, repeat
 from operator import sub
 from typing import Iterable, Iterator
 
@@ -79,20 +83,39 @@ def _decode_edges(n: int, symbols: Iterable[int]) -> tuple[Edge, ...]:
     return tuple(edges)
 
 
-def _decode_codes(n: int, symbols: Iterable[int]) -> list[int]:
-    # the walk of _decode_edges to the sorted codes 10*u+v of the edges
-    # (u, v), u < v, n <= 9: ints sort as the pairs do, faster, and index one
-    # table of edge texts; splitting codes into pairs would slow the streams
+def _mask_pairs(n: int) -> list[Edge]:
+    """The edge of each bit of an edge mask on n vertices, bit 0 first: the
+    pairs (u, v), u < v, of 1..n in lexicographic order, so the set bits of
+    a tree's mask, read upward, list its edges sorted, vertex 1's first."""
+    return list(combinations(range(1, n + 1), 2))
+
+
+# _EDGE_BITS[n][u][v] is the bit of the edge {u, v}, either way round, in
+# the edge masks of trees on n <= 9 vertices; made at import.
+def _edge_bit_rows(n: int) -> list[list[int]]:
+    rows = [[0] * (n + 1) for _ in range(n + 1)]
+    for i, (u, v) in enumerate(_mask_pairs(n)):
+        rows[u][v] = rows[v][u] = 1 << i
+    return rows
+
+
+_EDGE_BITS = [None, None] + [_edge_bit_rows(n) for n in range(2, 10)]
+
+
+def _decode_mask(n: int, symbols: Iterable[int]) -> int:
+    # the walk of _decode_edges to the edge mask of the tree, 2 <= n <= 9:
+    # OR-ing one bit per edge needs neither a list nor a sort
+    bit = _EDGE_BITS[n]
     deg = [1] * (n + 1)
     for s in symbols:
         deg[s] += 1
-    codes = []
+    mask = 0
     ptr = 1
     while deg[ptr] != 1:
         ptr += 1
     leaf = ptr
     for s in symbols:
-        codes.append(leaf * 10 + s if leaf < s else s * 10 + leaf)
+        mask |= bit[leaf][s]
         deg[s] -= 1
         if deg[s] == 1 and s < ptr:
             leaf = s
@@ -101,9 +124,74 @@ def _decode_codes(n: int, symbols: Iterable[int]) -> list[int]:
             while deg[ptr] != 1:
                 ptr += 1
             leaf = ptr
-    codes.append(leaf * 10 + n)
-    codes.sort()
-    return codes
+    return mask | bit[leaf][n]
+
+
+def _sweep_masks(n: int) -> Iterator[int]:
+    """The edge masks of the trees of enumerate_sequences(n), in its order,
+    for 3 <= n <= 9, with most words never walked.
+
+    A word s1.t decodes to the edge (l1, s1) and the decode of its suffix t
+    on the other n - 1 vertices, where l1 is a1(t), the smallest vertex
+    absent from t, unless s1 = a1(t).  So for each suffix t the sweep keeps
+    a1(t) and M1(t), the mask of t decoded without a1(t), and a word with
+    s1 != a1(t) is M1(t) | bit(a1(t), s1).  Only two words per suffix are
+    walked: the one with s1 = a1(t), and the first that needs M1(t), whose
+    mask with its first edge XOR-ed out is M1(t).  That is every word of
+    block s1 = 1, some of block 2 and none of blocks n - 1 and n, as
+    a1(t) <= n - 2.  The rows are filled as block 1 is reached, so a stream
+    cut short pays only for the blocks it reaches; they are typed arrays,
+    4.6 MiB for the 9^6 suffixes of n = 9 against about 24 MiB as lists."""
+    from array import array  # loaded here alone: only the sweep needs it
+
+    bit = _EDGE_BITS[n]
+    walk = _decode_mask
+    rest = [range(1, n + 1)] * (n - 3)
+    # a1s holds a1(t) per suffix t, in product order, and m1s M1(t), but
+    # the word's own mask where a1(t) = 1 until block 2
+    a1s, m1s = array("B"), array("Q")
+    keep_a1, keep_m1 = a1s.append, m1s.append
+    one = bit[1]  # one[1] = 0
+    for w in product((1,), *rest):
+        # the walk of _decode_mask, inline, for the word's first leaf: that
+        # is a1(t) unless t lacks 1 (deg 2 in w), whose M1(t) waits for
+        # block 2.  Calling _decode_mask and finding a1(t) apart costs
+        # about a quarter more per word (ROADMAP, Settled)
+        deg = [1] * (n + 1)
+        for s in w:
+            deg[s] += 1
+        ptr = 1
+        while deg[ptr] != 1:
+            ptr += 1
+        a = 1 if deg[1] == 2 else ptr
+        leaf, mask = ptr, 0
+        for s in w:
+            mask |= bit[leaf][s]
+            deg[s] -= 1
+            if deg[s] == 1 and s < ptr:
+                leaf = s
+            else:
+                ptr += 1
+                while deg[ptr] != 1:
+                    ptr += 1
+                leaf = ptr
+        mask |= bit[leaf][n]
+        yield mask
+        keep_a1(a)
+        keep_m1(mask ^ one[a])
+    row = bit[2]
+    for i, m, a, w in zip(count(), m1s, a1s, product((2,), *rest)):
+        if a > 2:
+            yield m | row[a]
+        else:
+            m = walk(n, w)
+            yield m
+            if a == 1:  # the first word that needs M1(t)
+                m1s[i] = m ^ row[1]
+    for s in range(3, n + 1):
+        row = bit[s]
+        for m, a, w in zip(m1s, a1s, product((s,), *rest)):
+            yield walk(n, w) if a == s else m | row[a]
 
 
 def prufer_decode(n: int, symbols: tuple[int, ...]) -> LabeledTree:

@@ -160,20 +160,24 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("fmt", ["edges", "prufer", "json", "csv"])
     def test_limit_pulls_no_tree_past_it(self, monkeypatch, fmt):
-        # the CLI reads the sequence stream in every format
-        first_three = list(enumeration.enumerate_sequences(4))[:3]
+        # the prufer format reads the sequence stream, the tree formats the
+        # sweep's edge masks (enumeration._sweep_masks)
+        if fmt == "prufer":
+            name, first_three = "enumerate_sequences", list(enumeration.enumerate_sequences(4))[:3]
+        else:
+            name, first_three = "_sweep_masks", list(enumeration._sweep_masks(4))[:3]
         pulled = []
 
         def stream(n):
-            for word in first_three:
-                pulled.append(word)
-                yield word
+            for item in first_three:
+                pulled.append(item)
+                yield item
             raise AssertionError("tree 4 was pulled")
 
         argv = ["enumerate", "-n", "4", "--format", fmt, "--limit", "3", "--count"]
         expected = run_cli(argv)
         assert expected[0] == 0
-        monkeypatch.setattr(enumeration, "enumerate_sequences", stream)
+        monkeypatch.setattr(enumeration, name, stream)
         assert run_cli(argv) == expected
         assert pulled == first_three
 
@@ -253,15 +257,41 @@ class TestEnumerate:
             "",
             "treecount: --degrees lists 4 vertices but -n is 5\n",
         )
-        # an invalid vector is reported before its length is compared
+        # the length is compared before the vector is validated, whose
+        # diagnostic would name the vector's length as n
         assert run_cli(["enumerate", "-n", "3", "--degrees", "1,1,1,1"]) == (
             2,
             "",
-            "treecount: degree sum must be 6 for n=4, got 4\n",
+            "treecount: --degrees lists 4 vertices but -n is 3\n",
+        )
+        assert run_cli(["enumerate", "-n", "3", "--degrees", "2,1"]) == (
+            2,
+            "",
+            "treecount: --degrees lists 2 vertices but -n is 3\n",
+        )
+        # a vector of the right length is validated as before
+        assert run_cli(["enumerate", "-n", "3", "--degrees", "2,2,1"]) == (
+            2,
+            "",
+            "treecount: degree sum must be 4 for n=3, got 5\n",
         )
 
     def test_bad_deg_v1_exit_2(self):
-        assert run_cli(["enumerate", "-n", "4", "--deg-v1", "5"])[0] == 2
+        assert run_cli(["enumerate", "-n", "4", "--deg-v1", "5"]) == (
+            2,
+            "",
+            "treecount: --deg-v1 must lie in 1..3, got 5\n",
+        )
+
+    @pytest.mark.parametrize("n", [-1, 0, 1])
+    def test_deg_v1_below_two_vertices_exit_2(self, n):
+        # no k lies in 1..n-1 here: the diagnostic names n, not an empty range
+        for k in ("0", "1"):
+            assert run_cli(["enumerate", "-n", str(n), "--deg-v1", k]) == (
+                2,
+                "",
+                f"treecount: --deg-v1 needs n >= 2, got n={n}\n",
+            )
 
 
 class TestPrufer:
@@ -975,21 +1005,21 @@ class TestDirectOutput:
             raise AssertionError("the codec was called")
 
         for name in ("prufer_decode", "prufer_encode", "decode_sequences", "_decode_edges",
-                     "_decode_codes"):
+                     "_decode_mask", "_sweep_masks"):
             monkeypatch.setattr(enumeration, name, refuse)
         monkeypatch.setattr(sampling, "decode_sequences", refuse)
         assert [run_cli(argv) for argv in argvs] == expected
 
     @pytest.mark.parametrize("fmt", ["edges", "json", "csv"])
     def test_deg_v1_decodes_only_the_trees_it_keeps(self, monkeypatch, fmt):
-        decode = enumeration._decode_codes
+        decode = enumeration._decode_mask
         decoded = []
 
         def recording(n, word):
             decoded.append(word)
             return decode(n, word)
 
-        monkeypatch.setattr(enumeration, "_decode_codes", recording)
+        monkeypatch.setattr(enumeration, "_decode_mask", recording)
         code, _, _ = run_cli(["enumerate", "-n", "6", "--deg-v1", "2", "--format", fmt])
         assert code == 0
         assert len(decoded) == counting.count_trees_deg_v1(6, 2)
@@ -1000,8 +1030,8 @@ class TestDirectOutput:
 # edges, json and csv output against the per-edge formatters: the tree of
 # each word through prufer_decode, written by core.tree_to_text or the
 # oracles' json and csv lines.  Trees on up to 9 vertices are written
-# from the edge pieces cli._EDGE_PIECES of the codes 10*u + v, made at
-# import, larger ones from one template per run of one n.
+# from their edge masks through the chunk tables cli._chunk_tables, larger
+# ones from one template per run of one n.
 
 COUNT_LINES = {"edges": "count %d\n", "json": '{"count": %d}\n', "csv": "count,%d\n"}
 
@@ -1050,6 +1080,23 @@ class TestTreeFormatGoldens:
         assert run_cli(argv) == (0, _oracle_output(n, words, fmt, count=count), "")
 
     @pytest.mark.parametrize("fmt", ["edges", "json", "csv"])
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_enumerate_limits_at_the_sweep_blocks(self, n, fmt):
+        # the sweep fills its per-suffix rows in block 1 and the rest of M1
+        # in block 2, so a stream cut on either side of a block edge must
+        # still be the decode of its words
+        block = n ** (n - 3)
+        limits = (block - 1, block, block + 1, 2 * block + 1)
+        words = list(islice(enumeration.enumerate_sequences(n), max(limits)))
+        texts = _oracle_texts([(n, w) for w in words], fmt)
+        head = "tree,u,v\n" if fmt == "csv" else ""
+        for limit in limits:
+            argv = ["enumerate", "-n", str(n), "--format", fmt, "--limit", str(limit)]
+            want = head + "".join(texts[:limit])
+            assert run_cli(argv) == (0, want, ""), argv
+            assert run_cli(argv + ["--count"]) == (0, want + COUNT_LINES[fmt] % limit, ""), argv
+
+    @pytest.mark.parametrize("fmt", ["edges", "json", "csv"])
     @pytest.mark.parametrize("n", [9, 10, 1000])
     def test_sample(self, n, fmt):
         words = list(sampling.sample_uniform_sequence(n, seed=n, count=4))
@@ -1093,17 +1140,34 @@ class TestTreeFormatGoldens:
         argv = ["prufer", "encode", "--format", fmt]
         assert run_cli(argv, edges) == oracles.prufer_encode_output(edges, fmt)
 
-    def test_edge_pieces_are_the_oracle_edge_texts(self):
-        for u, v in combinations(range(1, 10), 2):
-            code, edge = 10 * u + v, ((u, v),)
-            assert "n 9\n" + cli._EDGE_PIECES["edges"][code] == tree_to_text(LabeledTree(9, edge))
-            json_text = '{"n": 9, "edges": [' + cli._EDGE_PIECES["json"][code] + "]}\n"
-            assert json_text == oracles.json_tree(9, edge)
-            assert "0," + cli._EDGE_PIECES["csv"][code] == oracles.csv_tree(0, edge)
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_mask_texts_are_the_oracle_edge_texts(self, n):
+        # every edge through the chunk tables, as the per-edge writers spell
+        # it: each single-edge mask in the edges and csv formats, and in all
+        # three the tree that holds the edge and otherwise the star at 1
+        # (the json writer takes a tree's first edge to be at vertex 1, as it
+        # is in every tree), then the full mask, which has vertex 1's edges
+        pairs = list(combinations(range(1, n + 1), 2))
+        bit = {pair: 1 << i for i, pair in enumerate(pairs)}
+        singles = [((pair,), bit[pair]) for pair in pairs]
+        trees = []
+        for u, v in pairs:
+            edges = [(1, w) for w in range(2, n + 1) if w != v] + [(u, v)]
+            trees.append((tuple(sorted(edges)), sum(map(bit.get, edges))))
+        full = [(tuple(pairs), (1 << len(pairs)) - 1)]
+        writers = {
+            "edges": lambda i, e: tree_to_text(LabeledTree(n, e)),
+            "json": lambda i, e: oracles.json_tree(n, e),
+            "csv": oracles.csv_tree,
+        }
+        for fmt, write in writers.items():
+            cases = (singles if fmt != "json" else []) + trees + full
+            texts = cli._mask_texts(n, fmt, [mask for _, mask in cases])
+            assert list(texts) == [write(i, e) for i, (e, _) in enumerate(cases)], fmt
 
     @pytest.mark.parametrize("fmt", ["edges", "json", "csv"])
     def test_raised_sweep_cap_builds_no_table(self, monkeypatch, fmt):
-        # the edge pieces follow the code base, not the sweep cap: a library
+        # the mask tables cover n <= 9 whatever the sweep cap is: a library
         # caller who raises the cap gets the same bytes, with no table sized
         # by the cap
         argv = ["sample", "-n", "1000", "--count", "1", "--seed", "7", "--format", fmt]
@@ -1117,6 +1181,15 @@ class TestTreeFormatGoldens:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("fmt", ["edges", "json", "csv"])
+    def test_raised_sweep_cap_sweeps_ten_from_its_words(self, monkeypatch, fmt):
+        # the suffix-shared sweep covers n <= 9; with the cap raised, n = 10
+        # decodes each word and writes it from one template per run
+        monkeypatch.setattr(enumeration, "PRUFER_ENUM_CAP", 10)
+        words = list(islice(enumeration.enumerate_sequences(10), 1200))
+        argv = ["enumerate", "-n", "10", "--limit", "1200", "--count", "--format", fmt]
+        assert run_cli(argv) == (0, _oracle_output(10, words, fmt, count=True), "")
 
 
 # ---------------------------------------------------------------------------

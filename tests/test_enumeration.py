@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, islice, product, repeat
 from math import comb
 
 import pytest
@@ -236,6 +236,66 @@ class TestSequenceStreams:
         want = [prufer_decode(n, w) for w in words]
         assert list(decode_sequences(n, words)) == want
         assert list(enumerate_all_trees(n)) == want
+
+
+def _mask_edges(n, mask):
+    # the edges whose bits are set in an edge mask: bit i is the i-th pair
+    # (u, v), u < v, of 1..n in lexicographic order
+    return tuple(pair for i, pair in enumerate(combinations(range(1, n + 1), 2)) if mask >> i & 1)
+
+
+class TestEdgeMasks:
+    def test_bits_follow_the_lexicographic_pairs(self):
+        for n in range(2, 10):
+            bits = enumeration._EDGE_BITS[n]
+            for i, (u, v) in enumerate(combinations(range(1, n + 1), 2)):
+                assert bits[u][v] == bits[v][u] == 1 << i
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_mask_is_the_decode_of_every_word(self, n):
+        for w in enumerate_sequences(n):
+            assert _mask_edges(n, enumeration._decode_mask(n, w)) == enumeration._decode_edges(n, w)
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_mask_is_the_decode_of_drawn_words(self, n):
+        rng = random.Random(n)
+        for _ in range(3000):
+            w = tuple(rng.randint(1, n) for _ in range(n - 2))
+            assert _mask_edges(n, enumeration._decode_mask(n, w)) == enumeration._decode_edges(n, w)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_sweep_is_the_walk_of_every_word(self, n):
+        walked = map(enumeration._decode_mask, repeat(n), enumerate_sequences(n))
+        assert list(enumeration._sweep_masks(n)) == list(walked)
+
+    def test_sweep_at_nine_on_its_first_two_blocks(self):
+        # block 1 walks every word and fills the rows; block 2 walks the
+        # suffixes without vertex 1 and composes the others
+        blocks = 2 * 9 ** 6
+        walked = map(enumeration._decode_mask, repeat(9), enumerate_sequences(9))
+        pairs = enumerate(zip(enumeration._sweep_masks(9), islice(walked, blocks)))
+        assert next((i for i, (swept, want) in pairs if swept != want), None) is None
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_sweep_walks_two_words_per_suffix(self, monkeypatch, n):
+        # block 1 walks each of its n^(n-3) words inline, and the rest of
+        # the sweep calls _decode_mask once more per suffix t: for the word
+        # with s1 = a1(t), or for the first that needs M1(t)
+        walk = enumeration._decode_mask
+        walked = []
+
+        def counting(n, word):
+            walked.append(word)
+            return walk(n, word)
+
+        monkeypatch.setattr(enumeration, "_decode_mask", counting)
+        suffixes = n ** (n - 3)
+        sweep = enumeration._sweep_masks(n)
+        assert len(list(islice(sweep, suffixes))) == suffixes
+        assert walked == []
+        assert len(list(sweep)) == n ** (n - 2) - suffixes
+        assert len(walked) == suffixes
+        assert all(w[0] >= 2 for w in walked)
 
 
 class TestEnumerateWithDegrees:
