@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 from functools import lru_cache
-from itertools import chain, count, groupby, islice, repeat
+from itertools import chain, count, groupby, islice, product, repeat
 from typing import IO, Iterable, Iterator
 
 from treecount import counting, enumeration, sampling, verifier
@@ -97,10 +97,10 @@ def _chunk_tables(n: int, fmt: str) -> tuple[tuple[int, int, list[str]], ...]:
     return tuple(chunks)
 
 
-def _mask_texts(n: int, fmt: str, masks: Iterable[int]) -> Iterator[str]:
+def _mask_texts(n: int, fmt: str, masks: Iterable[int], start: int = 0) -> Iterator[str]:
     """The text of the tree of each edge mask on 2 <= n <= 9 vertices in the
     edges, json or csv format, one table lookup per chunk of the mask; a
-    csv row starts with the tree's index in the stream."""
+    csv row starts with the tree's index in the stream, the first start."""
     chunks = _chunk_tables(n, fmt)
     if len(chunks) == 3:
         (_, w0, t0), (s1, w1, t1), (s2, _, t2) = chunks
@@ -111,7 +111,7 @@ def _mask_texts(n: int, fmt: str, masks: Iterable[int]) -> Iterator[str]:
             t0[m & w0] + t1[m >> s1 & w1] + t2[m >> s2 & w2] + t3[m >> s3 & w3] + t4[m >> s4]
         )
     if fmt == "csv":
-        return map(str.replace, map(text, masks), repeat("#"), map(str, count()))
+        return map(str.replace, map(text, masks), repeat("#"), map(str, count(start)))
     return map(text, masks)
 
 
@@ -162,26 +162,65 @@ def _texts(n: int, fmt: str, words: Iterable[tuple[int, ...]]) -> Iterator[str]:
     return _tree_texts(n, fmt, words)
 
 
-def _tree_lines(
-    fmt: str, lines: Iterable[str], *, want_count: bool = False, limit: int | None = None
-) -> Iterator[str]:
-    """The output of a stream of tree or word lines in a tree format: the
-    csv header, the lines up to limit, and the count line if wanted."""
+# The most trees or words one write holds: the lines of a chunk are joined
+# and written at once, as a real stdout pays for each write it is given.
+_CHUNK = 4096
+
+
+def _chunks(lines: Iterable[str], stop: int = sys.maxsize) -> Iterator[tuple[int, str]]:
+    """(number, text) of each chunk of at most _CHUNK of the first stop lines,
+    at most sys.maxsize."""
+    lines = islice(lines, stop)
+    for chunk in iter(lambda: list(islice(lines, _CHUNK)), []):
+        yield len(chunk), "".join(chunk)
+
+
+def _sweep_chunks(n: int, fmt: str, stop: int) -> Iterator[tuple[int, str]]:
+    """(number, text) of each chunk of at most _CHUNK of the first stop lines
+    of plain enumerate on 4 <= n <= 9 vertices.  The tree formats are
+    written from the edge masks of enumeration._sweep_chunks.  The prufer
+    format is written from shared texts: the lines of the words' last n - 4
+    symbols (the last one at n = 4) are formatted once, and a run of them
+    with a prefix's text after each line feed is the lines of that prefix's
+    words."""
+    if fmt != "prufer":
+        start = 0
+        for masks in enumeration._sweep_chunks(n, stop, _CHUNK):
+            yield len(masks), "".join(_mask_texts(n, fmt, masks, start))
+            start += len(masks)
+        return
+    symbols = range(1, n + 1)
+    lead = min(2, n - 3)  # the symbols of a prefix
+    rest, size = n - 2 - lead, n ** (n - 2 - lead)  # the symbols and words after it
+    tails = _word_texts(rest + 2, "text", product(symbols, repeat=rest))
+    tails = "".join(text for _, text in _chunks(tails, stop))  # with no list of every line
+    heads = _word_texts(lead + 2, "text", product(symbols, repeat=lead))
+    # left counts the lines still to write, so zip formats no prefix past them
+    for left, head in zip(range(stop, 0, -size), heads):
+        head = head[:-1] + ","  # its line feed becomes the comma before a tail
+        for lo in range(0, min(left, size), _CHUNK):
+            hi = min(lo + _CHUNK, left, size)
+            # a line of the rest is 2 * rest characters: one digit per symbol
+            yield hi - lo, head + tails[2 * rest * lo : 2 * rest * hi - 1].replace("\n", "\n" + head) + "\n"
+
+
+def _write(stdout: IO[str], fmt: str, chunks: Iterable[tuple[int, str]], want_count: bool = False) -> None:
+    """Write a stream of (number, text) chunks of tree or word lines in a
+    tree format, one write per chunk: the csv header, the chunks, and the
+    count line if wanted."""
     if fmt == "csv":
-        yield "tree,u,v\n"
-    if limit is not None:
-        # islice stops at most at sys.maxsize, more trees than any sweep has
-        lines = islice(lines, min(limit, sys.maxsize))
+        stdout.write("tree,u,v\n")
     total = 0
-    for total, line in enumerate(lines, start=1):
-        yield line
+    for number, text in chunks:
+        total += number
+        stdout.write(text)
     if want_count:
         if fmt == "json":
-            yield '{"count": %d}\n' % total
+            stdout.write('{"count": %d}\n' % total)
         elif fmt == "csv":
-            yield f"count,{total}\n"
+            stdout.write(f"count,{total}\n")
         else:
-            yield f"count {total}\n"
+            stdout.write(f"count {total}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +268,10 @@ def cmd_enumerate(args, stdin: IO[str], stdout: IO[str]) -> int:
     n = args.n
     if args.limit is not None and args.limit < 0:
         raise OutOfRange(f"--limit must be >= 0, got {args.limit}")
+    # islice stops at most at sys.maxsize, more trees than any sweep has
+    stop = sys.maxsize if args.limit is None else min(args.limit, sys.maxsize)
     if args.degrees is not None:
-        d = _parse_degrees(args.degrees, n)
-        lines = _texts(n, args.format, enumeration.enumerate_sequences_with_degrees(d))
+        words = enumeration.enumerate_sequences_with_degrees(_parse_degrees(args.degrees, n))
     elif args.deg_v1 is not None:
         k = args.deg_v1
         if n < 2:
@@ -240,15 +280,13 @@ def cmd_enumerate(args, stdin: IO[str], stdout: IO[str]) -> int:
             raise OutOfRange(f"--deg-v1 must lie in 1..{n - 1}, got {k}")
         # deg(1) = (occurrences of 1 in the word) + 1
         words = (w for w in enumeration.enumerate_sequences(n) if w.count(1) == k - 1)
-        lines = _texts(n, args.format, words)
     else:
         words = enumeration.enumerate_sequences(n)  # checks n and the sweep cap
-        if args.format != "prufer" and 3 <= n <= 9:
-            # the suffix-shared sweep stands in for the decode of every word
-            lines = _mask_texts(n, args.format, enumeration._sweep_masks(n))
-        else:
-            lines = _texts(n, args.format, words)
-    stdout.writelines(_tree_lines(args.format, lines, want_count=args.count, limit=args.limit))
+        if 4 <= n <= 9:
+            # the suffix-shared sweep stands in for the words
+            _write(stdout, args.format, _sweep_chunks(n, args.format, stop), args.count)
+            return 0
+    _write(stdout, args.format, _chunks(_texts(n, args.format, words), stop), args.count)
     return 0
 
 
@@ -283,7 +321,7 @@ def cmd_prufer(args, stdin: IO[str], stdout: IO[str]) -> int:
         write, fmt = _tree_texts, "json" if args.format == "json" else "edges"
     # a word on n vertices has n - 2 symbols
     out = [text for length, run in groupby(words, len) for text in write(length + 2, fmt, run)]
-    stdout.writelines(out)
+    _write(stdout, fmt, _chunks(out))
     return 0
 
 
@@ -299,7 +337,7 @@ def cmd_sample(args, stdin: IO[str], stdout: IO[str]) -> int:
     else:
         n = args.n
         words = sampling.sample_uniform_sequence(n, seed=args.seed, count=args.count)
-    stdout.writelines(_tree_lines(args.format, _texts(n, args.format, words)))
+    _write(stdout, args.format, _chunks(_texts(n, args.format, words)))
     return 0
 
 

@@ -11,10 +11,12 @@ The decode is one pointer walk in two forms: ``_decode_edges`` gives the
 sorted edge pairs that the tree streams and ``prufer_decode`` wrap, and,
 for n <= 9, ``_decode_mask`` the tree's edge mask, one bit per pair
 (u, v), u < v, in lexicographic order, from which the CLI writes its
-small tree formats.  ``_sweep_masks`` gives the masks of a whole sweep
-and walks only two words per suffix, the first of them inline: a word's
-tree is its suffix's decode on the other vertices plus one edge, and the
-suffix's decode is kept in a per-suffix row.  The
+small tree formats.  ``_sweep_chunks`` gives the masks of a whole sweep,
+or of its first trees, in chunks, and walks one word per suffix, inline:
+a word's tree is its suffix's decode on the other vertices plus one
+edge, the suffix's decode is kept in a per-suffix row, and where the
+word's first leaf is not the suffix's smallest absent vertex the row is
+patched in one edge.  The
 encode, ``_encode_walk``, peels leaves smallest first with the same
 pointer, never vertex n, keeping each vertex's degree and the XOR of its
 neighbours; it is also the tree test of the edges it is given, so the
@@ -31,8 +33,8 @@ caller may assign a new value, which is read at call time.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations, count, product, repeat
-from operator import sub
+from itertools import combinations, islice, product, repeat
+from operator import or_, sub
 from typing import Iterable, Iterator
 
 from treecount.core import (
@@ -127,71 +129,88 @@ def _decode_mask(n: int, symbols: Iterable[int]) -> int:
     return mask | bit[leaf][n]
 
 
-def _sweep_masks(n: int) -> Iterator[int]:
-    """The edge masks of the trees of enumerate_sequences(n), in its order,
-    for 3 <= n <= 9, with most words never walked.
+def _sweep_chunks(n: int, stop: int, size: int) -> Iterator[list[int]]:
+    """The edge masks of the first ``stop`` trees of enumerate_sequences(n),
+    in its order and in lists of at most ``size``, for 4 <= n <= 9; only
+    the words of block s1 = 1 are walked.
 
-    A word s1.t decodes to the edge (l1, s1) and the decode of its suffix t
-    on the other n - 1 vertices, where l1 is a1(t), the smallest vertex
-    absent from t, unless s1 = a1(t).  So for each suffix t the sweep keeps
-    a1(t) and M1(t), the mask of t decoded without a1(t), and a word with
-    s1 != a1(t) is M1(t) | bit(a1(t), s1).  Only two words per suffix are
-    walked: the one with s1 = a1(t), and the first that needs M1(t), whose
-    mask with its first edge XOR-ed out is M1(t).  That is every word of
-    block s1 = 1, some of block 2 and none of blocks n - 1 and n, as
-    a1(t) <= n - 2.  The rows are filled as block 1 is reached, so a stream
-    cut short pays only for the blocks it reaches; they are typed arrays,
-    4.6 MiB for the 9^6 suffixes of n = 9 against about 24 MiB as lists."""
+    Let t be a suffix, t1 its first symbol, and a1 < a2 the two smallest
+    vertices absent from t.  A word s1.t decodes to the edge from s1 to its
+    first leaf and the decode of t on the other n - 1 vertices.  For
+    s1 != a1 that leaf is a1, so the word's mask is M1(t) | bit(a1, s1),
+    where M1(t) is the mask of t decoded without a1.  For s1 = a1 it is a2,
+    and t decoded without a2 differs from t decoded without a1 only in its
+    first edge, (a1, t1) for (a2, t1): the mask is
+    bit(a1, a2) | M1(t) ^ bit(a2, t1) ^ bit(a1, t1).  So block 1 is walked,
+    inline, and keeps a1, a2 and M1 per suffix in typed rows, 10 bytes a
+    suffix (5.1 MiB for the 9^6 suffixes of n = 9); each later block s is
+    built a chunk at a time from the rows by a C-level map, and then its
+    words with a1(t) = s, found by bytearray.find, are patched.  Nothing
+    past stop is walked or built."""
     from array import array  # loaded here alone: only the sweep needs it
 
     bit = _EDGE_BITS[n]
-    walk = _decode_mask
-    rest = [range(1, n + 1)] * (n - 3)
-    # a1s holds a1(t) per suffix t, in product order, and m1s M1(t), but
-    # the word's own mask where a1(t) = 1 until block 2
-    a1s, m1s = array("B"), array("Q")
-    keep_a1, keep_m1 = a1s.append, m1s.append
     one = bit[1]  # one[1] = 0
-    for w in product((1,), *rest):
-        # the walk of _decode_mask, inline, for the word's first leaf: that
-        # is a1(t) unless t lacks 1 (deg 2 in w), whose M1(t) waits for
-        # block 2.  Calling _decode_mask and finding a1(t) apart costs
-        # about a quarter more per word (ROADMAP, Settled)
-        deg = [1] * (n + 1)
-        for s in w:
-            deg[s] += 1
-        ptr = 1
-        while deg[ptr] != 1:
-            ptr += 1
-        a = 1 if deg[1] == 2 else ptr
-        leaf, mask = ptr, 0
-        for s in w:
-            mask |= bit[leaf][s]
-            deg[s] -= 1
-            if deg[s] == 1 and s < ptr:
-                leaf = s
-            else:
+    suffixes = n ** (n - 3)
+    a1s, a2s, m1s = bytearray(), bytearray(), array("Q")
+    keep_a1, keep_a2, keep_m1 = a1s.append, a2s.append, m1s.append
+    words = product((1,), *[range(1, n + 1)] * (n - 3))
+    for lo in range(0, min(stop, suffixes), size):
+        masks = []
+        keep = masks.append
+        for w in islice(words, min(size, stop - lo)):
+            # the walk of _decode_mask, inline, with a1(t) and a2(t) read off
+            # the degrees first: vertex 1 is absent from t when it occurs
+            # once in w, and then the word's first leaf is a2(t).  Calling
+            # _decode_mask and finding a1(t) apart costs about a quarter more
+            # per word (ROADMAP, Settled)
+            deg = [1] * (n + 1)
+            for s in w:
+                deg[s] += 1
+            ptr = 1
+            while deg[ptr] != 1:
                 ptr += 1
-                while deg[ptr] != 1:
+            first = one[ptr]
+            if deg[1] == 2:
+                a1, a2 = 1, ptr
+            else:
+                a1, a2 = ptr, ptr + 1
+                while deg[a2] != 1:
+                    a2 += 1
+            leaf, mask = ptr, 0
+            for s in w:
+                mask |= bit[leaf][s]
+                deg[s] -= 1
+                if deg[s] == 1 and s < ptr:
+                    leaf = s
+                else:
                     ptr += 1
-                leaf = ptr
-        mask |= bit[leaf][n]
-        yield mask
-        keep_a1(a)
-        keep_m1(mask ^ one[a])
-    row = bit[2]
-    for i, m, a, w in zip(count(), m1s, a1s, product((2,), *rest)):
-        if a > 2:
-            yield m | row[a]
-        else:
-            m = walk(n, w)
-            yield m
-            if a == 1:  # the first word that needs M1(t)
-                m1s[i] = m ^ row[1]
-    for s in range(3, n + 1):
+                    while deg[ptr] != 1:
+                        ptr += 1
+                    leaf = ptr
+            mask |= bit[leaf][n]
+            keep(mask)
+            keep_a1(a1)
+            keep_a2(a2)
+            if a1 == 1:
+                t1 = w[1]
+                keep_m1(mask ^ first ^ bit[a2][t1] ^ one[t1])
+            else:
+                keep_m1(mask ^ first)
+        yield masks
+    step = suffixes // n  # the suffixes that share a first symbol
+    for s in range(2, n + 1):
+        end = min(suffixes, stop - (s - 1) * suffixes)
         row = bit[s]
-        for m, a, w in zip(m1s, a1s, product((s,), *rest)):
-            yield walk(n, w) if a == s else m | row[a]
+        for lo in range(0, end, size):
+            hi = min(lo + size, end)
+            masks = list(map(or_, m1s[lo:hi], map(row.__getitem__, a1s[lo:hi])))
+            i = a1s.find(s, lo, hi)
+            while i >= 0:
+                a2, t1 = a2s[i], i // step + 1
+                masks[i - lo] = row[a2] | m1s[i] ^ bit[a2][t1] ^ row[t1]
+                i = a1s.find(s, i + 1, hi)
+            yield masks
 
 
 def prufer_decode(n: int, symbols: tuple[int, ...]) -> LabeledTree:

@@ -12,7 +12,7 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 from pathlib import Path
 from unittest import mock
 
@@ -160,26 +160,41 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("fmt", ["edges", "prufer", "json", "csv"])
     def test_limit_pulls_no_tree_past_it(self, monkeypatch, fmt):
-        # the prufer format reads the sequence stream, the tree formats the
-        # sweep's edge masks (enumeration._sweep_masks)
-        if fmt == "prufer":
-            name, first_three = "enumerate_sequences", list(enumeration.enumerate_sequences(4))[:3]
-        else:
-            name, first_three = "_sweep_masks", list(enumeration._sweep_masks(4))[:3]
-        pulled = []
-
-        def stream(n):
-            for item in first_three:
-                pulled.append(item)
-                yield item
-            raise AssertionError("tree 4 was pulled")
-
-        argv = ["enumerate", "-n", "4", "--format", fmt, "--limit", "3", "--count"]
+        # the tree formats are written from the sweep's edge masks
+        # (enumeration._sweep_chunks), which walks and builds none past the
+        # limit; the prufer format from shared texts of the words' prefixes
+        # and suffixes (cli._word_texts), none of them past the limit
+        argv = ["enumerate", "-n", "5", "--format", fmt, "--limit", "3", "--count"]
         expected = run_cli(argv)
         assert expected[0] == 0
-        monkeypatch.setattr(enumeration, name, stream)
+        first_three = list(enumeration.enumerate_sequences(5))[:3]
+        pulled, built = [], []
+
+        def noting(items):
+            for item in items:
+                pulled.append(item)
+                yield item
+
+        if fmt == "prufer":
+            word_texts = cli._word_texts
+            formatted = lambda n, f, words: word_texts(n, f, noting(words))  # noqa: E731
+            monkeypatch.setattr(cli, "_word_texts", formatted)
+        else:
+            sweep = enumeration._sweep_chunks
+
+            def chunks(*args):
+                for masks in sweep(*args):
+                    built.extend(masks)
+                    yield masks
+
+            monkeypatch.setattr(enumeration, "product", lambda *a, **k: noting(product(*a, **k)))
+            monkeypatch.setattr(enumeration, "_sweep_chunks", chunks)
         assert run_cli(argv) == expected
-        assert pulled == first_three
+        if fmt == "prufer":
+            # the suffixes of the three words, then their one prefix
+            assert pulled == [w[2:] for w in first_three] + [first_three[0][:2]]
+        else:
+            assert pulled == first_three and len(built) == 3
 
     def test_json_records_parse(self):
         code, out, _ = run_cli(["enumerate", "-n", "3", "--format", "json"])
@@ -1005,7 +1020,7 @@ class TestDirectOutput:
             raise AssertionError("the codec was called")
 
         for name in ("prufer_decode", "prufer_encode", "decode_sequences", "_decode_edges",
-                     "_decode_mask", "_sweep_masks"):
+                     "_decode_mask", "_sweep_chunks"):
             monkeypatch.setattr(enumeration, name, refuse)
         monkeypatch.setattr(sampling, "decode_sequences", refuse)
         assert [run_cli(argv) for argv in argvs] == expected
@@ -1190,6 +1205,65 @@ class TestTreeFormatGoldens:
         words = list(islice(enumeration.enumerate_sequences(10), 1200))
         argv = ["enumerate", "-n", "10", "--limit", "1200", "--count", "--format", fmt]
         assert run_cli(argv) == (0, _oracle_output(10, words, fmt, count=True), "")
+
+
+# ---------------------------------------------------------------------------
+# Output is written a chunk of at most cli._CHUNK records at a time, one
+# write per chunk, plus one for the csv header and one for the count line:
+# a real stdout pays for each write it is given.
+
+
+class _Writes:
+    """A stdout that keeps each text it is given to write."""
+
+    def __init__(self):
+        self.texts = []
+
+    def write(self, text):
+        self.texts.append(text)
+        return len(text)
+
+
+def _records(fmt, text):
+    # the tree or word records in a written text: an edges record starts
+    # with its "n" line, a csv record is the rows of one tree index, and
+    # the csv header and count lines are none
+    lines = text.splitlines()
+    if fmt == "edges":
+        return sum(line.startswith("n ") for line in lines)
+    if fmt == "csv":
+        return len({line.split(",")[0] for line in lines} - {"tree", "count"})
+    return sum(not line.startswith(("count", '{"count"')) for line in lines)
+
+
+WRITE_CASES = [
+    *((["enumerate", "-n", "8", "--count", "--format", fmt], fmt, 8 ** 6) for fmt in cli.TREE_FORMATS),
+    (["enumerate", "-n", "9", "--degrees", "2,2,2,2,2,2,2,1,1", "--format", "csv"], "csv", 5040),
+    (["sample", "-n", "8", "--count", "5000", "--format", "json"], "json", 5000),
+]
+
+
+class TestChunkedWrites:
+    @pytest.mark.parametrize("argv, fmt, trees", WRITE_CASES)
+    def test_one_write_per_chunk(self, argv, fmt, trees):
+        writes = _Writes()
+        assert main(argv, stdout=writes) == 0
+        counts = [_records(fmt, text) for text in writes.texts]
+        assert sum(counts) == trees
+        assert max(counts) <= cli._CHUNK
+        assert len(writes.texts) <= -(-trees // cli._CHUNK) + 2
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_prufer_codec_writes_per_chunk(self, fmt):
+        words = list(sampling.sample_uniform_sequence(8, seed=8, count=5000))
+        stdin = "".join(",".join(map(str, w)) + "\n" for w in words)
+        for direction, text, records in (("decode", stdin, "edges" if fmt == "text" else "json"),
+                                         ("encode", run_cli(["prufer", "decode"], stdin)[1], "text")):
+            writes = _Writes()
+            assert main(["prufer", direction, "--format", fmt], stdin=io.StringIO(text), stdout=writes) == 0
+            counts = [_records(records, written) for written in writes.texts]
+            assert sum(counts) == 5000 and max(counts) <= cli._CHUNK, direction
+            assert len(writes.texts) == -(-5000 // cli._CHUNK), direction
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import io
 import random
-from itertools import combinations, combinations_with_replacement, islice, product, repeat
+from itertools import chain, combinations, combinations_with_replacement, islice, product, repeat
 from math import comb
 
 import pytest
@@ -20,7 +21,7 @@ from treecount.core import (
     degree_of,
     tree_degrees,
 )
-from treecount import enumeration
+from treecount import cli, enumeration
 from treecount.enumeration import (
     decode_sequences,
     deg_v1_histogram,
@@ -263,39 +264,94 @@ class TestEdgeMasks:
             w = tuple(rng.randint(1, n) for _ in range(n - 2))
             assert _mask_edges(n, enumeration._decode_mask(n, w)) == enumeration._decode_edges(n, w)
 
-    @pytest.mark.parametrize("n", range(3, 9))
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_suffix_identity_on_every_suffix(self, n):
+        # the identity the sweep is built on, checked on its own: for a
+        # suffix t with first symbol t1 and smallest absent vertices
+        # a1 < a2, and M1 the mask of t decoded on the vertices other than
+        # a1 (here by relabelling them 1..n-1), word s.t has the mask
+        # M1 | bit(a1, s) for s != a1, and bit(a1, a2) | M1 ^ bit(a2, t1)
+        # ^ bit(a1, t1) for s = a1
+        bit = enumeration._EDGE_BITS[n]
+        for t in product(range(1, n + 1), repeat=n - 3):
+            a1, a2 = [v for v in range(1, n + 1) if v not in t][:2]
+            rest = enumeration._decode_edges(n - 1, [v - (v > a1) for v in t])
+            m1 = sum(bit[u + (u >= a1)][v + (v >= a1)] for u, v in rest)
+            t1 = t[0]
+            for s in range(1, n + 1):
+                want = enumeration._decode_mask(n, (s,) + t)
+                if s == a1:
+                    assert bit[a1][a2] | m1 ^ bit[a2][t1] ^ bit[a1][t1] == want, t
+                else:
+                    assert m1 | bit[a1][s] == want, (s, t)
+
+    @pytest.mark.parametrize("n", range(4, 9))
     def test_sweep_is_the_walk_of_every_word(self, n):
         walked = map(enumeration._decode_mask, repeat(n), enumerate_sequences(n))
-        assert list(enumeration._sweep_masks(n)) == list(walked)
+        swept = enumeration._sweep_chunks(n, n ** (n - 2), cli._CHUNK)
+        assert list(chain.from_iterable(swept)) == list(walked)
 
-    def test_sweep_at_nine_on_its_first_two_blocks(self):
-        # block 1 walks every word and fills the rows; block 2 walks the
-        # suffixes without vertex 1 and composes the others
-        blocks = 2 * 9 ** 6
+    def test_sweep_at_nine(self):
+        # blocks 1 and 2 whole against the walk, in chunks that end at every
+        # multiple of the chunk size and at the block edge; in blocks 3..9
+        # the patched words s.t, s = a1(t), of 3000 drawn suffixes t
+        block, size = 9 ** 6, cli._CHUNK
         walked = map(enumeration._decode_mask, repeat(9), enumerate_sequences(9))
-        pairs = enumerate(zip(enumeration._sweep_masks(9), islice(walked, blocks)))
-        assert next((i for i, (swept, want) in pairs if swept != want), None) is None
+        rng = random.Random(9)
+        patched = {}  # index in the sweep -> word
+        while len(patched) < 3000:
+            t = tuple(rng.randint(1, 9) for _ in range(6))
+            a1 = min(set(range(1, 10)) - set(t))
+            if a1 >= 3:
+                i = sum((v - 1) * 9 ** (5 - j) for j, v in enumerate(t))
+                patched[(a1 - 1) * block + i] = (a1,) + t
+        ends, start = [], 0
+        for chunk in enumeration._sweep_chunks(9, 9 ** 7, size):
+            stop = start + len(chunk)
+            if start < 2 * block:
+                ends.append(stop)
+                assert chunk == list(islice(walked, len(chunk))), start
+            for i in filter(patched.__contains__, range(start, stop)):
+                assert chunk[i - start] == enumeration._decode_mask(9, patched.pop(i)), i
+            start = stop
+        assert start == 9 ** 7 and not patched
+        edges = sorted({*range(size, block, size), block, *range(block + size, 2 * block, size)})
+        assert ends == edges + [2 * block]
 
-    @pytest.mark.parametrize("n", range(3, 8))
-    def test_sweep_walks_two_words_per_suffix(self, monkeypatch, n):
-        # block 1 walks each of its n^(n-3) words inline, and the rest of
-        # the sweep calls _decode_mask once more per suffix t: for the word
-        # with s1 = a1(t), or for the first that needs M1(t)
-        walk = enumeration._decode_mask
-        walked = []
-
-        def counting(n, word):
-            walked.append(word)
-            return walk(n, word)
-
-        monkeypatch.setattr(enumeration, "_decode_mask", counting)
+    @pytest.mark.parametrize("n", range(4, 8))
+    def test_sweep_walks_block_one_alone(self, monkeypatch, n):
+        # no word after block 1 is walked: plain enumerate never calls
+        # _decode_mask, and with --limit L pulls exactly min(L, n^(n-3))
+        # words, all of block 1
         suffixes = n ** (n - 3)
-        sweep = enumeration._sweep_masks(n)
-        assert len(list(islice(sweep, suffixes))) == suffixes
-        assert walked == []
-        assert len(list(sweep)) == n ** (n - 2) - suffixes
-        assert len(walked) == suffixes
-        assert all(w[0] >= 2 for w in walked)
+        argvs = [["enumerate", "-n", str(n), "--count"]]
+        for limit in (0, 1, suffixes - 1, suffixes, suffixes + 1, 2 * suffixes + 3):
+            argvs.append(argvs[0] + ["--limit", str(limit)])
+        expected = [_run(argv) for argv in argvs]
+
+        def refuse(*args):
+            raise AssertionError("_decode_mask was called")
+
+        pulled = []
+
+        def recording(*args, **kwargs):
+            for w in product(*args, **kwargs):
+                pulled.append(w)
+                yield w
+
+        monkeypatch.setattr(enumeration, "_decode_mask", refuse)
+        monkeypatch.setattr(enumeration, "product", recording)
+        for argv, want in zip(argvs, expected):
+            pulled.clear()
+            assert _run(argv) == want
+            limit = int(argv[-1]) if argv[-2] == "--limit" else n ** (n - 2)
+            assert len(pulled) == min(limit, suffixes), argv
+            assert all(w[0] == 1 for w in pulled)
+
+
+def _run(argv):
+    out = io.StringIO()
+    return cli.main(argv, stdout=out), out.getvalue()
 
 
 class TestEnumerateWithDegrees:
