@@ -12,17 +12,16 @@ sorted edge pairs that the tree streams and ``prufer_decode`` wrap, and,
 for n <= 9, ``_decode_mask`` the tree's edge mask, one bit per pair
 (u, v), u < v, in lexicographic order, from which the CLI writes its
 small tree formats.  ``_sweep_chunks`` gives the masks of a whole sweep,
-or of its first trees, in chunks, and walks one word per suffix, inline:
-a word's tree is its suffix's decode on the other vertices plus one
-edge, the suffix's decode is kept in a per-suffix row, and where the
-word's first leaf is not the suffix's smallest absent vertex the row is
-patched in one edge.  The
-encode, ``_encode_walk``, peels leaves smallest first with the same
-pointer, never vertex n, keeping each vertex's degree and the XOR of its
-neighbours; it is also the tree test of the edges it is given, so the
-CLI encodes edge text without building a tree and hands only a block it
-refuses to ``canonicalize_tree``, for its diagnostic.  Both directions
-take linear time.
+or of its first trees, in chunks, and walks no word: a suffix's row is
+its decode without its smallest absent vertices, and each level of rows
+is composed from the level one symbol shorter by ``_compose``, from the
+empty suffix up to the words.  The encode, ``_encode_walk``, peels
+leaves smallest first with the same pointer, never vertex n, keeping
+each vertex's degree and the XOR of its neighbours; it is also the tree
+test of the edges it is given, so the CLI encodes edge text without
+building a tree and hands only a block it refuses to
+``canonicalize_tree``, for its diagnostic.  Both directions take linear
+time.
 
 Enumeration sizes are capped by the module constants PRUFER_ENUM_CAP,
 EDGE_ENUM_CAP and PAIR_ENUM_CAP, so accidental huge sweeps fail fast
@@ -33,8 +32,8 @@ caller may assign a new value, which is read at call time.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations, islice, product, repeat
-from operator import or_, sub
+from itertools import combinations, product, repeat
+from operator import sub, xor
 from typing import Iterable, Iterator
 
 from treecount.core import (
@@ -129,88 +128,89 @@ def _decode_mask(n: int, symbols: Iterable[int]) -> int:
     return mask | bit[leaf][n]
 
 
+def _steps(n: int) -> list[tuple]:
+    """The tables of _compose for each first symbol v of 1..n, at index v,
+    4 <= n <= 9.  A set of vertices of 1..n-1 is a byte, bit u - 1 for
+    vertex u; a row's set {e1, ..., e(m+1)} has largest vertex f = e(m+1)
+    and second largest e = em, and v is one of e1..em exactly when the set
+    holds v and a larger vertex.  Then ``keys`` maps the set to n + 1 + f
+    and ``drops`` to the set less v; otherwise to e and to the set less f.
+    ``lifts[y1][key]`` is P(x) ^ P(y): bit(e, v) at key e, and
+    bit(f, v) ^ bit(f, y1) ^ bit(v, y1) at key n + 1 + f."""
+    bit = _EDGE_BITS[n]
+    size = 1 << n - 1
+    plain = bytes(range(256))  # each set as itself
+    tops = bytes(map(int.bit_length, range(256)))  # each set's largest vertex
+    rests = bytes(1) + b"".join(plain[: 1 << u] for u in range(8))  # the set less it
+    seconds, turns = rests.translate(tops), bytes(map((n + 1).__add__, tops[:size]))
+    steps = [None]
+    for v in range(1, n + 1):
+        keys, drops, h = bytearray(seconds), bytearray(rests), 1 << v >> 1
+        # the sets that hold v and a larger vertex: the upper half of each
+        # run of 2h sets after the first
+        for a in range(3 * h, size, 2 * h):
+            keys[a : a + h] = turns[a : a + h]
+            drops[a : a + h] = plain[a - h : a]
+        row = bit[v]
+        lifts = [row + [x ^ y ^ row[y1] for x, y in zip(row, bit[y1])] for y1 in range(n + 1)]
+        steps.append((bytes(keys), bytes(drops), lifts))
+    return steps
+
+
+def _compose(step: tuple, sets: bytes, masks, lo: int, hi: int, first: int, run: int):
+    """Rows lo..hi of block v of the level above a level of suffix rows: the
+    sets and masks of the suffixes v.y, y the rows lo..hi of the level,
+    through v's tables ``step`` of _steps, by C-level maps.
+
+    A row y is a suffix of length k on 1..n, with absent vertices
+    e1 < e2 < ... and m = n - k - 2.  It keeps the set {e1, ..., e(m+1)}
+    and the mask P(y) of y decoded on 1..n without e1..em; y's first symbol
+    y1 is first + r // run at row r (n for the empty suffix).  For x = v.y,
+    v not among e1..em, x's first leaf is em: P(x) = P(y) ^ bit(em, v),
+    and x's set is y's less e(m+1).  For v = ei, i <= m, the leaf is e(m+1),
+    and y decoded without e(m+1) rather than ei differs only in its first
+    edge, (e(m+1), y1) for (ei, y1): P(x) = P(y) ^ bit(e(m+1), v) ^
+    bit(e(m+1), y1) ^ bit(v, y1), and x's set is y's less ei."""
+    keys, drops, lifts = step
+    ys = sets[lo:hi]
+    ks = ys.translate(keys)
+    out = []
+    for a in range(lo - lo % run, hi, run):  # the runs of one first symbol
+        b, c = max(a, lo), min(a + run, hi)
+        out += map(xor, masks[b:c], map(lifts[first + a // run].__getitem__, ks[b - lo : c - lo]))
+    return ys.translate(drops), out
+
+
 def _sweep_chunks(n: int, stop: int, size: int) -> Iterator[list[int]]:
     """The edge masks of the first ``stop`` trees of enumerate_sequences(n),
-    in its order and in lists of at most ``size``, for 4 <= n <= 9; only
-    the words of block s1 = 1 are walked.
+    in its order and in lists of at most ``size``, for 4 <= n <= 9; no word
+    is walked.
 
-    Let t be a suffix, t1 its first symbol, and a1 < a2 the two smallest
-    vertices absent from t.  A word s1.t decodes to the edge from s1 to its
-    first leaf and the decode of t on the other n - 1 vertices.  For
-    s1 != a1 that leaf is a1, so the word's mask is M1(t) | bit(a1, s1),
-    where M1(t) is the mask of t decoded without a1.  For s1 = a1 it is a2,
-    and t decoded without a2 differs from t decoded without a1 only in its
-    first edge, (a1, t1) for (a2, t1): the mask is
-    bit(a1, a2) | M1(t) ^ bit(a2, t1) ^ bit(a1, t1).  So block 1 is walked,
-    inline, and keeps a1, a2 and M1 per suffix in typed rows, 10 bytes a
-    suffix (5.1 MiB for the 9^6 suffixes of n = 9); each later block s is
-    built a chunk at a time from the rows by a C-level map, and then its
-    words with a1(t) = s, found by bytearray.find, are patched.  Nothing
-    past stop is walked or built."""
+    Level k holds the rows of _compose of the suffixes of length k, in
+    lexicographic order, so block v of level k + 1 is composed from all of
+    level k, at most ``size`` rows a call.  Level 0 is the empty suffix:
+    the set {1, ..., n - 1} and the mask bit(n - 1, n).  Level n - 3 keeps
+    9 bytes a suffix (4.6 MiB for the 9^6 suffixes of n = 9), and the
+    chunks of level n - 2, the words, are yielded.  The first h rows of a
+    block need only the first h of the level below, so level k holds
+    min(stop, n^k) rows and no mask past stop is built."""
     from array import array  # loaded here alone: only the sweep needs it
 
-    bit = _EDGE_BITS[n]
-    one = bit[1]  # one[1] = 0
-    suffixes = n ** (n - 3)
-    a1s, a2s, m1s = bytearray(), bytearray(), array("Q")
-    keep_a1, keep_a2, keep_m1 = a1s.append, a2s.append, m1s.append
-    words = product((1,), *[range(1, n + 1)] * (n - 3))
-    for lo in range(0, min(stop, suffixes), size):
-        masks = []
-        keep = masks.append
-        for w in islice(words, min(size, stop - lo)):
-            # the walk of _decode_mask, inline, with a1(t) and a2(t) read off
-            # the degrees first: vertex 1 is absent from t when it occurs
-            # once in w, and then the word's first leaf is a2(t).  Calling
-            # _decode_mask and finding a1(t) apart costs about a quarter more
-            # per word (ROADMAP, Settled)
-            deg = [1] * (n + 1)
-            for s in w:
-                deg[s] += 1
-            ptr = 1
-            while deg[ptr] != 1:
-                ptr += 1
-            first = one[ptr]
-            if deg[1] == 2:
-                a1, a2 = 1, ptr
-            else:
-                a1, a2 = ptr, ptr + 1
-                while deg[a2] != 1:
-                    a2 += 1
-            leaf, mask = ptr, 0
-            for s in w:
-                mask |= bit[leaf][s]
-                deg[s] -= 1
-                if deg[s] == 1 and s < ptr:
-                    leaf = s
+    steps = _steps(n)
+    sets, masks, first, run = bytes([(1 << n - 1) - 1]), array("Q", [_EDGE_BITS[n][n - 1][n]]), n, 1
+    for k in range(n - 2):
+        block = n ** k
+        up, ups = bytearray(), array("Q")
+        for start in range(0, min(stop, n * block), block):
+            v, end = start // block + 1, min(block, stop - start)
+            for lo in range(0, end, size):
+                part, out = _compose(steps[v], sets, masks, lo, min(lo + size, end), first, run)
+                if k == n - 3:  # the words
+                    yield out
                 else:
-                    ptr += 1
-                    while deg[ptr] != 1:
-                        ptr += 1
-                    leaf = ptr
-            mask |= bit[leaf][n]
-            keep(mask)
-            keep_a1(a1)
-            keep_a2(a2)
-            if a1 == 1:
-                t1 = w[1]
-                keep_m1(mask ^ first ^ bit[a2][t1] ^ one[t1])
-            else:
-                keep_m1(mask ^ first)
-        yield masks
-    step = suffixes // n  # the suffixes that share a first symbol
-    for s in range(2, n + 1):
-        end = min(suffixes, stop - (s - 1) * suffixes)
-        row = bit[s]
-        for lo in range(0, end, size):
-            hi = min(lo + size, end)
-            masks = list(map(or_, m1s[lo:hi], map(row.__getitem__, a1s[lo:hi])))
-            i = a1s.find(s, lo, hi)
-            while i >= 0:
-                a2, t1 = a2s[i], i // step + 1
-                masks[i - lo] = row[a2] | m1s[i] ^ bit[a2][t1] ^ row[t1]
-                i = a1s.find(s, i + 1, hi)
-            yield masks
+                    up += part
+                    ups.extend(out)
+        sets, masks, first, run = up, ups, 1, block
 
 
 def prufer_decode(n: int, symbols: tuple[int, ...]) -> LabeledTree:

@@ -161,9 +161,10 @@ class TestEnumerate:
     @pytest.mark.parametrize("fmt", ["edges", "prufer", "json", "csv"])
     def test_limit_pulls_no_tree_past_it(self, monkeypatch, fmt):
         # the tree formats are written from the sweep's edge masks
-        # (enumeration._sweep_chunks), which walks and builds none past the
-        # limit; the prufer format from shared texts of the words' prefixes
-        # and suffixes (cli._word_texts), none of them past the limit
+        # (enumeration._sweep_chunks), which pulls no word and composes no
+        # row past the limit at any level; the prufer format from shared
+        # texts of the words' prefixes and suffixes (cli._word_texts), none
+        # of them past the limit
         argv = ["enumerate", "-n", "5", "--format", fmt, "--limit", "3", "--count"]
         expected = run_cli(argv)
         assert expected[0] == 0
@@ -180,21 +181,23 @@ class TestEnumerate:
             formatted = lambda n, f, words: word_texts(n, f, noting(words))  # noqa: E731
             monkeypatch.setattr(cli, "_word_texts", formatted)
         else:
-            sweep = enumeration._sweep_chunks
+            compose = enumeration._compose
 
-            def chunks(*args):
-                for masks in sweep(*args):
-                    built.extend(masks)
-                    yield masks
+            def composing(*args):
+                sets, masks = compose(*args)
+                built.append(len(masks))
+                return sets, masks
 
             monkeypatch.setattr(enumeration, "product", lambda *a, **k: noting(product(*a, **k)))
-            monkeypatch.setattr(enumeration, "_sweep_chunks", chunks)
+            monkeypatch.setattr(enumeration, "_compose", composing)
         assert run_cli(argv) == expected
         if fmt == "prufer":
             # the suffixes of the three words, then their one prefix
             assert pulled == [w[2:] for w in first_three] + [first_three[0][:2]]
         else:
-            assert pulled == first_three and len(built) == 3
+            # level 1 a row in each of blocks 1..3, then levels 2 and 3, the
+            # words, three rows in block 1
+            assert pulled == [] and built == [1, 1, 1, 3, 3]
 
     def test_json_records_parse(self):
         code, out, _ = run_cli(["enumerate", "-n", "3", "--format", "json"])

@@ -265,25 +265,34 @@ class TestEdgeMasks:
             assert _mask_edges(n, enumeration._decode_mask(n, w)) == enumeration._decode_edges(n, w)
 
     @pytest.mark.parametrize("n", range(4, 9))
-    def test_suffix_identity_on_every_suffix(self, n):
-        # the identity the sweep is built on, checked on its own: for a
-        # suffix t with first symbol t1 and smallest absent vertices
-        # a1 < a2, and M1 the mask of t decoded on the vertices other than
-        # a1 (here by relabelling them 1..n-1), word s.t has the mask
-        # M1 | bit(a1, s) for s != a1, and bit(a1, a2) | M1 ^ bit(a2, t1)
-        # ^ bit(a1, t1) for s = a1
+    def test_step_on_every_suffix(self, n):
+        # the level step the sweep is built on, checked on its own: a suffix
+        # y of length k with absent vertices e1 < e2 < ..., m = n - k - 2,
+        # has the row of the set {e1, ..., e(m+1)} and the mask of y decoded
+        # on the vertices other than e1..em (here by relabelling them
+        # 1..k+2), and _compose turns the rows of level k into block v of
+        # level k + 1, the rows of the suffixes v.y, up to the words
         bit = enumeration._EDGE_BITS[n]
-        for t in product(range(1, n + 1), repeat=n - 3):
-            a1, a2 = [v for v in range(1, n + 1) if v not in t][:2]
-            rest = enumeration._decode_edges(n - 1, [v - (v > a1) for v in t])
-            m1 = sum(bit[u + (u >= a1)][v + (v >= a1)] for u, v in rest)
-            t1 = t[0]
-            for s in range(1, n + 1):
-                want = enumeration._decode_mask(n, (s,) + t)
-                if s == a1:
-                    assert bit[a1][a2] | m1 ^ bit[a2][t1] ^ bit[a1][t1] == want, t
-                else:
-                    assert m1 | bit[a1][s] == want, (s, t)
+        steps = enumeration._steps(n)
+
+        def row(y):
+            absent = [u for u in range(1, n + 1) if u not in y]
+            m = n - len(y) - 2
+            kept = [u for u in range(1, n + 1) if u not in absent[:m]]
+            edges = enumeration._decode_edges(len(kept), [kept.index(s) + 1 for s in y])
+            mask = sum(bit[kept[u - 1]][kept[w - 1]] for u, w in edges)
+            return sum(1 << e - 1 for e in absent[: m + 1]), mask
+
+        level = [row(())]
+        for k in range(n - 2):
+            sets, masks = bytes(b for b, _ in level), [mask for _, mask in level]
+            first, run = (1, n ** (k - 1)) if k else (n, 1)
+            level = []
+            for v in range(1, n + 1):
+                block = [row((v,) + y) for y in product(range(1, n + 1), repeat=k)]
+                got = enumeration._compose(steps[v], sets, masks, 0, n**k, first, run)
+                assert got == (bytes(b for b, _ in block), [mask for _, mask in block]), (k, v)
+                level += block
 
     @pytest.mark.parametrize("n", range(4, 9))
     def test_sweep_is_the_walk_of_every_word(self, n):
@@ -294,35 +303,38 @@ class TestEdgeMasks:
     def test_sweep_at_nine(self):
         # blocks 1 and 2 whole against the walk, in chunks that end at every
         # multiple of the chunk size and at the block edge; in blocks 3..9
-        # the patched words s.t, s = a1(t), of 3000 drawn suffixes t
+        # the words s.t, s = a1(t), whose first leaf is a2(t), of 3000
+        # drawn suffixes t
         block, size = 9 ** 6, cli._CHUNK
         walked = map(enumeration._decode_mask, repeat(9), enumerate_sequences(9))
         rng = random.Random(9)
-        patched = {}  # index in the sweep -> word
-        while len(patched) < 3000:
+        hits = {}  # index in the sweep -> word
+        while len(hits) < 3000:
             t = tuple(rng.randint(1, 9) for _ in range(6))
             a1 = min(set(range(1, 10)) - set(t))
             if a1 >= 3:
                 i = sum((v - 1) * 9 ** (5 - j) for j, v in enumerate(t))
-                patched[(a1 - 1) * block + i] = (a1,) + t
+                hits[(a1 - 1) * block + i] = (a1,) + t
         ends, start = [], 0
         for chunk in enumeration._sweep_chunks(9, 9 ** 7, size):
             stop = start + len(chunk)
             if start < 2 * block:
                 ends.append(stop)
                 assert chunk == list(islice(walked, len(chunk))), start
-            for i in filter(patched.__contains__, range(start, stop)):
-                assert chunk[i - start] == enumeration._decode_mask(9, patched.pop(i)), i
+            for i in filter(hits.__contains__, range(start, stop)):
+                assert chunk[i - start] == enumeration._decode_mask(9, hits.pop(i)), i
             start = stop
-        assert start == 9 ** 7 and not patched
+        assert start == 9 ** 7 and not hits
         edges = sorted({*range(size, block, size), block, *range(block + size, 2 * block, size)})
         assert ends == edges + [2 * block]
 
     @pytest.mark.parametrize("n", range(4, 8))
-    def test_sweep_walks_block_one_alone(self, monkeypatch, n):
-        # no word after block 1 is walked: plain enumerate never calls
-        # _decode_mask, and with --limit L pulls exactly min(L, n^(n-3))
-        # words, all of block 1
+    def test_sweep_walks_no_word(self, monkeypatch, n):
+        # plain enumerate never calls _decode_mask and pulls no word from
+        # enumeration.product (enumerate_sequences still checks n and hands
+        # back the lazy product); with --limit L, level k of the sweep is
+        # composed of exactly min(L, n^k) rows, the words included, so no
+        # mask past L is built
         suffixes = n ** (n - 3)
         argvs = [["enumerate", "-n", str(n), "--count"]]
         for limit in (0, 1, suffixes - 1, suffixes, suffixes + 1, 2 * suffixes + 3):
@@ -332,21 +344,28 @@ class TestEdgeMasks:
         def refuse(*args):
             raise AssertionError("_decode_mask was called")
 
-        pulled = []
+        def no_words(*args, **kwargs):
+            raise AssertionError("a word was pulled")
+            yield
 
-        def recording(*args, **kwargs):
-            for w in product(*args, **kwargs):
-                pulled.append(w)
-                yield w
+        compose = enumeration._compose
+        levels = []  # [a level, the rows composed from it]
+
+        def recording(step, sets, masks, lo, hi, first, run):
+            if not levels or levels[-1][0] is not masks:
+                levels.append([masks, 0])
+            levels[-1][1] += hi - lo
+            return compose(step, sets, masks, lo, hi, first, run)
 
         monkeypatch.setattr(enumeration, "_decode_mask", refuse)
-        monkeypatch.setattr(enumeration, "product", recording)
+        monkeypatch.setattr(enumeration, "product", no_words)
+        monkeypatch.setattr(enumeration, "_compose", recording)
         for argv, want in zip(argvs, expected):
-            pulled.clear()
+            levels.clear()
             assert _run(argv) == want
             limit = int(argv[-1]) if argv[-2] == "--limit" else n ** (n - 2)
-            assert len(pulled) == min(limit, suffixes), argv
-            assert all(w[0] == 1 for w in pulled)
+            built = [min(limit, n**k) for k in range(1, n - 1)] if limit else []
+            assert [rows for _, rows in levels] == built, argv
 
 
 def _run(argv):
