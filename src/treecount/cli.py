@@ -57,16 +57,13 @@ def _parse_degrees(text: str, n: int | None = None) -> tuple[int, ...]:
 
 
 # Edge-mask texts, 2 <= n <= 9.  Bit i of a tree's edge mask is the edge
-# enumeration._mask_pairs(n)[i].  The mask is cut into chunks, and entry m
-# of a chunk's table is the text of the edges set in m, in bit order, so a
-# tree's text is one lookup per chunk, joined.  Chunk 0 holds vertex 1's
-# n - 1 edges, bits 0..n-2; the other bits are cut into 2 chunks up to
-# n = 7 and into 4 at n = 8 and 9, each of at most 8 bits, so the writer
-# takes one of two shapes.  Every tree has an edge at vertex 1, so its
-# first edge lies in chunk 0: each chunk-0 entry carries the record's head
-# and drops the ", " a json piece starts with, and each last-chunk entry
-# carries the tail.  A csv piece starts with the placeholder "#", which
-# each row replaces with its index.
+# enumeration._mask_pairs(n)[i], and enumeration._mask_tables(n, piece)
+# gives the text of the edges set in each chunk of the mask, so a tree's
+# text is one lookup per chunk, joined.  Every tree has an edge at vertex
+# 1, so its first edge lies in chunk 0, which holds vertex 1's edges: each
+# chunk-0 entry carries the record's head and drops the ", " a json piece
+# starts with, and each last-chunk entry carries the tail.  A csv piece
+# starts with the placeholder "#", which each row replaces with its index.
 _MASK_FORMATS = {  # piece, head, characters cut from chunk 0's entries, tail
     "edges": ("%d %d\n", "n %d\n", 0, ""),
     "json": (", [%d, %d]", '{"n": %d, "edges": [', 2, "]}\n"),
@@ -75,20 +72,12 @@ _MASK_FORMATS = {  # piece, head, characters cut from chunk 0's entries, tail
 
 
 @lru_cache(maxsize=None)
-def _chunk_tables(n: int, fmt: str) -> tuple[tuple[int, int, list[str]], ...]:
-    """(shift, width mask, table) per chunk of the edge masks on n vertices,
-    made once per (n, format), on first use: at most 768 entries."""
+def _text_tables(n: int, fmt: str) -> tuple[tuple[int, int, list[str]], ...]:
+    """The chunks of enumeration._mask_tables(n, piece) for the edges, json
+    or csv format on 2 <= n <= 9 vertices, with the head and the tail
+    edited in; made once per (n, format), on first use."""
     piece, head, cut, tail = _MASK_FORMATS[fmt]
-    pairs = enumeration._mask_pairs(n)
-    rest, parts = len(pairs) - (n - 1), 2 if n <= 7 else 4
-    bounds = [0] + [n - 1 + rest * j // parts for j in range(parts + 1)]
-    chunks = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        table = [""]
-        for pair in pairs[lo:hi]:
-            text = piece % pair
-            table += [t + text for t in table]
-        chunks.append((lo, (1 << (hi - lo)) - 1, table))
+    chunks = list(enumeration._mask_tables(n, piece))
     head = head % n if head else ""
     lo, width, table = chunks[0]
     chunks[0] = lo, width, [head + t[cut:] for t in table]
@@ -99,17 +88,10 @@ def _chunk_tables(n: int, fmt: str) -> tuple[tuple[int, int, list[str]], ...]:
 
 def _mask_texts(n: int, fmt: str, masks: Iterable[int], start: int = 0) -> Iterator[str]:
     """The text of the tree of each edge mask on 2 <= n <= 9 vertices in the
-    edges, json or csv format, one table lookup per chunk of the mask; a
-    csv row starts with the tree's index in the stream, the first start."""
-    chunks = _chunk_tables(n, fmt)
-    if len(chunks) == 3:
-        (_, w0, t0), (s1, w1, t1), (s2, _, t2) = chunks
-        text = lambda m: t0[m & w0] + t1[m >> s1 & w1] + t2[m >> s2]  # noqa: E731
-    else:
-        (_, w0, t0), (s1, w1, t1), (s2, w2, t2), (s3, w3, t3), (s4, _, t4) = chunks
-        text = lambda m: (  # noqa: E731
-            t0[m & w0] + t1[m >> s1 & w1] + t2[m >> s2 & w2] + t3[m >> s3 & w3] + t4[m >> s4]
-        )
+    edges, json or csv format, one lookup per chunk of the format's
+    _text_tables; a csv row starts with the tree's index in the stream,
+    the first start."""
+    text = enumeration._mask_sum(_text_tables(n, fmt))
     if fmt == "csv":
         return map(str.replace, map(text, masks), repeat("#"), map(str, count(start)))
     return map(text, masks)

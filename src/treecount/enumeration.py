@@ -8,20 +8,25 @@ golden tests stay stable.  The sweeps are streams of Prufer words
 (tuples of symbols); the tree streams are their decode, so a caller
 that only needs the words, or their symbol counts, decodes nothing.
 The decode is one pointer walk in two forms: ``_decode_edges`` gives the
-sorted edge pairs that the tree streams and ``prufer_decode`` wrap, and,
-for n <= 9, ``_decode_mask`` the tree's edge mask, one bit per pair
-(u, v), u < v, in lexicographic order, from which the CLI writes its
-small tree formats.  ``_sweep_chunks`` gives the masks of a whole sweep,
-or of its first trees, in chunks, and walks no word: a suffix's row is
-its decode without its smallest absent vertices, and each level of rows
-is composed from the level one symbol shorter by ``_compose``, from the
-empty suffix up to the words.  The encode, ``_encode_walk``, peels
-leaves smallest first with the same pointer, never vertex n, keeping
-each vertex's degree and the XOR of its neighbours; it is also the tree
-test of the edges it is given, so the CLI encodes edge text without
-building a tree and hands only a block it refuses to
-``canonicalize_tree``, for its diagnostic.  Both directions take linear
-time.
+sorted edge pairs that ``decode_sequences`` and ``prufer_decode`` wrap,
+and, for n <= 9, ``_decode_mask`` the tree's edge mask, one bit per pair
+(u, v), u < v, in lexicographic order.  ``_sweep_chunks`` gives the masks
+of a whole sweep, or of its first trees, in chunks, and walks no word: a
+suffix's row is its decode without its smallest absent vertices, and each
+level of rows is composed from the level one symbol shorter by
+``_compose``, from the empty suffix up to the words.  A mask is read
+through ``_mask_tables``, one lookup per chunk of its bits, each entry
+the sum of the pieces its edges stand for: their pairs, so that
+``enumerate_all_trees`` yields each swept tree's sorted edges from
+n = _SWEEP_FROM; their degree increments packed in one int, which
+``_degree_histogram`` counts for THEOREM_1; or the CLI's texts of them,
+from which it writes its small tree formats.  The encode,
+``_encode_walk``, peels leaves smallest first with the same pointer,
+never vertex n, keeping each vertex's degree and the XOR of its
+neighbours; it is also the tree test of the edges it is given, so the
+CLI encodes edge text without building a tree and hands only a block it
+refuses to ``canonicalize_tree``, for its diagnostic.  Both directions
+take linear time.
 
 Enumeration sizes are capped by the module constants PRUFER_ENUM_CAP,
 EDGE_ENUM_CAP and PAIR_ENUM_CAP, so accidental huge sweeps fail fast
@@ -32,9 +37,10 @@ caller may assign a new value, which is read at call time.
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 from itertools import combinations, product, repeat
 from operator import sub, xor
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from treecount.core import (
     Edge,
@@ -128,13 +134,64 @@ def _decode_mask(n: int, symbols: Iterable[int]) -> int:
     return mask | bit[leaf][n]
 
 
-def _steps(n: int) -> list[tuple]:
+# The piece of the edge (u, v) and the empty sum, by kind of _mask_tables:
+# a 1-tuple, so that a tree's sum is its sorted edge tuple, or the degree
+# increment of u and v in 4-bit fields, field i - 1 for vertex i, so that
+# a tree's sum packs its degree vector (a degree is at most 8 on n <= 9).
+_PIECES = {
+    "pairs": (lambda pair: (pair,), ()),
+    "degrees": (lambda pair: 16 ** (pair[0] - 1) + 16 ** (pair[1] - 1), 0),
+}
+
+
+@lru_cache(maxsize=None)
+def _mask_tables(n: int, kind: str) -> tuple[tuple[int, int, tuple], ...]:
+    """(shift, width mask, table) per chunk of the edge masks on 2 <= n <= 9
+    vertices, made once per (n, kind), on first use: at most 768 entries.
+
+    Chunk 0 holds vertex 1's n - 1 edges, bits 0..n-2; the other bits are
+    cut into 2 chunks up to n = 7 and into 4 at n = 8 and 9, each of at
+    most 8 bits.  Entry m of a chunk's table is the sum, with +, of the
+    pieces of the edges set in m, in bit order, so a tree's sum is one
+    lookup per chunk, added up by _mask_sum.  The piece of the edge (u, v)
+    is given by kind: "pairs" and "degrees" (see _PIECES), or any other
+    kind, a %-template of two ints, its text."""
+    piece, zero = _PIECES.get(kind, (kind.__mod__, ""))
+    pairs = _mask_pairs(n)
+    rest, parts = len(pairs) - (n - 1), 2 if n <= 7 else 4
+    bounds = [0] + [n - 1 + rest * j // parts for j in range(parts + 1)]
+    chunks = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        table = [zero]
+        for pair in pairs[lo:hi]:
+            p = piece(pair)
+            table += [t + p for t in table]
+        chunks.append((lo, (1 << (hi - lo)) - 1, tuple(table)))
+    return tuple(chunks)
+
+
+def _mask_sum(chunks) -> Callable[[int], object]:
+    """The sum of an edge mask's table entries, for the chunks of
+    _mask_tables or tables edited entry by entry: 3 lookups up to n = 7
+    and 5 at n = 8 and 9."""
+    if len(chunks) == 3:
+        (_, w0, t0), (s1, w1, t1), (s2, _, t2) = chunks
+        return lambda m: t0[m & w0] + t1[m >> s1 & w1] + t2[m >> s2]
+    (_, w0, t0), (s1, w1, t1), (s2, w2, t2), (s3, w3, t3), (s4, _, t4) = chunks
+    return lambda m: (
+        t0[m & w0] + t1[m >> s1 & w1] + t2[m >> s2 & w2] + t3[m >> s3 & w3] + t4[m >> s4]
+    )
+
+
+@lru_cache(maxsize=None)
+def _steps(n: int) -> tuple[tuple, ...]:
     """The tables of _compose for each first symbol v of 1..n, at index v,
-    4 <= n <= 9.  A set of vertices of 1..n-1 is a byte, bit u - 1 for
-    vertex u; a row's set {e1, ..., e(m+1)} has largest vertex f = e(m+1)
-    and second largest e = em, and v is one of e1..em exactly when the set
-    holds v and a larger vertex.  Then ``keys`` maps the set to n + 1 + f
-    and ``drops`` to the set less v; otherwise to e and to the set less f.
+    4 <= n <= 9, made once per n, on first use.  A set of vertices of
+    1..n-1 is a byte, bit u - 1 for vertex u; a row's set {e1, ..., e(m+1)}
+    has largest vertex f = e(m+1) and second largest e = em, and v is one
+    of e1..em exactly when the set holds v and a larger vertex.  Then
+    ``keys`` maps the set to n + 1 + f and ``drops`` to the set less v;
+    otherwise to e and to the set less f.
     ``lifts[y1][key]`` is P(x) ^ P(y): bit(e, v) at key e, and
     bit(f, v) ^ bit(f, y1) ^ bit(v, y1) at key n + 1 + f."""
     bit = _EDGE_BITS[n]
@@ -154,7 +211,7 @@ def _steps(n: int) -> list[tuple]:
         row = bit[v]
         lifts = [row + [x ^ y ^ row[y1] for x, y in zip(row, bit[y1])] for y1 in range(n + 1)]
         steps.append((bytes(keys), bytes(drops), lifts))
-    return steps
+    return tuple(steps)
 
 
 def _compose(step: tuple, sets: bytes, masks, lo: int, hi: int, first: int, run: int):
@@ -211,6 +268,17 @@ def _sweep_chunks(n: int, stop: int, size: int) -> Iterator[list[int]]:
                     up += part
                     ups.extend(out)
         sets, masks, first, run = up, ups, 1, block
+
+
+# The least n whose library streams take the sweep.  Medians of 300 runs
+# of enumerate_all_trees(n) and _degree_histogram(n), in ms, the walk
+# against the sweep with the memos _steps and _mask_tables cold, on a
+# 2-vCPU VM with Python 3.11.7: n = 4, 0.04 and 0.06 against 0.23 and
+# 0.17; n = 5, 0.29 and 0.26 against 0.37 and 0.36 (0.28 and 0.23 against
+# 0.25 and 0.23 warm); n = 6, 3.4 and 2.5 against 1.8 and 1.3.
+# _SWEEP_SIZE is the most masks a sweep's list holds.
+_SWEEP_FROM = 6
+_SWEEP_SIZE = 4096
 
 
 def prufer_decode(n: int, symbols: tuple[int, ...]) -> LabeledTree:
@@ -332,8 +400,21 @@ def decode_sequences(n: int, words: Iterable[tuple[int, ...]]) -> Iterator[Label
 
 def enumerate_all_trees(n: int) -> Iterator[LabeledTree]:
     """Every labeled tree on n vertices, in lexicographic order of its
-    Prufer sequence; the single tree for n in {1, 2}."""
-    return decode_sequences(n, enumerate_sequences(n))
+    Prufer sequence; the single tree for n in {1, 2}.  From n = _SWEEP_FROM
+    each tree's edges are the sum of its edge mask's "pairs" tables."""
+    words = enumerate_sequences(n)  # checks n and the sweep cap
+    if n < _SWEEP_FROM:
+        return decode_sequences(n, words)
+    return _swept_trees(n)
+
+
+def _swept_trees(n: int) -> Iterator[LabeledTree]:
+    # a generator, as decode_sequences gives, so that perfbench's tracer
+    # counts its trees; tuple.__new__ makes each tree of its (n, edges)
+    # pair in C, as LabeledTree._make does behind a Python call
+    edges = _mask_sum(_mask_tables(n, "pairs"))
+    for masks in _sweep_chunks(n, n ** (n - 2), _SWEEP_SIZE):
+        yield from map(tuple.__new__, repeat(LabeledTree), zip(repeat(n), map(edges, masks)))
 
 
 def enumerate_all_trees_by_edges(n: int) -> Iterator[LabeledTree]:
@@ -365,6 +446,24 @@ def deg_v1_histogram(n: int) -> dict[int, int]:
         raise OutOfRange(f"need n >= 2, got {n}")
     ones = Counter(map(tuple.count, enumerate_sequences(n), repeat(1)))
     return {k: ones[k - 1] for k in range(1, n)}
+
+
+def _degree_histogram(n: int) -> Counter:
+    """Tree counts keyed by the degree vector, for 2 <= n <= 9, read from
+    each tree's edge mask with no LabeledTree: the mask's sum of the
+    "degrees" tables is counted, and only the distinct sums, at most
+    C(2n-3, n-1), are unpacked.  The masks are the sweep's from
+    n = _SWEEP_FROM, else the walk's."""
+    if n >= _SWEEP_FROM:
+        chunks = _sweep_chunks(n, n ** (n - 2), _SWEEP_SIZE)
+    else:
+        chunks = [map(_decode_mask, repeat(n), enumerate_sequences(n))]
+    packed: Counter = Counter()
+    pack = _mask_sum(_mask_tables(n, "degrees"))
+    for masks in chunks:
+        packed.update(map(pack, masks))
+    fields = range(0, 4 * n, 4)
+    return Counter({tuple([key >> i & 15 for i in fields]): c for key, c in packed.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ plain tuple of the same fields.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import deque
 from itertools import count, repeat
 from time import perf_counter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
@@ -27,7 +27,6 @@ from treecount.core import (
     CapExceeded,
     OutOfRange,
     _check_cap,
-    _degree_vector,
     as_integer,
     binomial,
     int_to_text,
@@ -163,17 +162,16 @@ def verify_theorem1(
     n_max: int, *, formula: Callable[[tuple[int, ...]], int] | None = None
 ) -> IdentityReport:
     """Degree-sequence formula against the degree vectors read from every
-    decoded tree, for every valid degree sequence with n <= n_max."""
+    decoded tree, for every valid degree sequence with n <= n_max.  The
+    trees are the edge masks of the sweep (the walk below
+    enumeration._SWEEP_FROM), and each mask's degree vector is read from
+    its edges (enumeration._degree_histogram)."""
     _check_top("n_max", n_max, "sweep", enumeration.PRUFER_ENUM_CAP)
     fn = formula if formula is not None else counting.count_trees_with_degrees
 
     def cases() -> Iterator[_Case]:
-        # the edges of each word's decode, with _decode_edges read here so
-        # that a replaced decode is the one checked
-        decode = enumeration._decode_edges
         for n in range(2, n_max + 1):
-            trees = map(decode, repeat(n), enumeration.enumerate_sequences(n))
-            hist = Counter(map(_degree_vector, repeat(n), trees))
+            hist = enumeration._degree_histogram(n)
             for d in enumeration.enumerate_compositions(2 * n - 2, n):
                 yield (n, d), hist[d], (("", fn(d)),)
 

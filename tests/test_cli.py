@@ -1048,7 +1048,7 @@ class TestDirectOutput:
 # edges, json and csv output against the per-edge formatters: the tree of
 # each word through prufer_decode, written by core.tree_to_text or the
 # oracles' json and csv lines.  Trees on up to 9 vertices are written
-# from their edge masks through the chunk tables cli._chunk_tables, larger
+# from their edge masks through the chunk tables cli._text_tables, larger
 # ones from one template per run of one n.
 
 COUNT_LINES = {"edges": "count %d\n", "json": '{"count": %d}\n', "csv": "count,%d\n"}
@@ -1182,6 +1182,30 @@ class TestTreeFormatGoldens:
             cases = (singles if fmt != "json" else []) + trees + full
             texts = cli._mask_texts(n, fmt, [mask for _, mask in cases])
             assert list(texts) == [write(i, e) for i, (e, _) in enumerate(cases)], fmt
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_text_tables_are_the_per_format_builder(self, n):
+        # the text tables made from enumeration._mask_tables and edited in
+        # cli equal those of a builder written out here for text alone: the
+        # text of the edges of each chunk entry, then the head and the tail
+        for fmt, (piece, head, cut, tail) in cli._MASK_FORMATS.items():
+            pairs = list(combinations(range(1, n + 1), 2))
+            rest, parts = len(pairs) - (n - 1), 2 if n <= 7 else 4
+            bounds = [0] + [n - 1 + rest * j // parts for j in range(parts + 1)]
+            chunks = []
+            for lo, hi in zip(bounds, bounds[1:]):
+                table = [""]
+                for pair in pairs[lo:hi]:
+                    text = piece % pair
+                    table += [t + text for t in table]
+                chunks.append((lo, (1 << (hi - lo)) - 1, table))
+            head = head % n if head else ""
+            lo, width, table = chunks[0]
+            chunks[0] = lo, width, [head + t[cut:] for t in table]
+            lo, width, table = chunks[-1]
+            chunks[-1] = lo, width, [t + tail for t in table]
+            got = [(lo, width, list(table)) for lo, width, table in cli._text_tables(n, fmt)]
+            assert got == chunks, fmt
 
     @pytest.mark.parametrize("fmt", ["edges", "json", "csv"])
     def test_raised_sweep_cap_builds_no_table(self, monkeypatch, fmt):

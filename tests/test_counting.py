@@ -393,8 +393,10 @@ class TestMemos:
     def test_package_memos_are_the_known_caches(self):
         # the benchmark clears every cache_clear callable of the package's
         # modules before each op; a memo outside this list would stay warm.
-        # Besides the three counting caches, cli keeps the text tables of
-        # the edge masks of each n <= 9 and format it has written
+        # Besides the three counting caches, enumeration keeps the chunk
+        # tables of the edge masks of each n <= 9 and kind it has summed, and
+        # the sweep's step tables of each n it has swept; cli keeps the text
+        # tables, with heads and tails, of each n and format it has written
         import treecount.cli  # noqa: F401  loads every module of the package
 
         found = {
@@ -405,7 +407,9 @@ class TestMemos:
             if callable(getattr(obj, "cache_clear", None))
         }
         assert found == {
-            "treecount.cli._chunk_tables",
+            "treecount.cli._text_tables",
+            "treecount.enumeration._mask_tables",
+            "treecount.enumeration._steps",
             "treecount.counting._eq20",
             "treecount.counting._pascal_rows",
             "treecount.counting._join_weight",

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import io
 import random
-from itertools import chain, combinations, combinations_with_replacement, islice, product, repeat
+from collections import Counter
+from itertools import chain, combinations, combinations_with_replacement, islice, product, repeat, zip_longest
 from math import comb
+from operator import eq
 
 import pytest
 from hypothesis import given
@@ -17,6 +19,7 @@ from treecount.core import (
     LabeledTree,
     NotATree,
     OutOfRange,
+    _degree_vector,
     canonicalize_tree,
     degree_of,
     tree_degrees,
@@ -171,6 +174,22 @@ class TestEnumerateAllTrees:
         for tree in enumerate_all_trees(8):
             seen.add(tree.edges)
         assert len(seen) == 8**6
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_stream_is_the_walk(self, n):
+        # from n = _SWEEP_FROM the trees are summed from the sweep's masks;
+        # the stream equals the decode of every word, in order and type
+        swept = enumerate_all_trees(n)
+        walked = decode_sequences(n, enumerate_sequences(n))
+        for tree, want in zip_longest(swept, walked):
+            assert type(tree) is LabeledTree and tree == want
+
+    def test_stream_at_nine(self):
+        # blocks 1 and 2 against the walk, as test_sweep_at_nine does for masks
+        stop = 2 * 9**6
+        swept = islice(enumerate_all_trees(9), stop)
+        walked = decode_sequences(9, islice(enumerate_sequences(9), stop))
+        assert all(map(eq, swept, walked)) and next(swept, None) is None
 
     def test_caps(self):
         with pytest.raises(CapExceeded):
@@ -416,6 +435,35 @@ class TestDegV1Histogram:
     def test_range(self):
         with pytest.raises(OutOfRange):
             deg_v1_histogram(1)
+
+
+class TestDegreeHistogram:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_is_the_degree_vectors_of_the_decodes(self, n):
+        walked = map(enumeration._decode_edges, repeat(n), enumerate_sequences(n))
+        assert enumeration._degree_histogram(n) == Counter(map(_degree_vector, repeat(n), walked))
+
+
+class TestMaskTables:
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_entries_are_the_sums_of_their_pieces(self, n):
+        # entry m of a chunk is the + of the pieces of its set bits, in bit
+        # order; chunk 0 holds vertex 1's edges and the rest at most 8 bits
+        pairs = list(combinations(range(1, n + 1), 2))
+        kinds = {
+            "pairs": lambda edges: tuple(edges),
+            "degrees": lambda edges: sum(16 ** (u - 1) + 16 ** (v - 1) for u, v in edges),
+            "%d-%d;": lambda edges: "".join("%d-%d;" % e for e in edges),
+        }
+        for kind, total in kinds.items():
+            chunks = enumeration._mask_tables(n, kind)
+            assert len(chunks) == (3 if n <= 7 else 5)
+            assert chunks[0][:2] == (0, (1 << n - 1) - 1)
+            shifts = [lo for lo, _, _ in chunks] + [len(pairs)]
+            for (lo, width, table), hi in zip(chunks, shifts[1:]):
+                assert width == (1 << hi - lo) - 1 and hi - lo <= 8 and len(table) == width + 1
+                for m, entry in enumerate(table):
+                    assert entry == total([pairs[lo + i] for i in range(hi - lo) if m >> i & 1])
 
 
 class TestEdgeSubsetPairs:

@@ -201,19 +201,30 @@ class TestFaultInjection:
         assert failure.expected == 2 and failure.got == 3
 
     def test_theorem1_reads_degrees_from_decoded_trees(self, monkeypatch):
-        # one word at n = 5 decodes to the star at 2 instead of the star at 1:
-        # the word count per degree vector is unchanged, the trees are not
-        decode = enumeration._decode_edges
+        # the sweep gives the mask of the star at 2 for the first word at
+        # n = 6, (1, 1, 1, 1), whose tree is the star at 1: the word count
+        # per degree vector is unchanged, the trees are not.  The sweep is
+        # read through the module at call time, so the injected one is the
+        # one checked
+        n = 6
+        assert n >= enumeration._SWEEP_FROM  # an n the sweep serves
+        bit = enumeration._EDGE_BITS[n]
+        star1, star2 = (sum(bit[c][u] for u in range(1, n + 1) if u != c) for c in (1, 2))
+        sweep = enumeration._sweep_chunks
 
-        def wrong(n, symbols):
-            return decode(n, (2, 2, 2) if tuple(symbols) == (1, 1, 1) else symbols)
+        def wrong(*args):
+            for i, masks in enumerate(sweep(*args)):
+                if i == 0 and args[0] == n:
+                    assert masks[0] == star1
+                    masks[0] = star2
+                yield masks
 
-        monkeypatch.setattr(enumeration, "_decode_edges", wrong)
-        report = verify_theorem1(5)
+        monkeypatch.setattr(enumeration, "_sweep_chunks", wrong)
+        report = verify_theorem1(n)
         assert report.status == "FAIL"
         assert [(f.parameters, f.expected, f.got) for f in report.failures] == [
-            ("n=5,d=1,4,1,1,1", 2, 1),
-            ("n=5,d=4,1,1,1,1", 0, 1),
+            ("n=6,d=1,5,1,1,1,1", 2, 1),
+            ("n=6,d=5,1,1,1,1,1", 0, 1),
         ]
 
     def test_theorem1_builds_no_tree(self, monkeypatch):
