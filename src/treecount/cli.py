@@ -75,9 +75,10 @@ _MASK_FORMATS = {  # piece, head, characters cut from chunk 0's entries, tail
 def _text_tables(n: int, fmt: str) -> tuple[tuple[int, int, list[str]], ...]:
     """The chunks of enumeration._mask_tables(n, piece) for the edges, json
     or csv format on 2 <= n <= 9 vertices, with the head and the tail
-    edited in; made once per (n, format), on first use."""
+    edited in; made once per (n, format), on first use.  The raw tables
+    are built past _mask_tables' memo, so only this edited copy is kept."""
     piece, head, cut, tail = _MASK_FORMATS[fmt]
-    chunks = list(enumeration._mask_tables(n, piece))
+    chunks = list(enumeration._mask_tables.__wrapped__(n, piece))
     head = head % n if head else ""
     lo, width, table = chunks[0]
     chunks[0] = lo, width, [head + t[cut:] for t in table]

@@ -17,8 +17,8 @@ level of rows is composed from the level one symbol shorter by
 ``_compose``, from the empty suffix up to the words.  A mask is read
 through ``_mask_tables``, one lookup per chunk of its bits, each entry
 the sum of the pieces its edges stand for: their pairs, so that
-``enumerate_all_trees`` yields each swept tree's sorted edges from
-n = _SWEEP_FROM; their degree increments packed in one int, which
+``enumerate_all_trees`` yields each swept tree's sorted edges for
+_SWEEP_FROM <= n <= 9; their degree increments packed in one int, which
 ``_degree_histogram`` counts for THEOREM_1; or the CLI's texts of them,
 from which it writes its small tree formats.  The encode,
 ``_encode_walk``, peels leaves smallest first with the same pointer,
@@ -49,6 +49,7 @@ from treecount.core import (
     OutOfRange,
     _acyclic,
     _check_cap,
+    _degree_vector,
     validate_degrees,
 )
 
@@ -401,11 +402,13 @@ def decode_sequences(n: int, words: Iterable[tuple[int, ...]]) -> Iterator[Label
 def enumerate_all_trees(n: int) -> Iterator[LabeledTree]:
     """Every labeled tree on n vertices, in lexicographic order of its
     Prufer sequence; the single tree for n in {1, 2}.  From n = _SWEEP_FROM
-    each tree's edges are the sum of its edge mask's "pairs" tables."""
+    to 9, the last n with edge masks, each tree's edges are the sum of its
+    edge mask's "pairs" tables; above 9, reached only when a library caller
+    raises PRUFER_ENUM_CAP, each word is decoded."""
     words = enumerate_sequences(n)  # checks n and the sweep cap
-    if n < _SWEEP_FROM:
-        return decode_sequences(n, words)
-    return _swept_trees(n)
+    if _SWEEP_FROM <= n < len(_EDGE_BITS):
+        return _swept_trees(n)
+    return decode_sequences(n, words)
 
 
 def _swept_trees(n: int) -> Iterator[LabeledTree]:
@@ -449,11 +452,16 @@ def deg_v1_histogram(n: int) -> dict[int, int]:
 
 
 def _degree_histogram(n: int) -> Counter:
-    """Tree counts keyed by the degree vector, for 2 <= n <= 9, read from
-    each tree's edge mask with no LabeledTree: the mask's sum of the
-    "degrees" tables is counted, and only the distinct sums, at most
+    """Tree counts keyed by the degree vector, for n >= 2, with no
+    LabeledTree.  Up to n = 9 each tree's edge mask is read: the mask's sum
+    of the "degrees" tables is counted, and only the distinct sums, at most
     C(2n-3, n-1), are unpacked.  The masks are the sweep's from
-    n = _SWEEP_FROM, else the walk's."""
+    n = _SWEEP_FROM, else the walk's.  Above 9, where there are no edge
+    masks and a degree may not fit its 4-bit field, each word's decoded
+    edges are counted by _degree_vector."""
+    if n >= len(_EDGE_BITS):
+        edges = map(_decode_edges, repeat(n), enumerate_sequences(n))
+        return Counter(map(_degree_vector, repeat(n), edges))
     if n >= _SWEEP_FROM:
         chunks = _sweep_chunks(n, n ** (n - 2), _SWEEP_SIZE)
     else:

@@ -191,6 +191,12 @@ class TestEnumerateAllTrees:
         walked = decode_sequences(9, islice(enumerate_sequences(9), stop))
         assert all(map(eq, swept, walked)) and next(swept, None) is None
 
+    def test_raised_cap_walks_ten(self, monkeypatch):
+        # the sweep covers n <= 9; with the cap raised, n = 10 decodes each word
+        monkeypatch.setattr(enumeration, "PRUFER_ENUM_CAP", 10)
+        swept = list(islice(enumerate_all_trees(10), 1200))
+        assert swept == list(decode_sequences(10, islice(enumerate_sequences(10), 1200)))
+
     def test_caps(self):
         with pytest.raises(CapExceeded):
             enumerate_all_trees(enumeration.PRUFER_ENUM_CAP + 1)
@@ -442,6 +448,15 @@ class TestDegreeHistogram:
     def test_is_the_degree_vectors_of_the_decodes(self, n):
         walked = map(enumeration._decode_edges, repeat(n), enumerate_sequences(n))
         assert enumeration._degree_histogram(n) == Counter(map(_degree_vector, repeat(n), walked))
+
+    def test_above_nine_reads_the_decoded_edges(self, monkeypatch):
+        # there are no edge masks above 9: with the cap raised, the first
+        # 1200 words of n = 10 are decoded and their degree vectors counted
+        monkeypatch.setattr(enumeration, "PRUFER_ENUM_CAP", 10)
+        words = list(islice(enumerate_sequences(10), 1200))
+        monkeypatch.setattr(enumeration, "enumerate_sequences", lambda n: iter(words))
+        walked = map(enumeration._decode_edges, repeat(10), words)
+        assert enumeration._degree_histogram(10) == Counter(map(_degree_vector, repeat(10), walked))
 
 
 class TestMaskTables:
