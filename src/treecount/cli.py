@@ -56,15 +56,11 @@ def _parse_degrees(text: str, n: int | None = None) -> tuple[int, ...]:
     return degrees
 
 
-# Edge-mask texts, 2 <= n <= 9.  Bit i of a tree's edge mask is the edge
-# enumeration._mask_pairs(n)[i], and enumeration._mask_tables(n, piece)
-# gives the text of the edges set in each chunk of the mask, so a tree's
-# text is one lookup per chunk, joined.  Every tree has an edge at vertex
-# 1, so its first edge lies in chunk 0, which holds vertex 1's edges: each
-# chunk-0 entry carries the record's head and drops the ", " a json piece
-# starts with, and each last-chunk entry carries the tail.  A csv piece
-# starts with the placeholder "#", which each row replaces with its index.
-_MASK_FORMATS = {  # piece, head, characters cut from chunk 0's entries, tail
+# Each tree format's parts: a tree on n vertices is the head (a %-template
+# of n, or none), the pieces of its sorted edges (each a %-template of two
+# ints), the first cut short, and the tail.  A csv piece starts with the
+# placeholder "#", which each row replaces with its index (_numbered).
+_MASK_FORMATS = {  # piece, head, characters cut from the first piece, tail
     "edges": ("%d %d\n", "n %d\n", 0, ""),
     "json": (", [%d, %d]", '{"n": %d, "edges": [', 2, "]}\n"),
     "csv": ("#,%d,%d\n", "", 0, ""),
@@ -75,11 +71,13 @@ _MASK_FORMATS = {  # piece, head, characters cut from chunk 0's entries, tail
 def _text_tables(n: int, fmt: str) -> tuple[tuple[int, int, list[str]], ...]:
     """The chunks of enumeration._mask_tables(n, piece) for the edges, json
     or csv format on 2 <= n <= 9 vertices, with the head and the tail
-    edited in; made once per (n, format), on first use.  The raw tables
-    are built past _mask_tables' memo, so only this edited copy is kept."""
+    edited in; made once per (n, format), on first use.  A tree's first
+    edge is at vertex 1, in chunk 0, so each chunk-0 entry carries the head
+    and the cut, and each last-chunk entry the tail.  The raw tables are
+    built past _mask_tables' memo, so only this edited copy is kept."""
     piece, head, cut, tail = _MASK_FORMATS[fmt]
     chunks = list(enumeration._mask_tables.__wrapped__(n, piece))
-    head = head % n if head else ""
+    head = head and head % n
     lo, width, table = chunks[0]
     chunks[0] = lo, width, [head + t[cut:] for t in table]
     lo, width, table = chunks[-1]
@@ -87,39 +85,36 @@ def _text_tables(n: int, fmt: str) -> tuple[tuple[int, int, list[str]], ...]:
     return tuple(chunks)
 
 
+def _numbered(fmt: str, texts: Iterator[str], start: int = 0) -> Iterator[str]:
+    """A stream's tree texts in fmt: in csv each "#" of a tree's rows
+    becomes its index in the stream, the first start."""
+    if fmt != "csv":
+        return texts
+    return map(str.replace, texts, repeat("#"), map(str, count(start)))
+
+
 def _mask_texts(n: int, fmt: str, masks: Iterable[int], start: int = 0) -> Iterator[str]:
     """The text of the tree of each edge mask on 2 <= n <= 9 vertices in the
-    edges, json or csv format, one lookup per chunk of the format's
-    _text_tables; a csv row starts with the tree's index in the stream,
-    the first start."""
-    text = enumeration._mask_sum(_text_tables(n, fmt))
-    if fmt == "csv":
-        return map(str.replace, map(text, masks), repeat("#"), map(str, count(start)))
-    return map(text, masks)
+    edges, json or csv format, one lookup per chunk of _text_tables; a csv
+    row starts with the tree's index in the stream, the first start."""
+    return _numbered(fmt, map(enumeration._mask_sum(_text_tables(n, fmt)), masks), start)
 
 
 def _tree_texts(n: int, fmt: str, words: Iterable[tuple[int, ...]]) -> Iterator[str]:
     """The text of the tree of each Prufer word on n vertices in the edges,
     json or csv format; a csv row starts with the tree's index in the
-    stream.  Each word is decoded once, with no per-edge formatting: up to
-    n = 9 to its edge mask, written by _mask_texts, above it to the
-    flattened edges that fill one %-template made for the run."""
-    if n == 1:
-        text = {"edges": "n 1\n", "json": '{"n": 1, "edges": []}\n', "csv": ""}[fmt]
-        return (text for _ in words)
-    if n < 10:
+    stream.  Each word is decoded once, with no per-edge formatting: to
+    its edge mask, written by _mask_texts, on the n with masks, else to
+    the flattened edges that fill one %-template of _MASK_FORMATS' parts
+    made for the run (the template alone on one vertex)."""
+    if 2 <= n < len(enumeration._EDGE_BITS):
         return _mask_texts(n, fmt, map(enumeration._decode_mask, repeat(n), words))
-
-    def flat(w: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(chain.from_iterable(enumeration._decode_edges(n, w)))
-
-    if fmt == "edges":
-        template = "n %d\n" % n + "%d %d\n" * (n - 1)
-    elif fmt == "json":
-        template = '{"n": %d, "edges": [' % n + ", ".join(["[%d, %d]"] * (n - 1)) + "]}\n"
-    else:
-        return ((("%d," % i + "%d,%d\n") * (n - 1)) % flat(w) for i, w in enumerate(words))
-    return (template % flat(w) for w in words)
+    piece, head, cut, tail = _MASK_FORMATS[fmt]
+    template = (head and head % n) + (piece * (n - 1))[cut:] + tail
+    if n == 1:
+        return (template for _ in words)
+    edges = map(chain.from_iterable, map(enumeration._decode_edges, repeat(n), words))
+    return _numbered(fmt, map(template.__mod__, map(tuple, edges)))
 
 
 def _word_texts(n: int, fmt: str, words: Iterable[tuple[int, ...]]) -> Iterator[str]:
@@ -158,14 +153,13 @@ def _chunks(lines: Iterable[str], stop: int = sys.maxsize) -> Iterator[tuple[int
         yield len(chunk), "".join(chunk)
 
 
-def _sweep_chunks(n: int, fmt: str, stop: int) -> Iterator[tuple[int, str]]:
+def _plain_chunks(n: int, fmt: str, stop: int) -> Iterator[tuple[int, str]]:
     """(number, text) of each chunk of at most _CHUNK of the first stop lines
-    of plain enumerate on 4 <= n <= 9 vertices.  The tree formats are
-    written from the edge masks of enumeration._sweep_chunks.  The prufer
-    format is written from shared texts: the lines of the words' last n - 4
-    symbols (the last one at n = 4) are formatted once, and a run of them
-    with a prefix's text after each line feed is the lines of that prefix's
-    words."""
+    of plain enumerate where the sweep serves n (enumeration._sweeps): the
+    tree formats from the edge masks of enumeration._sweep_chunks, the
+    prufer format from shared texts.  The lines of the words' last n - 4
+    symbols are formatted once, and a run of them with a prefix's text
+    after each line feed is the lines of that prefix's words."""
     if fmt != "prufer":
         start = 0
         for masks in enumeration._sweep_chunks(n, stop, _CHUNK):
@@ -173,7 +167,7 @@ def _sweep_chunks(n: int, fmt: str, stop: int) -> Iterator[tuple[int, str]]:
             start += len(masks)
         return
     symbols = range(1, n + 1)
-    lead = min(2, n - 3)  # the symbols of a prefix
+    lead = 2  # the symbols of a prefix
     rest, size = n - 2 - lead, n ** (n - 2 - lead)  # the symbols and words after it
     tails = _word_texts(rest + 2, "text", product(symbols, repeat=rest))
     tails = "".join(text for _, text in _chunks(tails, stop))  # with no list of every line
@@ -265,9 +259,9 @@ def cmd_enumerate(args, stdin: IO[str], stdout: IO[str]) -> int:
         words = (w for w in enumeration.enumerate_sequences(n) if w.count(1) == k - 1)
     else:
         words = enumeration.enumerate_sequences(n)  # checks n and the sweep cap
-        if 4 <= n <= 9:
+        if enumeration._sweeps(n):
             # the suffix-shared sweep stands in for the words
-            _write(stdout, args.format, _sweep_chunks(n, args.format, stop), args.count)
+            _write(stdout, args.format, _plain_chunks(n, args.format, stop), args.count)
             return 0
     _write(stdout, args.format, _chunks(_texts(n, args.format, words), stop), args.count)
     return 0

@@ -14,11 +14,12 @@ and, for n <= 9, ``_decode_mask`` the tree's edge mask, one bit per pair
 of a whole sweep, or of its first trees, in chunks, and walks no word: a
 suffix's row is its decode without its smallest absent vertices, and each
 level of rows is composed from the level one symbol shorter by
-``_compose``, from the empty suffix up to the words.  A mask is read
-through ``_mask_tables``, one lookup per chunk of its bits, each entry
-the sum of the pieces its edges stand for: their pairs, so that
-``enumerate_all_trees`` yields each swept tree's sorted edges for
-_SWEEP_FROM <= n <= 9; their degree increments packed in one int, which
+``_compose``, from the empty suffix up to the words.  One predicate,
+``_sweeps`` (_SWEEP_FROM <= n <= 9), sends the CLI's plain enumerate,
+``enumerate_all_trees`` and ``_degree_histogram`` to the sweep.  A mask
+is read through ``_mask_tables``, one lookup per chunk of its bits, each
+entry the sum of the pieces its edges stand for: their pairs, the swept
+trees' sorted edges; their degree increments packed in one int, which
 ``_degree_histogram`` counts for THEOREM_1; or the CLI's texts of them,
 from which it writes its small tree formats.  The encode,
 ``_encode_walk``, peels leaves smallest first with the same pointer,
@@ -271,15 +272,21 @@ def _sweep_chunks(n: int, stop: int, size: int) -> Iterator[list[int]]:
         sets, masks, first, run = up, ups, 1, block
 
 
-# The least n whose library streams take the sweep.  Medians of 300 runs
-# of enumerate_all_trees(n) and _degree_histogram(n), in ms, the walk
-# against the sweep with the memos _steps and _mask_tables cold, on a
+# The least n whose plain streams take the sweep (_sweeps).  Medians of
+# 300 runs of enumerate_all_trees(n) and _degree_histogram(n), in ms, the
+# walk against the sweep with the memos _steps and _mask_tables cold, on a
 # 2-vCPU VM with Python 3.11.7: n = 4, 0.04 and 0.06 against 0.23 and
-# 0.17; n = 5, 0.29 and 0.26 against 0.37 and 0.36 (0.28 and 0.23 against
-# 0.25 and 0.23 warm); n = 6, 3.4 and 2.5 against 1.8 and 1.3.
+# 0.17; n = 5, 0.29 and 0.26 against 0.37 and 0.36; n = 6, 3.4 and 2.5
+# against 1.8 and 1.3.  The CLI's plain enumerate, best of 60, in us:
+# n = 4, 24 against 118; n = 5, 76 against 246; n = 6, 381 against 392.
 # _SWEEP_SIZE is the most masks a sweep's list holds.
 _SWEEP_FROM = 6
 _SWEEP_SIZE = 4096
+
+
+def _sweeps(n: int) -> bool:
+    """Whether the plain streams on n vertices are read from the sweep."""
+    return _SWEEP_FROM <= n < len(_EDGE_BITS)
 
 
 def prufer_decode(n: int, symbols: tuple[int, ...]) -> LabeledTree:
@@ -401,12 +408,14 @@ def decode_sequences(n: int, words: Iterable[tuple[int, ...]]) -> Iterator[Label
 
 def enumerate_all_trees(n: int) -> Iterator[LabeledTree]:
     """Every labeled tree on n vertices, in lexicographic order of its
-    Prufer sequence; the single tree for n in {1, 2}.  From n = _SWEEP_FROM
-    to 9, the last n with edge masks, each tree's edges are the sum of its
-    edge mask's "pairs" tables; above 9, reached only when a library caller
-    raises PRUFER_ENUM_CAP, each word is decoded."""
+    Prufer sequence; the single tree for n in {1, 2}.  Where the sweep
+    serves n (_sweeps), each tree's edges are the sum of its edge mask's
+    "pairs" tables; at any other n each word is decoded.  The sweep builds
+    every level below the words before its first tree (0.1-0.12 s at
+    n = 9, 5-7 ms at n = 8), so the first k trees are cheaper as
+    decode_sequences(n, islice(enumerate_sequences(n), k))."""
     words = enumerate_sequences(n)  # checks n and the sweep cap
-    if _SWEEP_FROM <= n < len(_EDGE_BITS):
+    if _sweeps(n):
         return _swept_trees(n)
     return decode_sequences(n, words)
 
@@ -453,22 +462,17 @@ def deg_v1_histogram(n: int) -> dict[int, int]:
 
 def _degree_histogram(n: int) -> Counter:
     """Tree counts keyed by the degree vector, for n >= 2, with no
-    LabeledTree.  Up to n = 9 each tree's edge mask is read: the mask's sum
-    of the "degrees" tables is counted, and only the distinct sums, at most
-    C(2n-3, n-1), are unpacked.  The masks are the sweep's from
-    n = _SWEEP_FROM, else the walk's.  Above 9, where there are no edge
-    masks and a degree may not fit its 4-bit field, each word's decoded
-    edges are counted by _degree_vector."""
-    if n >= len(_EDGE_BITS):
+    LabeledTree.  Where the sweep serves n (_sweeps), the sum of each
+    mask's "degrees" tables is counted, and only the distinct sums, at most
+    C(2n-3, n-1), are unpacked.  At any other n, below _SWEEP_FROM or above
+    9 (no edge masks, and a degree may not fit its 4-bit field), each
+    word's decoded edges are counted by _degree_vector."""
+    if not _sweeps(n):
         edges = map(_decode_edges, repeat(n), enumerate_sequences(n))
         return Counter(map(_degree_vector, repeat(n), edges))
-    if n >= _SWEEP_FROM:
-        chunks = _sweep_chunks(n, n ** (n - 2), _SWEEP_SIZE)
-    else:
-        chunks = [map(_decode_mask, repeat(n), enumerate_sequences(n))]
     packed: Counter = Counter()
     pack = _mask_sum(_mask_tables(n, "degrees"))
-    for masks in chunks:
+    for masks in _sweep_chunks(n, n ** (n - 2), _SWEEP_SIZE):
         packed.update(map(pack, masks))
     fields = range(0, 4 * n, 4)
     return Counter({tuple([key >> i & 15 for i in fields]): c for key, c in packed.items()})

@@ -163,9 +163,9 @@ def verify_theorem1(
 ) -> IdentityReport:
     """Degree-sequence formula against the degree vectors read from every
     decoded tree, for every valid degree sequence with n <= n_max.  The
-    trees are the edge masks of the sweep (the walk below
-    enumeration._SWEEP_FROM), and each mask's degree vector is read from
-    its edges (enumeration._degree_histogram)."""
+    trees are the edge masks of the sweep, each degree vector read from its
+    mask's edges, or below enumeration._SWEEP_FROM the walk's decoded
+    edges (enumeration._degree_histogram)."""
     _check_top("n_max", n_max, "sweep", enumeration.PRUFER_ENUM_CAP)
     fn = formula if formula is not None else counting.count_trees_with_degrees
 

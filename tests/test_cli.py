@@ -165,10 +165,10 @@ class TestEnumerate:
         # row past the limit at any level; the prufer format from shared
         # texts of the words' prefixes and suffixes (cli._word_texts), none
         # of them past the limit
-        argv = ["enumerate", "-n", "5", "--format", fmt, "--limit", "3", "--count"]
+        argv = ["enumerate", "-n", "6", "--format", fmt, "--limit", "3", "--count"]
         expected = run_cli(argv)
         assert expected[0] == 0
-        first_three = list(enumeration.enumerate_sequences(5))[:3]
+        first_three = list(enumeration.enumerate_sequences(6))[:3]
         pulled, built = [], []
 
         def noting(items):
@@ -195,9 +195,9 @@ class TestEnumerate:
             # the suffixes of the three words, then their one prefix
             assert pulled == [w[2:] for w in first_three] + [first_three[0][:2]]
         else:
-            # level 1 a row in each of blocks 1..3, then levels 2 and 3, the
-            # words, three rows in block 1
-            assert pulled == [] and built == [1, 1, 1, 3, 3]
+            # level 1 a row in each of blocks 1..3, then levels 2, 3 and 4,
+            # the words, three rows in block 1
+            assert pulled == [] and built == [1, 1, 1, 3, 3, 3]
 
     def test_json_records_parse(self):
         code, out, _ = run_cli(["enumerate", "-n", "3", "--format", "json"])

@@ -353,7 +353,7 @@ class TestEdgeMasks:
         edges = sorted({*range(size, block, size), block, *range(block + size, 2 * block, size)})
         assert ends == edges + [2 * block]
 
-    @pytest.mark.parametrize("n", range(4, 8))
+    @pytest.mark.parametrize("n", [6, 7])
     def test_sweep_walks_no_word(self, monkeypatch, n):
         # plain enumerate never calls _decode_mask and pulls no word from
         # enumeration.product (enumerate_sequences still checks n and hands
@@ -391,6 +391,33 @@ class TestEdgeMasks:
             limit = int(argv[-1]) if argv[-2] == "--limit" else n ** (n - 2)
             built = [min(limit, n**k) for k in range(1, n - 1)] if limit else []
             assert [rows for _, rows in levels] == built, argv
+
+    @pytest.mark.parametrize("n", [4, 5, enumeration._SWEEP_FROM])
+    def test_one_switch_for_every_plain_stream(self, monkeypatch, n):
+        # plain enumerate, enumerate_all_trees and _degree_histogram read
+        # one predicate: below _SWEEP_FROM none of them composes a row, from
+        # it each does, the tree formats through the sweep's masks and the
+        # prufer format through cli._plain_chunks, which composes none
+        calls = []
+
+        def noting(name, function):
+            def noted(*args):
+                calls.append(name)
+                return function(*args)
+
+            return noted
+
+        monkeypatch.setattr(enumeration, "_compose", noting("compose", enumeration._compose))
+        monkeypatch.setattr(cli, "_plain_chunks", noting("plain", cli._plain_chunks))
+        swept = n >= enumeration._SWEEP_FROM
+        for fmt in cli.TREE_FORMATS:
+            calls.clear()
+            assert _run(["enumerate", "-n", str(n), "--format", fmt])[0] == 0
+            assert ("compose" in calls, "plain" in calls) == (swept and fmt != "prufer", swept), fmt
+        for stream in (enumerate_all_trees, enumeration._degree_histogram):
+            calls.clear()
+            assert list(stream(n))
+            assert ("compose" in calls) == swept, stream.__name__
 
 
 def _run(argv):
