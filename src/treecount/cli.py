@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import lru_cache
 from itertools import chain, count, groupby, islice, product, repeat
 from typing import IO, Iterable, Iterator
 
@@ -58,31 +57,14 @@ def _parse_degrees(text: str, n: int | None = None) -> tuple[int, ...]:
 
 # Each tree format's parts: a tree on n vertices is the head (a %-template
 # of n, or none), the pieces of its sorted edges (each a %-template of two
-# ints), the first cut short, and the tail.  A csv piece starts with the
-# placeholder "#", which each row replaces with its index (_numbered).
+# ints), the first cut short, and the tail; on n <= 9 the parts are a kind
+# of enumeration._mask_tables.  A csv piece starts with the placeholder "#",
+# which each row replaces with its index (_numbered).
 _MASK_FORMATS = {  # piece, head, characters cut from the first piece, tail
     "edges": ("%d %d\n", "n %d\n", 0, ""),
     "json": (", [%d, %d]", '{"n": %d, "edges": [', 2, "]}\n"),
     "csv": ("#,%d,%d\n", "", 0, ""),
 }
-
-
-@lru_cache(maxsize=None)
-def _text_tables(n: int, fmt: str) -> tuple[tuple[int, int, list[str]], ...]:
-    """The chunks of enumeration._mask_tables(n, piece) for the edges, json
-    or csv format on 2 <= n <= 9 vertices, with the head and the tail
-    edited in; made once per (n, format), on first use.  A tree's first
-    edge is at vertex 1, in chunk 0, so each chunk-0 entry carries the head
-    and the cut, and each last-chunk entry the tail.  The raw tables are
-    built past _mask_tables' memo, so only this edited copy is kept."""
-    piece, head, cut, tail = _MASK_FORMATS[fmt]
-    chunks = list(enumeration._mask_tables.__wrapped__(n, piece))
-    head = head and head % n
-    lo, width, table = chunks[0]
-    chunks[0] = lo, width, [head + t[cut:] for t in table]
-    lo, width, table = chunks[-1]
-    chunks[-1] = lo, width, [t + tail for t in table]
-    return tuple(chunks)
 
 
 def _numbered(fmt: str, texts: Iterator[str], start: int = 0) -> Iterator[str]:
@@ -95,9 +77,10 @@ def _numbered(fmt: str, texts: Iterator[str], start: int = 0) -> Iterator[str]:
 
 def _mask_texts(n: int, fmt: str, masks: Iterable[int], start: int = 0) -> Iterator[str]:
     """The text of the tree of each edge mask on 2 <= n <= 9 vertices in the
-    edges, json or csv format, one lookup per chunk of _text_tables; a csv
-    row starts with the tree's index in the stream, the first start."""
-    return _numbered(fmt, map(enumeration._mask_sum(_text_tables(n, fmt)), masks), start)
+    edges, json or csv format, one lookup per chunk of its _mask_tables; a
+    csv row starts with the tree's index in the stream, the first start."""
+    text = enumeration._mask_sum(enumeration._mask_tables(n, _MASK_FORMATS[fmt]))
+    return _numbered(fmt, map(text, masks), start)
 
 
 def _tree_texts(n: int, fmt: str, words: Iterable[tuple[int, ...]]) -> Iterator[str]:
@@ -140,9 +123,9 @@ def _texts(n: int, fmt: str, words: Iterable[tuple[int, ...]]) -> Iterator[str]:
     return _tree_texts(n, fmt, words)
 
 
-# The most trees or words one write holds: the lines of a chunk are joined
-# and written at once, as a real stdout pays for each write it is given.
-_CHUNK = 4096
+# The most trees or words one write holds, as a real stdout pays for each
+# write: the size of the sweep's lists, so that a list of masks is one write.
+_CHUNK = enumeration._CHUNK
 
 
 def _chunks(lines: Iterable[str], stop: int = sys.maxsize) -> Iterator[tuple[int, str]]:
@@ -162,7 +145,7 @@ def _plain_chunks(n: int, fmt: str, stop: int) -> Iterator[tuple[int, str]]:
     after each line feed is the lines of that prefix's words."""
     if fmt != "prufer":
         start = 0
-        for masks in enumeration._sweep_chunks(n, stop, _CHUNK):
+        for masks in enumeration._sweep_chunks(n, stop):
             yield len(masks), "".join(_mask_texts(n, fmt, masks, start))
             start += len(masks)
         return

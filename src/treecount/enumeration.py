@@ -20,8 +20,9 @@ level of rows is composed from the level one symbol shorter by
 is read through ``_mask_tables``, one lookup per chunk of its bits, each
 entry the sum of the pieces its edges stand for: their pairs, the swept
 trees' sorted edges; their degree increments packed in one int, which
-``_degree_histogram`` counts for THEOREM_1; or the CLI's texts of them,
-from which it writes its small tree formats.  The encode,
+``_degree_histogram`` counts for THEOREM_1; or their text in a CLI tree
+format, with its head and tail, so that a tree's sum is its record.  One
+size, _CHUNK, bounds the sweep's lists and the CLI's writes.  The encode,
 ``_encode_walk``, peels leaves smallest first with the same pointer,
 never vertex n, keeping each vertex's degree and the XOR of its
 neighbours; it is also the tree test of the edges it is given, so the
@@ -147,7 +148,7 @@ _PIECES = {
 
 
 @lru_cache(maxsize=None)
-def _mask_tables(n: int, kind: str) -> tuple[tuple[int, int, tuple], ...]:
+def _mask_tables(n: int, kind: str | tuple) -> tuple[tuple[int, int, tuple], ...]:
     """(shift, width mask, table) per chunk of the edge masks on 2 <= n <= 9
     vertices, made once per (n, kind), on first use: at most 768 entries.
 
@@ -156,26 +157,34 @@ def _mask_tables(n: int, kind: str) -> tuple[tuple[int, int, tuple], ...]:
     most 8 bits.  Entry m of a chunk's table is the sum, with +, of the
     pieces of the edges set in m, in bit order, so a tree's sum is one
     lookup per chunk, added up by _mask_sum.  The piece of the edge (u, v)
-    is given by kind: "pairs" and "degrees" (see _PIECES), or any other
-    kind, a %-template of two ints, its text."""
-    piece, zero = _PIECES.get(kind, (kind.__mod__, ""))
+    is given by kind: "pairs" and "degrees" (see _PIECES), or a tree
+    format's parts (piece, head, cut, tail) of cli._MASK_FORMATS, the piece
+    a %-template of two ints, its text.  Every tree has an edge at vertex 1
+    and the last chunk is added last, so a format's head and cut are put
+    into chunk 0's entries and its tail into the last chunk's."""
+    text = kind not in _PIECES  # a tree format's parts
+    piece, zero = (kind[0].__mod__, "") if text else _PIECES[kind]
     pairs = _mask_pairs(n)
     rest, parts = len(pairs) - (n - 1), 2 if n <= 7 else 4
     bounds = [0] + [n - 1 + rest * j // parts for j in range(parts + 1)]
-    chunks = []
+    tables = []
     for lo, hi in zip(bounds, bounds[1:]):
         table = [zero]
         for pair in pairs[lo:hi]:
             p = piece(pair)
             table += [t + p for t in table]
-        chunks.append((lo, (1 << (hi - lo)) - 1, tuple(table)))
-    return tuple(chunks)
+        tables.append(table)
+    if text:  # by position: at n = 2 both tables after chunk 0's are [""]
+        _, head, cut, tail = kind
+        tables[0] = [(head and head % n) + t[cut:] for t in tables[0]]
+        tables[-1] = [t + tail for t in tables[-1]]
+    spans = zip(bounds, bounds[1:], tables)
+    return tuple((lo, (1 << (hi - lo)) - 1, tuple(table)) for lo, hi, table in spans)
 
 
 def _mask_sum(chunks) -> Callable[[int], object]:
     """The sum of an edge mask's table entries, for the chunks of
-    _mask_tables or tables edited entry by entry: 3 lookups up to n = 7
-    and 5 at n = 8 and 9."""
+    _mask_tables: 3 lookups up to n = 7 and 5 at n = 8 and 9."""
     if len(chunks) == 3:
         (_, w0, t0), (s1, w1, t1), (s2, _, t2) = chunks
         return lambda m: t0[m & w0] + t1[m >> s1 & w1] + t2[m >> s2]
@@ -240,14 +249,14 @@ def _compose(step: tuple, sets: bytes, masks, lo: int, hi: int, first: int, run:
     return ys.translate(drops), out
 
 
-def _sweep_chunks(n: int, stop: int, size: int) -> Iterator[list[int]]:
+def _sweep_chunks(n: int, stop: int) -> Iterator[list[int]]:
     """The edge masks of the first ``stop`` trees of enumerate_sequences(n),
-    in its order and in lists of at most ``size``, for 4 <= n <= 9; no word
+    in its order and in lists of at most _CHUNK, for 4 <= n <= 9; no word
     is walked.
 
     Level k holds the rows of _compose of the suffixes of length k, in
     lexicographic order, so block v of level k + 1 is composed from all of
-    level k, at most ``size`` rows a call.  Level 0 is the empty suffix:
+    level k, at most _CHUNK rows a call.  Level 0 is the empty suffix:
     the set {1, ..., n - 1} and the mask bit(n - 1, n).  Level n - 3 keeps
     9 bytes a suffix (4.6 MiB for the 9^6 suffixes of n = 9), and the
     chunks of level n - 2, the words, are yielded.  The first h rows of a
@@ -262,8 +271,8 @@ def _sweep_chunks(n: int, stop: int, size: int) -> Iterator[list[int]]:
         up, ups = bytearray(), array("Q")
         for start in range(0, min(stop, n * block), block):
             v, end = start // block + 1, min(block, stop - start)
-            for lo in range(0, end, size):
-                part, out = _compose(steps[v], sets, masks, lo, min(lo + size, end), first, run)
+            for lo in range(0, end, _CHUNK):
+                part, out = _compose(steps[v], sets, masks, lo, min(lo + _CHUNK, end), first, run)
                 if k == n - 3:  # the words
                     yield out
                 else:
@@ -279,9 +288,9 @@ def _sweep_chunks(n: int, stop: int, size: int) -> Iterator[list[int]]:
 # 0.17; n = 5, 0.29 and 0.26 against 0.37 and 0.36; n = 6, 3.4 and 2.5
 # against 1.8 and 1.3.  The CLI's plain enumerate, best of 60, in us:
 # n = 4, 24 against 118; n = 5, 76 against 246; n = 6, 381 against 392.
-# _SWEEP_SIZE is the most masks a sweep's list holds.
+# _CHUNK is the most masks a sweep's list holds, and the CLI's chunk size.
 _SWEEP_FROM = 6
-_SWEEP_SIZE = 4096
+_CHUNK = 4096
 
 
 def _sweeps(n: int) -> bool:
@@ -425,7 +434,7 @@ def _swept_trees(n: int) -> Iterator[LabeledTree]:
     # counts its trees; tuple.__new__ makes each tree of its (n, edges)
     # pair in C, as LabeledTree._make does behind a Python call
     edges = _mask_sum(_mask_tables(n, "pairs"))
-    for masks in _sweep_chunks(n, n ** (n - 2), _SWEEP_SIZE):
+    for masks in _sweep_chunks(n, n ** (n - 2)):
         yield from map(tuple.__new__, repeat(LabeledTree), zip(repeat(n), map(edges, masks)))
 
 
@@ -466,13 +475,13 @@ def _degree_histogram(n: int) -> Counter:
     mask's "degrees" tables is counted, and only the distinct sums, at most
     C(2n-3, n-1), are unpacked.  At any other n, below _SWEEP_FROM or above
     9 (no edge masks, and a degree may not fit its 4-bit field), each
-    word's decoded edges are counted by _degree_vector."""
+    word's walked edges (_decode_edges) are counted by _degree_vector."""
     if not _sweeps(n):
         edges = map(_decode_edges, repeat(n), enumerate_sequences(n))
         return Counter(map(_degree_vector, repeat(n), edges))
     packed: Counter = Counter()
     pack = _mask_sum(_mask_tables(n, "degrees"))
-    for masks in _sweep_chunks(n, n ** (n - 2), _SWEEP_SIZE):
+    for masks in _sweep_chunks(n, n ** (n - 2)):
         packed.update(map(pack, masks))
     fields = range(0, 4 * n, 4)
     return Counter({tuple([key >> i & 15 for i in fields]): c for key, c in packed.items()})

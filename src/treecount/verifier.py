@@ -164,8 +164,8 @@ def verify_theorem1(
     """Degree-sequence formula against the degree vectors read from every
     decoded tree, for every valid degree sequence with n <= n_max.  The
     trees are the edge masks of the sweep, each degree vector read from its
-    mask's edges, or below enumeration._SWEEP_FROM the walk's decoded
-    edges (enumeration._degree_histogram)."""
+    mask's edges, or at other n (below enumeration._SWEEP_FROM or above 9)
+    the walk's decoded edges (enumeration._degree_histogram)."""
     _check_top("n_max", n_max, "sweep", enumeration.PRUFER_ENUM_CAP)
     fn = formula if formula is not None else counting.count_trees_with_degrees
 
@@ -301,8 +301,9 @@ def verify_supervertex_marginal(m_max: int, *, joiner=None) -> IdentityReport:
 
 
 def verify_prufer_roundtrip(n_max: int) -> IdentityReport:
-    """encode(decode(s)) = s over all sequences and decode(encode(t)) = t
-    over all trees, for 2 <= n <= n_max."""
+    """encode(decode(s)) = s over all sequences, for 2 <= n <= n_max.  The
+    tree side re-decodes each s that passed, as encode(t) is s again: only
+    a decode that answers differently for the same word can fail it."""
     _check_top("n_max", n_max, "sweep", enumeration.PRUFER_ENUM_CAP)
 
     def cases() -> Iterator[_Case]:

@@ -1048,8 +1048,9 @@ class TestDirectOutput:
 # edges, json and csv output against the per-edge formatters: the tree of
 # each word through prufer_decode, written by core.tree_to_text or the
 # oracles' json and csv lines.  Trees on up to 9 vertices are written
-# from their edge masks through the chunk tables cli._text_tables, larger
-# ones from one template per run of one n.
+# from their edge masks through the chunk tables of enumeration._mask_tables
+# with the format's parts as kind, larger ones from one template per run of
+# one n.
 
 COUNT_LINES = {"edges": "count %d\n", "json": '{"count": %d}\n', "csv": "count,%d\n"}
 
@@ -1146,6 +1147,20 @@ class TestTreeFormatGoldens:
         assert run_cli(argv, stdin) == (0, alone, "")
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_prufer_decode_builds_each_table_once(self, fmt):
+        # 4000 lines alternating n = 9 and n = 8 are 4000 runs of one length,
+        # each written through the memo enumeration._mask_tables: the table
+        # of each (n, format) is built on its first run and read on the rest
+        words = []
+        for n in (9, 8):
+            words.append(list(sampling.sample_uniform_sequence(n, seed=n, count=2000)))
+        stdin = "".join(",".join(map(str, w)) + "\n" for pair in zip(*words) for w in pair)
+        enumeration._mask_tables.cache_clear()
+        assert run_cli(["prufer", "decode", "--format", fmt], stdin)[0] == 0
+        info = enumeration._mask_tables.cache_info()
+        assert (info.misses, info.hits) == (2, 3998)
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_prufer_codec_of_records_alternating_across_nine(self, fmt):
         # n = 3, 2, 9, 10 record by record: each record its own run, on
         # either side of the edge pieces' n <= 9
@@ -1185,9 +1200,9 @@ class TestTreeFormatGoldens:
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_text_tables_are_the_per_format_builder(self, n):
-        # the text tables made from enumeration._mask_tables and edited in
-        # cli equal those of a builder written out here for text alone: the
-        # text of the edges of each chunk entry, then the head and the tail
+        # the text tables enumeration._mask_tables makes of a format's parts
+        # equal those of a builder written out here for text alone: the text
+        # of the edges of each chunk entry, then the head and the tail
         for fmt, (piece, head, cut, tail) in cli._MASK_FORMATS.items():
             pairs = list(combinations(range(1, n + 1), 2))
             rest, parts = len(pairs) - (n - 1), 2 if n <= 7 else 4
@@ -1204,7 +1219,8 @@ class TestTreeFormatGoldens:
             chunks[0] = lo, width, [head + t[cut:] for t in table]
             lo, width, table = chunks[-1]
             chunks[-1] = lo, width, [t + tail for t in table]
-            got = [(lo, width, list(table)) for lo, width, table in cli._text_tables(n, fmt)]
+            tables = enumeration._mask_tables(n, cli._MASK_FORMATS[fmt])
+            got = [(lo, width, list(table)) for lo, width, table in tables]
             assert got == chunks, fmt
 
     @pytest.mark.parametrize("fmt", ["edges", "json", "csv"])

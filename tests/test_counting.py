@@ -394,9 +394,9 @@ class TestMemos:
         # the benchmark clears every cache_clear callable of the package's
         # modules before each op; a memo outside this list would stay warm.
         # Besides the three counting caches, enumeration keeps the chunk
-        # tables of the edge masks of each n <= 9 and kind it has summed, and
-        # the sweep's step tables of each n it has swept; cli keeps the text
-        # tables, with heads and tails, of each n and format it has written
+        # tables of the edge masks of each n <= 9 and kind it has summed (the
+        # CLI's text formats among the kinds, heads and tails edited in), and
+        # the sweep's step tables of each n it has swept
         import treecount.cli  # noqa: F401  loads every module of the package
 
         found = {
@@ -407,7 +407,6 @@ class TestMemos:
             if callable(getattr(obj, "cache_clear", None))
         }
         assert found == {
-            "treecount.cli._text_tables",
             "treecount.enumeration._mask_tables",
             "treecount.enumeration._steps",
             "treecount.counting._eq20",

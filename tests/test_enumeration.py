@@ -322,7 +322,7 @@ class TestEdgeMasks:
     @pytest.mark.parametrize("n", range(4, 9))
     def test_sweep_is_the_walk_of_every_word(self, n):
         walked = map(enumeration._decode_mask, repeat(n), enumerate_sequences(n))
-        swept = enumeration._sweep_chunks(n, n ** (n - 2), cli._CHUNK)
+        swept = enumeration._sweep_chunks(n, n ** (n - 2))
         assert list(chain.from_iterable(swept)) == list(walked)
 
     def test_sweep_at_nine(self):
@@ -330,7 +330,7 @@ class TestEdgeMasks:
         # multiple of the chunk size and at the block edge; in blocks 3..9
         # the words s.t, s = a1(t), whose first leaf is a2(t), of 3000
         # drawn suffixes t
-        block, size = 9 ** 6, cli._CHUNK
+        block, size = 9 ** 6, enumeration._CHUNK
         walked = map(enumeration._decode_mask, repeat(9), enumerate_sequences(9))
         rng = random.Random(9)
         hits = {}  # index in the sweep -> word
@@ -341,7 +341,7 @@ class TestEdgeMasks:
                 i = sum((v - 1) * 9 ** (5 - j) for j, v in enumerate(t))
                 hits[(a1 - 1) * block + i] = (a1,) + t
         ends, start = [], 0
-        for chunk in enumeration._sweep_chunks(9, 9 ** 7, size):
+        for chunk in enumeration._sweep_chunks(9, 9 ** 7):
             stop = start + len(chunk)
             if start < 2 * block:
                 ends.append(stop)
@@ -495,7 +495,7 @@ class TestMaskTables:
         kinds = {
             "pairs": lambda edges: tuple(edges),
             "degrees": lambda edges: sum(16 ** (u - 1) + 16 ** (v - 1) for u, v in edges),
-            "%d-%d;": lambda edges: "".join("%d-%d;" % e for e in edges),
+            ("%d-%d;", "", 0, ""): lambda edges: "".join("%d-%d;" % e for e in edges),
         }
         for kind, total in kinds.items():
             chunks = enumeration._mask_tables(n, kind)
