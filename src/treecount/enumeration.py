@@ -14,7 +14,9 @@ and, for n <= 9, ``_decode_mask`` the tree's edge mask, one bit per pair
 of a whole sweep, or of its first trees, in chunks, and walks no word: a
 suffix's row is its decode without its smallest absent vertices, and each
 level of rows is composed from the level one symbol shorter by
-``_compose``, from the empty suffix up to the words.  One predicate,
+``_compose``, from the empty suffix up to the words.  ``deg_v1_histogram``
+counts the 1s of every word the same way, one byte a word, and makes no
+word (``_ones_per_word``).  One predicate,
 ``_sweeps`` (_SWEEP_FROM <= n <= 9), sends the CLI's plain enumerate,
 ``enumerate_all_trees`` and ``_degree_histogram`` to the sweep.  A mask
 is read through ``_mask_tables``, one lookup per chunk of its bits, each
@@ -462,11 +464,31 @@ def enumerate_trees_with_degrees(degrees: tuple[int, ...]) -> Iterator[LabeledTr
 
 def deg_v1_histogram(n: int) -> dict[int, int]:
     """Tree counts keyed by the degree of vertex 1, derived purely from
-    symbol occurrences (degree = occurrences + 1), without decoding."""
+    symbol occurrences (degree = occurrences + 1), without decoding: one
+    bytes.count per k over _ones_per_word(n)."""
     if n < 2:
         raise OutOfRange(f"need n >= 2, got {n}")
-    ones = Counter(map(tuple.count, enumerate_sequences(n), repeat(1)))
-    return {k: ones[k - 1] for k in range(1, n)}
+    ones = _ones_per_word(n)
+    return {k: ones.count(k - 1) for k in range(1, n)}
+
+
+# each count of 1s, one more: the first symbol 1 prefixed to a suffix
+_ONE_MORE = bytes(range(1, 256)) + bytes(1)
+
+
+def _ones_per_word(n: int) -> bytes:
+    """The number of 1s in each word of enumerate_sequences(n), one byte a
+    word in its order, for 2 <= n <= the sweep cap; no word is made.  As
+    in _sweep_chunks, level k + 1 is composed from level k, the suffixes
+    one symbol shorter, from the empty suffix up: the block of first
+    symbol 1 adds a 1 to each count, and the n - 1 other blocks repeat the
+    level.  Only the level in hand and the one it makes are held (4.8 MB
+    at n = 9)."""
+    _check_cap("n", n, "sweep", PRUFER_ENUM_CAP)
+    level = bytes(1)
+    for _ in range(n - 2):
+        level = b"".join([level.translate(_ONE_MORE), *repeat(level, n - 1)])
+    return level
 
 
 def _degree_histogram(n: int) -> Counter:

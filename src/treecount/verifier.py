@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from itertools import count, repeat
+from itertools import chain, count, repeat, zip_longest
 from time import perf_counter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
@@ -53,8 +53,9 @@ DEFAULT_LIMITS: dict[str, int] = {
 # 11x per doubling of N in the totals of DEG_V1_TOTALITY and
 # BINOMIAL_COLLAPSE.  At the cap each check takes at most about 1.2 s of
 # CPU.  Best of 3 with time.process_time, in five processes, on a 2-vCPU
-# VM with Python 3.11.7: EQ_20 0.41-0.60 s, LEMMA_1 0.76-1.07 s, L3
-# 0.35-0.55 s, SUPERVERTEX 0.28-0.47 s (with the joiner's memo of
+# VM with Python 3.11.7: EQ_20 0.41-0.60 s, LEMMA_1 0.022-0.036 s (its
+# brute force to n = 9 reads one byte a word, enumeration._ones_per_word),
+# L3 0.35-0.55 s, SUPERVERTEX 0.28-0.47 s (with the joiner's memo of
 # counting._join_weight), DEG_V1_TOTALITY 0.84-1.19 s and
 # BINOMIAL_COLLAPSE 0.75-1.10 s.
 EQ_20_CAP = 175
@@ -301,23 +302,45 @@ def verify_supervertex_marginal(m_max: int, *, joiner=None) -> IdentityReport:
 
 
 def verify_prufer_roundtrip(n_max: int) -> IdentityReport:
-    """encode(decode(s)) = s over all sequences, for 2 <= n <= n_max.  The
-    tree side re-decodes each s that passed, as encode(t) is s again: only
-    a decode that answers differently for the same word can fail it."""
+    """encode(decode(s)) = s over all sequences s and decode(encode(t)) = t
+    over all trees t, for 2 <= n <= n_max.  The trees never pass through
+    the decode: below enumeration._SWEEP_FROM they are the edge-subset
+    oracle's, each side checked on its own, and from there the composed
+    sweep's, paired in order with the sequences.  A pair costs one decode
+    and one encode: the s side reuses encode(t) when decode(s) = t, and
+    the t side reuses decode(s) when encode(t) = s.  A tree source that
+    yields more or fewer trees than sequences fails the case "n=N,trees"."""
     _check_top("n_max", n_max, "sweep", enumeration.PRUFER_ENUM_CAP)
+    decode, encode = enumeration.prufer_decode, enumeration.prufer_encode
 
     def cases() -> Iterator[_Case]:
         for n in range(2, n_max + 1):
-            for symbols in enumeration.enumerate_sequences(n):
-                tree = enumeration.prufer_decode(n, symbols)
-                back = enumeration.prufer_encode(tree)
-                yield (n, "s", symbols), symbols, (("", back),)
-                # a tree whose sequence failed is not checked again
-                if back == symbols:
-                    again = enumeration.prufer_decode(n, back)
-                    yield (n, "t", tree.edges), tree, (("", again),)
+            words = enumeration.enumerate_sequences(n)
+            if n < enumeration._SWEEP_FROM:
+                trees = enumeration._edge_subset_stream(n)
+                pairs = chain(zip(words, repeat(None)), zip(repeat(None), trees))
+            else:
+                pairs = zip_longest(words, enumeration.enumerate_all_trees(n))
+            sizes = [0, 0]  # sequences and trees drawn
+            for s, t in pairs:
+                tree = back = None
+                if s is not None:
+                    sizes[0] += 1
+                    tree = decode(n, s)
+                if t is not None:
+                    sizes[1] += 1
+                    back = encode(t)
+                if s is not None:
+                    yield (n, "s", s), s, (("", back if tree == t else encode(tree)),)
+                if t is not None:
+                    yield (n, "t", t.edges), t, (("", tree if back == s else decode(n, back)),)
+            if sizes[0] != sizes[1]:
+                yield (n, "trees", None), sizes[0], (("", sizes[1]),)
 
-    return _run("PRUFER_ROUNDTRIP", lambda n, side, x: f"n={n},{side}={x}", cases())
+    def label(n: int, side: str, x) -> str:
+        return f"n={n},{side}" if x is None else f"n={n},{side}={x}"
+
+    return _run("PRUFER_ROUNDTRIP", label, cases())
 
 
 _REGISTRY: dict[str, Callable[[int], IdentityReport]] = {

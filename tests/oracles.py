@@ -14,10 +14,11 @@ binomial convolutions.  So do the textbook heap Prufer encode, the
 edge-list reader that checks one line at a time, `prufer encode` as that
 reader followed by that encode, the Prufer line reader that converts
 every symbol with int(), `prufer decode` as that reader followed by the
-textbook heap decode, the per-edge text of the json and csv
-tree formats, the samplers' one-draw-per-call word generators, and the
-command line's parser as a chain of add_argument calls, which the
-package replaced with faster equivalents or with a table.
+textbook heap decode, the deg(vertex 1) histogram as one count of 1s
+per Prufer word, the per-edge text of the json and csv tree formats,
+the samplers' one-draw-per-call word generators, and the command
+line's parser as a chain of add_argument calls, which the package
+replaced with faster equivalents or with a table.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import json
 import random
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product, repeat
 from math import comb, factorial, prod
 
 from treecount.cli import (
@@ -94,6 +95,14 @@ def trees_with_deg_v1(n: int, k: int) -> set[tuple[Edge, ...]]:
     return {
         t for t in spanning_trees(n) if degree_vector(n, t)[0] == k
     }
+
+
+def deg_v1_histogram_by_word(n: int) -> dict[int, int]:
+    """Tree counts keyed by the degree of vertex 1, for n >= 2, by counting
+    the 1s of every Prufer word, one tuple.count a word: the brute force
+    that enumeration.deg_v1_histogram composes from suffixes."""
+    ones = Counter(map(tuple.count, product(range(1, n + 1), repeat=n - 2), repeat(1)))
+    return {k: ones[k - 1] for k in range(1, n)}
 
 
 def prufer_encode_heap(n: int, edges: tuple[Edge, ...]) -> tuple[int, ...]:

@@ -457,6 +457,17 @@ class TestDegV1Histogram:
     def test_two_vertices(self):
         assert deg_v1_histogram(2) == {1: 1}
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_equals_the_per_word_count(self, n):
+        hist = deg_v1_histogram(n)
+        expected = oracles.deg_v1_histogram_by_word(n)
+        assert hist == expected and list(hist) == list(expected)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_level_is_each_words_count_of_ones(self, n):
+        ones = enumeration._ones_per_word(n)
+        assert list(ones) == [w.count(1) for w in enumerate_sequences(n)]
+
     @pytest.mark.parametrize("n", range(2, 8))
     def test_equals_oracle_sizes(self, n):
         # every k in 1..n-1 is a key, in increasing order

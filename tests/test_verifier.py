@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import time
+from itertools import chain, islice
 from math import comb
 
 import pytest
@@ -319,14 +320,19 @@ class TestFaultInjection:
 
         monkeypatch.setattr(enumeration, "prufer_encode", broken)
         report = verify_prufer_roundtrip(4)
-        # the failed sequence skips its tree-side check
-        assert report.checked == 2 * (1 + 3 + 16) - 1
+        # no case is skipped, and the tree of (1, 2) fails its side too
+        assert report.checked == 2 * (1 + 3 + 16)
         assert [f.to_record() for f in report.failures] == [
             {
                 "parameters": "n=4,s=(1, 2)",
                 "expected": "(1, 2)",
                 "got": "(2, 1)",
-            }
+            },
+            {
+                "parameters": "n=4,t=((1, 2), (1, 3), (2, 4))",
+                "expected": "LabeledTree(n=4, edges=((1, 2), (1, 3), (2, 4)))",
+                "got": "LabeledTree(n=4, edges=((1, 2), (1, 4), (2, 3)))",
+            },
         ]
 
     def test_prufer_roundtrip_tree_side(self, monkeypatch):
@@ -350,6 +356,89 @@ class TestFaultInjection:
                 "expected": "LabeledTree(n=3, edges=((1, 2), (1, 3)))",
                 "got": "LabeledTree(n=3, edges=((1, 2), (2, 3)))",
             }
+        ]
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_prufer_roundtrip_trees_come_from_another_source(self, monkeypatch, n):
+        # the decode gives a non-tree, a repeated edge, for the star word,
+        # and the encode maps it back, so encode(decode(s)) = s for every
+        # word: only a tree that is not the decode's can show the fault.  At
+        # n = 4 the trees are the edge-subset oracle's, at n = 6 the sweep's
+        assert (n < enumeration._SWEEP_FROM) == (n == 4)
+        decode, encode = enumeration.prufer_decode, enumeration.prufer_encode
+        star = (1,) * (n - 2)
+        wrong = LabeledTree(n, ((1, 2),) * (n - 1))
+
+        def bad_decode(m: int, symbols: tuple[int, ...]) -> LabeledTree:
+            return wrong if (m, symbols) == (n, star) else decode(m, symbols)
+
+        def bad_encode(tree: LabeledTree) -> tuple[int, ...]:
+            return star if tree == wrong else encode(tree)
+
+        monkeypatch.setattr(enumeration, "prufer_decode", bad_decode)
+        monkeypatch.setattr(enumeration, "prufer_encode", bad_encode)
+        report = verify_prufer_roundtrip(n)
+        assert report.checked == 2 * sum(m ** (m - 2) for m in range(2, n + 1))
+        tree = LabeledTree(n, tuple((1, v) for v in range(2, n + 1)))
+        assert report.failures == (Failure(f"n={n},t={tree.edges}", tree, wrong),)
+
+    @pytest.mark.parametrize("change", ["one too few", "one too many"])
+    def test_prufer_roundtrip_counts_the_trees(self, monkeypatch, change):
+        # the sweep's trees are paired with the words in order: one tree
+        # dropped at the front unpairs them all, and one added at the end
+        # is checked alone; either way the count fails, with no traceback
+        n = 6
+        real = enumeration.enumerate_all_trees
+
+        def trees(m: int):
+            stream = real(m)
+            if m != n:
+                return stream
+            if change == "one too few":
+                return islice(stream, 1, None)
+            return chain(stream, islice(real(m), 1))  # the first tree again
+
+        monkeypatch.setattr(enumeration, "enumerate_all_trees", trees)
+        report = verify_prufer_roundtrip(n)
+        got = n ** (n - 2) + (1 if change == "one too many" else -1)
+        assert report.failures == (Failure(f"n={n},trees", n ** (n - 2), got),)
+
+    def test_prufer_roundtrip_calls_the_codec_once_each_way_per_swept_word(self, monkeypatch):
+        calls = {"decode": 0, "encode": 0}
+        decode, encode = enumeration.prufer_decode, enumeration.prufer_encode
+
+        def counted_decode(n: int, symbols: tuple[int, ...]) -> LabeledTree:
+            calls["decode"] += 1
+            return decode(n, symbols)
+
+        def counted_encode(tree: LabeledTree) -> tuple[int, ...]:
+            calls["encode"] += 1
+            return encode(tree)
+
+        monkeypatch.setattr(enumeration, "prufer_decode", counted_decode)
+        monkeypatch.setattr(enumeration, "prufer_encode", counted_encode)
+        assert verify_prufer_roundtrip(7).status == "PASS"
+        # each side on its own below the sweep: one call each way per side
+        small = sum(m ** (m - 2) for m in range(2, enumeration._SWEEP_FROM))
+        swept = sum(m ** (m - 2) for m in range(enumeration._SWEEP_FROM, 8))
+        assert calls == {"decode": 2 * small + swept, "encode": 2 * small + swept}
+
+    def test_lemma1_brute_force_leg_reads_the_histogram(self, monkeypatch):
+        real = enumeration.deg_v1_histogram
+
+        def moved(n: int) -> dict[int, int]:
+            hist = real(n)
+            if n == 6:  # one tree from k = 1 to k = 2
+                hist[1] -= 1
+                hist[2] += 1
+            return hist
+
+        monkeypatch.setattr(enumeration, "deg_v1_histogram", moved)
+        report = verify_lemma1(6)
+        assert report.checked == sum(range(1, 6))
+        assert [(f.parameters, f.expected, f.got) for f in report.failures] == [
+            ("n=6,k=1,brute force", 625, 624),
+            ("n=6,k=2,brute force", 500, 501),
         ]
 
 
