@@ -7,21 +7,21 @@ against.  Streams are lazy generators with a deterministic
 golden tests stay stable.  The sweeps are streams of Prufer words
 (tuples of symbols); the tree streams are their decode, so a caller
 that only needs the words, or their symbol counts, decodes nothing.
-The decode is one pointer walk in two forms: ``_decode_edges`` gives the
-sorted edge pairs that ``decode_sequences`` and ``prufer_decode`` wrap,
-and, for n <= 9, ``_decode_mask`` the tree's edge mask, one bit per pair
-(u, v), u < v, in lexicographic order.  ``_sweep_chunks`` gives the masks
-of a whole sweep, or of its first trees, in chunks, and walks no word: a
-suffix's row is its decode without its smallest absent vertices, and each
-level of rows is composed from the level one symbol shorter by
-``_compose``, from the empty suffix up to the words.  ``deg_v1_histogram``
-counts the 1s of every word the same way, one byte a word, and makes no
-word (``_ones_per_word``).  One predicate,
-``_sweeps`` (_SWEEP_FROM <= n <= 9), sends the CLI's plain enumerate,
-``enumerate_all_trees`` and ``_degree_histogram`` to the sweep.  A mask
-is read through ``_mask_tables``, one lookup per chunk of its bits, each
-entry the sum of the pieces its edges stand for: their pairs, the swept
-trees' sorted edges; their degree increments packed in one int, which
+The decode is one pointer walk, ``_decode_edges``, which gives the sorted
+edge pairs that ``decode_sequences`` and ``prufer_decode`` wrap, plus one
+level step, ``_compose``, which gives for n <= 9 a tree's edge mask, one
+bit per pair (u, v), u < v, in lexicographic order: a suffix's row is its
+decode without its smallest absent vertices, and the step makes the rows
+one symbol longer, from the empty suffix's up.  ``_sweep_chunks`` applies
+it to whole levels, in chunks, and walks no word; ``_decode_mask``
+applies it along one word.  ``deg_v1_histogram`` counts the 1s of every
+word the same way, one byte a word, and makes no word
+(``_ones_per_word``).  One predicate, ``_sweeps``, sends the CLI's plain
+enumerate, ``enumerate_all_trees`` and ``_degree_histogram`` to the sweep
+for _SWEEP_FROM <= n <= 9.  A mask is read through
+``_mask_tables``, one lookup per chunk of its bits, each entry the sum of
+the pieces its edges stand for: their pairs, the swept trees' sorted
+edges; their degree increments packed in one int, which
 ``_degree_histogram`` counts for THEOREM_1; or their text in a CLI tree
 format, with its head and tail, so that a tree's sum is its record.  One
 size, _CHUNK, bounds the sweep's lists and the CLI's writes.  The encode,
@@ -114,29 +114,15 @@ def _edge_bit_rows(n: int) -> list[list[int]]:
 _EDGE_BITS = [None, None] + [_edge_bit_rows(n) for n in range(2, 10)]
 
 
-def _decode_mask(n: int, symbols: Iterable[int]) -> int:
-    # the walk of _decode_edges to the edge mask of the tree, 2 <= n <= 9:
-    # OR-ing one bit per edge needs neither a list nor a sort
-    bit = _EDGE_BITS[n]
-    deg = [1] * (n + 1)
-    for s in symbols:
-        deg[s] += 1
-    mask = 0
-    ptr = 1
-    while deg[ptr] != 1:
-        ptr += 1
-    leaf = ptr
-    for s in symbols:
-        mask |= bit[leaf][s]
-        deg[s] -= 1
-        if deg[s] == 1 and s < ptr:
-            leaf = s
-        else:
-            ptr += 1
-            while deg[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-    return mask | bit[leaf][n]
+def _decode_mask(n: int, symbols: tuple[int, ...]) -> int:
+    # the tree's edge mask, 2 <= n <= 9, by _compose's step along one word
+    steps = _steps(n)
+    (s, mask), y1 = steps[0], n
+    for v in reversed(symbols):
+        keys, drops, lifts = steps[v]
+        mask ^= lifts[y1][keys[s]]
+        s, y1 = drops[s], v
+    return mask
 
 
 # The piece of the edge (u, v) and the empty sum, by kind of _mask_tables:
@@ -199,21 +185,21 @@ def _mask_sum(chunks) -> Callable[[int], object]:
 @lru_cache(maxsize=None)
 def _steps(n: int) -> tuple[tuple, ...]:
     """The tables of _compose for each first symbol v of 1..n, at index v,
-    4 <= n <= 9, made once per n, on first use.  A set of vertices of
-    1..n-1 is a byte, bit u - 1 for vertex u; a row's set {e1, ..., e(m+1)}
-    has largest vertex f = e(m+1) and second largest e = em, and v is one
-    of e1..em exactly when the set holds v and a larger vertex.  Then
-    ``keys`` maps the set to n + 1 + f and ``drops`` to the set less v;
-    otherwise to e and to the set less f.
-    ``lifts[y1][key]`` is P(x) ^ P(y): bit(e, v) at key e, and
-    bit(f, v) ^ bit(f, y1) ^ bit(v, y1) at key n + 1 + f."""
+    and the empty suffix's row at index 0, 2 <= n <= 9, made once per n, on
+    its first sweep or mask decode.  A set of vertices of 1..n-1 is a byte,
+    bit u - 1 for vertex u; a row's set {e1, ..., e(m+1)} has largest
+    vertex f = e(m+1) and second largest e = em, and v is one of e1..em
+    exactly when the set holds v and a larger vertex.  Then ``keys`` maps
+    the set to n + 1 + f and ``drops`` to the set less v; otherwise to e
+    and to the set less f.  ``lifts[y1][key]`` is P(x) ^ P(y): bit(e, v)
+    at key e, and bit(f, v) ^ bit(f, y1) ^ bit(v, y1) at key n + 1 + f."""
     bit = _EDGE_BITS[n]
     size = 1 << n - 1
     plain = bytes(range(256))  # each set as itself
     tops = bytes(map(int.bit_length, range(256)))  # each set's largest vertex
     rests = bytes(1) + b"".join(plain[: 1 << u] for u in range(8))  # the set less it
     seconds, turns = rests.translate(tops), bytes(map((n + 1).__add__, tops[:size]))
-    steps = [None]
+    steps = [((1 << n - 1) - 1, bit[n - 1][n])]
     for v in range(1, n + 1):
         keys, drops, h = bytearray(seconds), bytearray(rests), 1 << v >> 1
         # the sets that hold v and a larger vertex: the upper half of each
@@ -258,16 +244,15 @@ def _sweep_chunks(n: int, stop: int) -> Iterator[list[int]]:
 
     Level k holds the rows of _compose of the suffixes of length k, in
     lexicographic order, so block v of level k + 1 is composed from all of
-    level k, at most _CHUNK rows a call.  Level 0 is the empty suffix:
-    the set {1, ..., n - 1} and the mask bit(n - 1, n).  Level n - 3 keeps
-    9 bytes a suffix (4.6 MiB for the 9^6 suffixes of n = 9), and the
-    chunks of level n - 2, the words, are yielded.  The first h rows of a
-    block need only the first h of the level below, so level k holds
-    min(stop, n^k) rows and no mask past stop is built."""
+    level k, at most _CHUNK rows a call.  Level n - 3 keeps 9 bytes a
+    suffix (4.6 MiB for the 9^6 suffixes of n = 9), and the chunks of level
+    n - 2, the words, are yielded.  The first h rows of a block need only
+    the first h of the level below, so level k holds min(stop, n^k) rows
+    and no mask past stop is built."""
     from array import array  # loaded here alone: only the sweep needs it
 
     steps = _steps(n)
-    sets, masks, first, run = bytes([(1 << n - 1) - 1]), array("Q", [_EDGE_BITS[n][n - 1][n]]), n, 1
+    sets, masks, first, run = bytes(steps[0][:1]), array("Q", steps[0][1:]), n, 1
     for k in range(n - 2):
         block = n ** k
         up, ups = bytearray(), array("Q")
@@ -288,8 +273,9 @@ def _sweep_chunks(n: int, stop: int) -> Iterator[list[int]]:
 # walk against the sweep with the memos _steps and _mask_tables cold, on a
 # 2-vCPU VM with Python 3.11.7: n = 4, 0.04 and 0.06 against 0.23 and
 # 0.17; n = 5, 0.29 and 0.26 against 0.37 and 0.36; n = 6, 3.4 and 2.5
-# against 1.8 and 1.3.  The CLI's plain enumerate, best of 60, in us:
-# n = 4, 24 against 118; n = 5, 76 against 246; n = 6, 381 against 392.
+# against 1.8 and 1.3.  The CLI's plain enumerate, both memos cold, best
+# of 60, in us: n = 4, 89-95 against 136-140; n = 5, 212-219 against
+# 252-264; n = 6, 1096-1320 against 629-656.
 # _CHUNK is the most masks a sweep's list holds, and the CLI's chunk size.
 _SWEEP_FROM = 6
 _CHUNK = 4096

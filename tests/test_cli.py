@@ -1149,16 +1149,20 @@ class TestTreeFormatGoldens:
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_prufer_decode_builds_each_table_once(self, fmt):
         # 4000 lines alternating n = 9 and n = 8 are 4000 runs of one length,
-        # each written through the memo enumeration._mask_tables: the table
-        # of each (n, format) is built on its first run and read on the rest
+        # each decoded through the memo enumeration._steps and written
+        # through the memo enumeration._mask_tables: the step tables of each
+        # n and the table of each (n, format) are built on the first run and
+        # read on the rest
         words = []
         for n in (9, 8):
             words.append(list(sampling.sample_uniform_sequence(n, seed=n, count=2000)))
         stdin = "".join(",".join(map(str, w)) + "\n" for pair in zip(*words) for w in pair)
         enumeration._mask_tables.cache_clear()
+        enumeration._steps.cache_clear()
         assert run_cli(["prufer", "decode", "--format", fmt], stdin)[0] == 0
         info = enumeration._mask_tables.cache_info()
         assert (info.misses, info.hits) == (2, 3998)
+        assert enumeration._steps.cache_info().misses == 2
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_prufer_codec_of_records_alternating_across_nine(self, fmt):

@@ -396,7 +396,7 @@ class TestMemos:
         # Besides the three counting caches, enumeration keeps the chunk
         # tables of the edge masks of each n <= 9 and kind it has summed (the
         # CLI's text formats among the kinds, heads and tails edited in), and
-        # the sweep's step tables of each n it has swept
+        # the step tables of each n it has swept or decoded a word to a mask on
         import treecount.cli  # noqa: F401  loads every module of the package
 
         found = {

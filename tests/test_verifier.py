@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import time
 from itertools import chain, islice
@@ -14,8 +15,10 @@ from treecount import counting, enumeration, verifier
 from treecount.core import (
     CapExceeded,
     LabeledTree,
+    NotATree,
     OutOfRange,
 )
+from treecount.cli import main
 from treecount.verifier import (
     DEFAULT_LIMITS,
     EQ_20_CAP,
@@ -381,6 +384,51 @@ class TestFaultInjection:
         assert report.checked == 2 * sum(m ** (m - 2) for m in range(2, n + 1))
         tree = LabeledTree(n, tuple((1, v) for v in range(2, n + 1)))
         assert report.failures == (Failure(f"n={n},t={tree.edges}", tree, wrong),)
+
+    def test_prufer_roundtrip_reports_a_refused_decode(self, monkeypatch):
+        # the decode gives a non-tree for the star word and the real encode
+        # refuses it: the word's case fails with the refusal, and the star,
+        # from the edge-subset oracle, with the non-tree
+        decode = enumeration.prufer_decode
+        wrong = LabeledTree(4, ((1, 2),) * 3)
+
+        def bad_decode(n: int, symbols: tuple[int, ...]) -> LabeledTree:
+            return wrong if (n, symbols) == (4, (1, 1)) else decode(n, symbols)
+
+        monkeypatch.setattr(enumeration, "prufer_decode", bad_decode)
+        report = verify_prufer_roundtrip(4)
+        assert report.checked == 2 * (1 + 3 + 16)
+        star = LabeledTree(4, ((1, 2), (1, 3), (1, 4)))
+        refusal = "NotATree: the edges do not form a tree on 4 vertices"
+        assert report.failures == (
+            Failure("n=4,s=(1, 1)", (1, 1), refusal),
+            Failure(f"n=4,t={star.edges}", star, wrong),
+        )
+        # the CLI reports the FAIL, exit 1, where the refusal was exit 2
+        out = io.StringIO()
+        assert main(["verify", "roundtrip", "--max-n", "4"], stdout=out, stderr=out) == 1
+        assert "n=4,s=(1, 1): expected (1, 1), got NotATree" in out.getvalue()
+
+    def test_prufer_roundtrip_reports_a_refused_encode(self, monkeypatch):
+        # the encode refuses the star at vertex 1 on 6 vertices, a swept
+        # tree paired with its word: both cases fail with the refusal
+        encode = enumeration.prufer_encode
+        star = LabeledTree(6, tuple((1, v) for v in range(2, 7)))
+
+        def refusing(tree: LabeledTree) -> tuple[int, ...]:
+            if tree == star:
+                raise NotATree("refused")
+            return encode(tree)
+
+        monkeypatch.setattr(enumeration, "prufer_encode", refusing)
+        report = verify_prufer_roundtrip(6)
+        assert report.checked == 2 * sum(m ** (m - 2) for m in range(2, 7))
+        assert [f.to_record() for f in report.failures] == [
+            {"parameters": "n=6,s=(1, 1, 1, 1)", "expected": "(1, 1, 1, 1)",
+             "got": "NotATree: refused"},
+            {"parameters": f"n=6,t={star.edges}", "expected": repr(star),
+             "got": "NotATree: refused"},
+        ]
 
     @pytest.mark.parametrize("change", ["one too few", "one too many"])
     def test_prufer_roundtrip_counts_the_trees(self, monkeypatch, change):
