@@ -90,7 +90,7 @@ def _tree_texts(n: int, fmt: str, words: Iterable[tuple[int, ...]]) -> Iterator[
     its edge mask, written by _mask_texts, on the n with masks, else to
     the flattened edges that fill one %-template of _MASK_FORMATS' parts
     made for the run (the template alone on one vertex)."""
-    if 2 <= n < len(enumeration._EDGE_BITS):
+    if enumeration._has_masks(n):
         return _mask_texts(n, fmt, map(enumeration._decode_mask, repeat(n), words))
     piece, head, cut, tail = _MASK_FORMATS[fmt]
     template = (head and head % n) + (piece * (n - 1))[cut:] + tail
@@ -138,11 +138,12 @@ def _chunks(lines: Iterable[str], stop: int = sys.maxsize) -> Iterator[tuple[int
 
 def _plain_chunks(n: int, fmt: str, stop: int) -> Iterator[tuple[int, str]]:
     """(number, text) of each chunk of at most _CHUNK of the first stop lines
-    of plain enumerate where the sweep serves n (enumeration._sweeps): the
+    of plain enumerate on n with edge masks (enumeration._has_masks): the
     tree formats from the edge masks of enumeration._sweep_chunks, the
     prufer format from shared texts.  The lines of the words' last n - 4
     symbols are formatted once, and a run of them with a prefix's text
-    after each line feed is the lines of that prefix's words."""
+    after each line feed is the lines of that prefix's words; a word of
+    fewer than 3 symbols has no prefix and rest, and is formatted alone."""
     if fmt != "prufer":
         start = 0
         for masks in enumeration._sweep_chunks(n, stop):
@@ -150,6 +151,9 @@ def _plain_chunks(n: int, fmt: str, stop: int) -> Iterator[tuple[int, str]]:
             start += len(masks)
         return
     symbols = range(1, n + 1)
+    if n < 5:
+        yield from _chunks(_word_texts(n, "text", product(symbols, repeat=n - 2)), stop)
+        return
     lead = 2  # the symbols of a prefix
     rest, size = n - 2 - lead, n ** (n - 2 - lead)  # the symbols and words after it
     tails = _word_texts(rest + 2, "text", product(symbols, repeat=rest))
@@ -242,7 +246,7 @@ def cmd_enumerate(args, stdin: IO[str], stdout: IO[str]) -> int:
         words = (w for w in enumeration.enumerate_sequences(n) if w.count(1) == k - 1)
     else:
         words = enumeration.enumerate_sequences(n)  # checks n and the sweep cap
-        if enumeration._sweeps(n):
+        if enumeration._has_masks(n):
             # the suffix-shared sweep stands in for the words
             _write(stdout, args.format, _plain_chunks(n, args.format, stop), args.count)
             return 0

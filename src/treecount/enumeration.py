@@ -16,15 +16,15 @@ one symbol longer, from the empty suffix's up.  ``_sweep_chunks`` applies
 it to whole levels, in chunks, and walks no word; ``_decode_mask``
 applies it along one word.  ``deg_v1_histogram`` counts the 1s of every
 word the same way, one byte a word, and makes no word
-(``_ones_per_word``).  One predicate, ``_sweeps``, sends the CLI's plain
-enumerate, ``enumerate_all_trees`` and ``_degree_histogram`` to the sweep
-for _SWEEP_FROM <= n <= 9.  A mask is read through
-``_mask_tables``, one lookup per chunk of its bits, each entry the sum of
-the pieces its edges stand for: their pairs, the swept trees' sorted
-edges; their degree increments packed in one int, which
-``_degree_histogram`` counts for THEOREM_1; or their text in a CLI tree
-format, with its head and tail, so that a tree's sum is its record.  One
-size, _CHUNK, bounds the sweep's lists and the CLI's writes.  The encode,
+(``_ones_per_word``).  One predicate, ``_has_masks``, sends the CLI's
+plain enumerate, ``enumerate_all_trees`` and ``_degree_histogram`` to the
+sweep for every 2 <= n <= 9.  A mask is read through ``_mask_tables``,
+one lookup per chunk of its bits, each entry the sum of the pieces its
+edges stand for: their pairs, the swept trees' sorted edges; their
+degree increments packed in one int, which ``_degree_histogram`` counts
+for THEOREM_1; or their text in a CLI tree format, with its head and
+tail, so that a tree's sum is its record.  One size, _CHUNK, bounds the
+sweep's lists and the CLI's writes.  The encode,
 ``_encode_walk``, peels leaves smallest first with the same pointer,
 never vertex n, keeping each vertex's degree and the XOR of its
 neighbours; it is also the tree test of the edges it is given, so the
@@ -182,6 +182,32 @@ def _mask_sum(chunks) -> Callable[[int], object]:
     )
 
 
+def _set_tables() -> list[tuple[bytes, bytes]]:
+    # (keys, drops) of _steps for v = 1..9 at index v - 1, made at import
+    plain = bytes(range(256))  # each set as itself
+    tops = bytes(map(int.bit_length, plain))  # each set's largest vertex
+    rests = bytes(1) + b"".join(plain[: 1 << u] for u in range(8))  # the set less it
+    seconds, turns = rests.translate(tops), bytes(map((10).__add__, tops))
+    tables = []
+    for v in range(1, 10):
+        keys, drops, h = bytearray(seconds), bytearray(rests), 1 << v >> 1
+        # the sets that hold v and a larger vertex, the upper half of each run
+        # of 2h sets after the first: a slice a run or a step slice a place
+        runs = range(3 * h, 256, 2 * h)
+        if h <= len(runs):
+            cuts = [slice(j, 256, 2 * h) for j in range(3 * h, 4 * h)]
+        else:
+            cuts = [slice(a, a + h) for a in runs]
+        for cut in cuts:
+            keys[cut] = turns[cut]
+            drops[cut] = plain[cut.start - h : cut.stop - h : cut.step]
+        tables.append((bytes(keys), bytes(drops)))
+    return tables
+
+
+_SET_TABLES = _set_tables()
+
+
 @lru_cache(maxsize=None)
 def _steps(n: int) -> tuple[tuple, ...]:
     """The tables of _compose for each first symbol v of 1..n, at index v,
@@ -190,26 +216,17 @@ def _steps(n: int) -> tuple[tuple, ...]:
     bit u - 1 for vertex u; a row's set {e1, ..., e(m+1)} has largest
     vertex f = e(m+1) and second largest e = em, and v is one of e1..em
     exactly when the set holds v and a larger vertex.  Then ``keys`` maps
-    the set to n + 1 + f and ``drops`` to the set less v; otherwise to e
-    and to the set less f.  ``lifts[y1][key]`` is P(x) ^ P(y): bit(e, v)
-    at key e, and bit(f, v) ^ bit(f, y1) ^ bit(v, y1) at key n + 1 + f."""
+    the set to 10 + f and ``drops`` to the set less v; otherwise to e and
+    to the set less f: tables of every n, made at import (_SET_TABLES).
+    ``lifts[y1][key]``, made per n, is P(x) ^ P(y): bit(e, v) at key e,
+    and bit(f, v) ^ bit(f, y1) ^ bit(v, y1) at key 10 + f."""
     bit = _EDGE_BITS[n]
-    size = 1 << n - 1
-    plain = bytes(range(256))  # each set as itself
-    tops = bytes(map(int.bit_length, range(256)))  # each set's largest vertex
-    rests = bytes(1) + b"".join(plain[: 1 << u] for u in range(8))  # the set less it
-    seconds, turns = rests.translate(tops), bytes(map((n + 1).__add__, tops[:size]))
     steps = [((1 << n - 1) - 1, bit[n - 1][n])]
-    for v in range(1, n + 1):
-        keys, drops, h = bytearray(seconds), bytearray(rests), 1 << v >> 1
-        # the sets that hold v and a larger vertex: the upper half of each
-        # run of 2h sets after the first
-        for a in range(3 * h, size, 2 * h):
-            keys[a : a + h] = turns[a : a + h]
-            drops[a : a + h] = plain[a - h : a]
+    for v, (keys, drops) in enumerate(_SET_TABLES[:n], 1):
         row = bit[v]
-        lifts = [row + [x ^ y ^ row[y1] for x, y in zip(row, bit[y1])] for y1 in range(n + 1)]
-        steps.append((bytes(keys), bytes(drops), lifts))
+        pad = row + [0] * (9 - n)  # so that key 10 + f is f of the turn row
+        lifts = [pad + [*map(xor, map(xor, row, bit[y1]), repeat(row[y1]))] for y1 in range(n + 1)]
+        steps.append((keys, drops, lifts))
     return tuple(steps)
 
 
@@ -239,7 +256,7 @@ def _compose(step: tuple, sets: bytes, masks, lo: int, hi: int, first: int, run:
 
 def _sweep_chunks(n: int, stop: int) -> Iterator[list[int]]:
     """The edge masks of the first ``stop`` trees of enumerate_sequences(n),
-    in its order and in lists of at most _CHUNK, for 4 <= n <= 9; no word
+    in its order and in lists of at most _CHUNK, for 2 <= n <= 9; no word
     is walked.
 
     Level k holds the rows of _compose of the suffixes of length k, in
@@ -252,6 +269,8 @@ def _sweep_chunks(n: int, stop: int) -> Iterator[list[int]]:
     from array import array  # loaded here alone: only the sweep needs it
 
     steps = _steps(n)
+    if n == 2 and stop:  # the empty suffix's row is the one word's
+        yield [steps[0][1]]
     sets, masks, first, run = bytes(steps[0][:1]), array("Q", steps[0][1:]), n, 1
     for k in range(n - 2):
         block = n ** k
@@ -268,22 +287,13 @@ def _sweep_chunks(n: int, stop: int) -> Iterator[list[int]]:
         sets, masks, first, run = up, ups, 1, block
 
 
-# The least n whose plain streams take the sweep (_sweeps).  Medians of
-# 300 runs of enumerate_all_trees(n) and _degree_histogram(n), in ms, the
-# walk against the sweep with the memos _steps and _mask_tables cold, on a
-# 2-vCPU VM with Python 3.11.7: n = 4, 0.04 and 0.06 against 0.23 and
-# 0.17; n = 5, 0.29 and 0.26 against 0.37 and 0.36; n = 6, 3.4 and 2.5
-# against 1.8 and 1.3.  The CLI's plain enumerate, both memos cold, best
-# of 60, in us: n = 4, 89-95 against 136-140; n = 5, 212-219 against
-# 252-264; n = 6, 1096-1320 against 629-656.
 # _CHUNK is the most masks a sweep's list holds, and the CLI's chunk size.
-_SWEEP_FROM = 6
 _CHUNK = 4096
 
 
-def _sweeps(n: int) -> bool:
-    """Whether the plain streams on n vertices are read from the sweep."""
-    return _SWEEP_FROM <= n < len(_EDGE_BITS)
+def _has_masks(n: int) -> bool:
+    """Whether trees on n vertices have edge masks, and so are swept."""
+    return 2 <= n < len(_EDGE_BITS)
 
 
 def prufer_decode(n: int, symbols: tuple[int, ...]) -> LabeledTree:
@@ -405,14 +415,15 @@ def decode_sequences(n: int, words: Iterable[tuple[int, ...]]) -> Iterator[Label
 
 def enumerate_all_trees(n: int) -> Iterator[LabeledTree]:
     """Every labeled tree on n vertices, in lexicographic order of its
-    Prufer sequence; the single tree for n in {1, 2}.  Where the sweep
-    serves n (_sweeps), each tree's edges are the sum of its edge mask's
-    "pairs" tables; at any other n each word is decoded.  The sweep builds
+    Prufer sequence; the single tree for n in {1, 2}.  On 2 <= n <= 9
+    (_has_masks) each tree's edges are the sum of its swept edge mask's
+    "pairs" tables; on one vertex, or past 9 under a raised
+    PRUFER_ENUM_CAP, each word is decoded.  The sweep builds
     every level below the words before its first tree (0.1-0.12 s at
     n = 9, 5-7 ms at n = 8), so the first k trees are cheaper as
     decode_sequences(n, islice(enumerate_sequences(n), k))."""
     words = enumerate_sequences(n)  # checks n and the sweep cap
-    if _sweeps(n):
+    if _has_masks(n):
         return _swept_trees(n)
     return decode_sequences(n, words)
 
@@ -432,14 +443,8 @@ def enumerate_all_trees_by_edges(n: int) -> Iterator[LabeledTree]:
     if n < 1:
         raise OutOfRange(f"vertex count must be >= 1, got {n}")
     _check_cap("n", n, "edge-subset", EDGE_ENUM_CAP)
-    return _edge_subset_stream(n)
-
-
-def _edge_subset_stream(n: int) -> Iterator[LabeledTree]:
-    all_edges = list(combinations(range(1, n + 1), 2))
-    for subset in combinations(all_edges, n - 1):
-        if _acyclic(n, subset):
-            yield LabeledTree(n, subset)
+    subsets = combinations(_mask_pairs(n), n - 1)
+    return (LabeledTree(n, subset) for subset in subsets if _acyclic(n, subset))
 
 
 def enumerate_trees_with_degrees(degrees: tuple[int, ...]) -> Iterator[LabeledTree]:
@@ -479,12 +484,12 @@ def _ones_per_word(n: int) -> bytes:
 
 def _degree_histogram(n: int) -> Counter:
     """Tree counts keyed by the degree vector, for n >= 2, with no
-    LabeledTree.  Where the sweep serves n (_sweeps), the sum of each
-    mask's "degrees" tables is counted, and only the distinct sums, at most
-    C(2n-3, n-1), are unpacked.  At any other n, below _SWEEP_FROM or above
-    9 (no edge masks, and a degree may not fit its 4-bit field), each
-    word's walked edges (_decode_edges) are counted by _degree_vector."""
-    if not _sweeps(n):
+    LabeledTree.  On 2 <= n <= 9 (_has_masks) the sum of each swept mask's
+    "degrees" tables is counted, and only the distinct sums, at most
+    C(2n-3, n-1), are unpacked.  Past 9, under a raised PRUFER_ENUM_CAP
+    (no edge masks, and a degree may not fit its 4-bit field), each word's
+    walked edges (_decode_edges) are counted by _degree_vector."""
+    if not _has_masks(n):
         edges = map(_decode_edges, repeat(n), enumerate_sequences(n))
         return Counter(map(_degree_vector, repeat(n), edges))
     packed: Counter = Counter()
@@ -509,13 +514,8 @@ def enumerate_edge_subsets_pairs(
     if not 1 <= k <= m:
         raise OutOfRange(f"need 1 <= k <= {m}, got k={k}")
     _check_cap("m", m, "pair", PAIR_ENUM_CAP)
-    return _pairs_stream(m, k)
-
-
-def _pairs_stream(m: int, k: int) -> Iterator[tuple[LabeledTree, tuple[Edge, ...]]]:
-    for tree in enumerate_all_trees(m):
-        for cut in combinations(tree.edges, k - 1):
-            yield tree, cut
+    trees = enumerate_all_trees(m)
+    return ((tree, cut) for tree in trees for cut in combinations(tree.edges, k - 1))
 
 
 def enumerate_compositions(total: int, k: int) -> Iterator[tuple[int, ...]]:

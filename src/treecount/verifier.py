@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from itertools import chain, count, repeat, zip_longest
+from itertools import count, repeat, zip_longest
 from time import perf_counter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
@@ -166,7 +166,7 @@ def verify_theorem1(
     """Degree-sequence formula against the degree vectors read from every
     decoded tree, for every valid degree sequence with n <= n_max.  The
     trees are the edge masks of the sweep, each degree vector read from its
-    mask's edges, or at other n (below enumeration._SWEEP_FROM or above 9)
+    mask's edges, or past 9, under a raised enumeration.PRUFER_ENUM_CAP,
     the walk's decoded edges (enumeration._degree_histogram)."""
     _check_top("n_max", n_max, "sweep", enumeration.PRUFER_ENUM_CAP)
     fn = formula if formula is not None else counting.count_trees_with_degrees
@@ -304,14 +304,14 @@ def verify_supervertex_marginal(m_max: int, *, joiner=None) -> IdentityReport:
 
 def verify_prufer_roundtrip(n_max: int) -> IdentityReport:
     """encode(decode(s)) = s over all sequences s and decode(encode(t)) = t
-    over all trees t, for 2 <= n <= n_max.  The trees never pass through
-    the decode: below enumeration._SWEEP_FROM they are the edge-subset
-    oracle's, each side checked on its own, and from there the composed
-    sweep's, paired in order with the sequences.  A pair costs one decode
-    and one encode: the s side reuses encode(t) when decode(s) = t, and
-    the t side reuses decode(s) when encode(t) = s.  A refused codec call
-    fails its side with got "<ErrorClass>: <message>".  A tree source that
-    yields more or fewer trees than sequences fails the case "n=N,trees"."""
+    over all trees t, for 2 <= n <= n_max.  The trees, up to n = 9, never
+    pass through the decode: they are the composed sweep's
+    (enumeration.enumerate_all_trees), paired in order with the sequences.
+    A pair costs one decode and one encode: the s side reuses encode(t)
+    when decode(s) = t, and the t side reuses decode(s) when encode(t) = s.
+    A refused codec call fails its side with got "<ErrorClass>: <message>".
+    A tree source that yields more or fewer trees than sequences fails the
+    case "n=N,trees"."""
     _check_top("n_max", n_max, "sweep", enumeration.PRUFER_ENUM_CAP)
     decode, encode = enumeration.prufer_decode, enumeration.prufer_encode
 
@@ -325,14 +325,8 @@ def verify_prufer_roundtrip(n_max: int) -> IdentityReport:
 
     def cases() -> Iterator[_Case]:
         for n in range(2, n_max + 1):
-            words = enumeration.enumerate_sequences(n)
-            if n < enumeration._SWEEP_FROM:
-                trees = enumeration._edge_subset_stream(n)
-                pairs = chain(zip(words, repeat(None)), zip(repeat(None), trees))
-            else:
-                pairs = zip_longest(words, enumeration.enumerate_all_trees(n))
             sizes = [0, 0]  # sequences and trees drawn
-            for s, t in pairs:
+            for s, t in zip_longest(enumeration.enumerate_sequences(n), enumeration.enumerate_all_trees(n)):
                 try:
                     tree = None if s is None else decode(n, s)
                     back = None if t is None else encode(t)

@@ -199,6 +199,19 @@ class TestEnumerate:
             # the words, three rows in block 1
             assert pulled == [] and built == [1, 1, 1, 3, 3, 3]
 
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_plain_prufer_chunks_are_the_word_texts(self, n):
+        # the shared texts of cli._plain_chunks against each word's own
+        # line, at stops either side of the n^(n-3) words of a first symbol
+        # and unlimited (at n = 9 a limit past two first symbols); words of
+        # fewer than 3 symbols have no prefix and rest to share
+        run = n ** max(n - 3, 0)
+        for stop in (0, 1, 7, run - 1, run + 1, sys.maxsize if n < 9 else 2 * run + 3):
+            chunks = list(cli._plain_chunks(n, "prufer", stop))
+            want = list(cli._word_texts(n, "text", islice(enumeration.enumerate_sequences(n), stop)))
+            assert "".join(text for _, text in chunks) == "".join(want), stop
+            assert sum(number for number, _ in chunks) == len(want), stop
+
     def test_json_records_parse(self):
         code, out, _ = run_cli(["enumerate", "-n", "3", "--format", "json"])
         assert code == 0

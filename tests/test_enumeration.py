@@ -177,8 +177,8 @@ class TestEnumerateAllTrees:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_stream_is_the_walk(self, n):
-        # from n = _SWEEP_FROM the trees are summed from the sweep's masks;
-        # the stream equals the decode of every word, in order and type
+        # from n = 2 the trees are summed from the sweep's masks; the
+        # stream equals the decode of every word, in order and type
         swept = enumerate_all_trees(n)
         walked = decode_sequences(n, enumerate_sequences(n))
         for tree, want in zip_longest(swept, walked):
@@ -284,6 +284,21 @@ class TestEdgeMasks:
             for i, (u, v) in enumerate(combinations(range(1, n + 1), 2)):
                 assert bits[u][v] == bits[v][u] == 1 << i
 
+    def test_set_tables_follow_their_definition(self):
+        # a set of vertices of 1..8 is a byte, bit u - 1 for vertex u, with
+        # largest vertex f and second largest e (0 for none): step v maps a
+        # set that holds v and a larger vertex to the turn key 10 + f and
+        # drops v, and any other set to e and drops f, for every n
+        for v, (keys, drops) in enumerate(enumeration._SET_TABLES, 1):
+            for s in range(256):
+                f, e = ([u for u in range(8, 0, -1) if s >> u - 1 & 1] + [0, 0])[:2]
+                if s >> v - 1 & 1 and f > v:
+                    assert (keys[s], drops[s]) == (10 + f, s - (1 << v - 1)), (v, s)
+                else:
+                    assert (keys[s], drops[s]) == (e, s - (1 << f >> 1)), (v, s)
+        for n in range(2, 10):
+            assert [step[:2] for step in enumeration._steps(n)[1:]] == enumeration._SET_TABLES[:n]
+
     @pytest.mark.parametrize("n", range(2, 8))
     def test_mask_is_the_decode_of_every_word(self, n):
         for w in enumerate_sequences(n):
@@ -327,7 +342,7 @@ class TestEdgeMasks:
                 assert got == (bytes(b for b, _ in block), [mask for _, mask in block]), (k, v)
                 level += block
 
-    @pytest.mark.parametrize("n", range(4, 9))
+    @pytest.mark.parametrize("n", range(2, 9))
     def test_sweep_is_the_walk_of_every_word(self, n):
         walked = map(_walked_mask, repeat(n), enumerate_sequences(n))
         swept = enumeration._sweep_chunks(n, n ** (n - 2))
@@ -400,12 +415,13 @@ class TestEdgeMasks:
             built = [min(limit, n**k) for k in range(1, n - 1)] if limit else []
             assert [rows for _, rows in levels] == built, argv
 
-    @pytest.mark.parametrize("n", [4, 5, enumeration._SWEEP_FROM])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_one_switch_for_every_plain_stream(self, monkeypatch, n):
         # plain enumerate, enumerate_all_trees and _degree_histogram read
-        # one predicate: below _SWEEP_FROM none of them composes a row, from
-        # it each does, the tree formats through the sweep's masks and the
-        # prufer format through cli._plain_chunks, which composes none
+        # one predicate: every n with edge masks, 2 <= n <= 9, is swept, the
+        # tree formats through the sweep's masks and the prufer format
+        # through cli._plain_chunks, which sweeps none; one vertex is walked,
+        # and has no word to write in the prufer format
         calls = []
 
         def noting(name, function):
@@ -415,17 +431,18 @@ class TestEdgeMasks:
 
             return noted
 
-        monkeypatch.setattr(enumeration, "_compose", noting("compose", enumeration._compose))
+        monkeypatch.setattr(enumeration, "_sweep_chunks", noting("sweep", enumeration._sweep_chunks))
         monkeypatch.setattr(cli, "_plain_chunks", noting("plain", cli._plain_chunks))
-        swept = n >= enumeration._SWEEP_FROM
+        swept = n >= 2
         for fmt in cli.TREE_FORMATS:
             calls.clear()
-            assert _run(["enumerate", "-n", str(n), "--format", fmt])[0] == 0
-            assert ("compose" in calls, "plain" in calls) == (swept and fmt != "prufer", swept), fmt
-        for stream in (enumerate_all_trees, enumeration._degree_histogram):
+            code = _run(["enumerate", "-n", str(n), "--format", fmt])[0]
+            assert code == (0 if swept or fmt != "prufer" else 2), fmt
+            assert ("sweep" in calls, "plain" in calls) == (swept and fmt != "prufer", swept), fmt
+        for stream in (enumerate_all_trees, enumeration._degree_histogram)[: 1 + swept]:
             calls.clear()
             assert list(stream(n))
-            assert ("compose" in calls) == swept, stream.__name__
+            assert ("sweep" in calls) == swept, stream.__name__
 
 
 def _run(argv):

@@ -204,14 +204,13 @@ class TestFaultInjection:
         assert failure.parameters == "n=4,d=2,2,1,1"
         assert failure.expected == 2 and failure.got == 3
 
-    def test_theorem1_reads_degrees_from_decoded_trees(self, monkeypatch):
-        # the sweep gives the mask of the star at 2 for the first word at
-        # n = 6, (1, 1, 1, 1), whose tree is the star at 1: the word count
-        # per degree vector is unchanged, the trees are not.  The sweep is
-        # read through the module at call time, so the injected one is the
-        # one checked
-        n = 6
-        assert n >= enumeration._SWEEP_FROM  # an n the sweep serves
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_theorem1_reads_degrees_from_decoded_trees(self, monkeypatch, n):
+        # the sweep gives the mask of the star at 2 for the first word,
+        # (1, ..., 1), whose tree is the star at 1: the word count per
+        # degree vector is unchanged, the trees are not.  The sweep is read
+        # through the module at call time, so the injected one is the one
+        # checked
         bit = enumeration._EDGE_BITS[n]
         star1, star2 = (sum(bit[c][u] for u in range(1, n + 1) if u != c) for c in (1, 2))
         sweep = enumeration._sweep_chunks
@@ -226,9 +225,10 @@ class TestFaultInjection:
         monkeypatch.setattr(enumeration, "_sweep_chunks", wrong)
         report = verify_theorem1(n)
         assert report.status == "FAIL"
+        leaves = ",1" * (n - 2)
         assert [(f.parameters, f.expected, f.got) for f in report.failures] == [
-            ("n=6,d=1,5,1,1,1,1", 2, 1),
-            ("n=6,d=5,1,1,1,1,1", 0, 1),
+            (f"n={n},d=1,{n - 1}{leaves}", 2, 1),
+            (f"n={n},d={n - 1},1{leaves}", 0, 1),
         ]
 
     def test_theorem1_builds_no_tree(self, monkeypatch):
@@ -339,35 +339,32 @@ class TestFaultInjection:
         ]
 
     def test_prufer_roundtrip_tree_side(self, monkeypatch):
-        real = enumeration.prufer_decode
-        seen = set()
+        # the tree source gives the star at 1 on 3 vertices with its edges
+        # out of order: its encode is its word's, so the word's case passes,
+        # but the decode gives the edges sorted, and the tree's case fails
+        real = enumeration.enumerate_all_trees
+        star, unsorted = LabeledTree(3, ((1, 2), (1, 3))), LabeledTree(3, ((1, 3), (1, 2)))
 
-        def flaky(n: int, symbols: tuple[int, ...]) -> LabeledTree:
-            # the second decode of the sequence 1 at n = 3 goes wrong
-            key = (n, symbols)
-            if key == (3, (1,)) and key in seen:
-                return LabeledTree(3, ((1, 2), (2, 3)))
-            seen.add(key)
-            return real(n, symbols)
+        def trees(n: int):
+            return (unsorted if t == star else t for t in real(n))
 
-        monkeypatch.setattr(enumeration, "prufer_decode", flaky)
+        monkeypatch.setattr(enumeration, "enumerate_all_trees", trees)
         report = verify_prufer_roundtrip(4)
         assert report.checked == 2 * (1 + 3 + 16)
         assert [f.to_record() for f in report.failures] == [
             {
-                "parameters": "n=3,t=((1, 2), (1, 3))",
-                "expected": "LabeledTree(n=3, edges=((1, 2), (1, 3)))",
-                "got": "LabeledTree(n=3, edges=((1, 2), (2, 3)))",
+                "parameters": "n=3,t=((1, 3), (1, 2))",
+                "expected": "LabeledTree(n=3, edges=((1, 3), (1, 2)))",
+                "got": "LabeledTree(n=3, edges=((1, 2), (1, 3)))",
             }
         ]
 
-    @pytest.mark.parametrize("n", [4, 6])
+    @pytest.mark.parametrize("n", [3, 4, 6])
     def test_prufer_roundtrip_trees_come_from_another_source(self, monkeypatch, n):
         # the decode gives a non-tree, a repeated edge, for the star word,
         # and the encode maps it back, so encode(decode(s)) = s for every
-        # word: only a tree that is not the decode's can show the fault.  At
-        # n = 4 the trees are the edge-subset oracle's, at n = 6 the sweep's
-        assert (n < enumeration._SWEEP_FROM) == (n == 4)
+        # word: only a tree that is not the decode's, the sweep's, can show
+        # the fault
         decode, encode = enumeration.prufer_decode, enumeration.prufer_encode
         star = (1,) * (n - 2)
         wrong = LabeledTree(n, ((1, 2),) * (n - 1))
@@ -388,7 +385,7 @@ class TestFaultInjection:
     def test_prufer_roundtrip_reports_a_refused_decode(self, monkeypatch):
         # the decode gives a non-tree for the star word and the real encode
         # refuses it: the word's case fails with the refusal, and the star,
-        # from the edge-subset oracle, with the non-tree
+        # the sweep's tree paired with it, with the non-tree
         decode = enumeration.prufer_decode
         wrong = LabeledTree(4, ((1, 2),) * 3)
 
@@ -466,10 +463,8 @@ class TestFaultInjection:
         monkeypatch.setattr(enumeration, "prufer_decode", counted_decode)
         monkeypatch.setattr(enumeration, "prufer_encode", counted_encode)
         assert verify_prufer_roundtrip(7).status == "PASS"
-        # each side on its own below the sweep: one call each way per side
-        small = sum(m ** (m - 2) for m in range(2, enumeration._SWEEP_FROM))
-        swept = sum(m ** (m - 2) for m in range(enumeration._SWEEP_FROM, 8))
-        assert calls == {"decode": 2 * small + swept, "encode": 2 * small + swept}
+        swept = sum(m ** (m - 2) for m in range(2, 8))
+        assert calls == {"decode": swept, "encode": swept}
 
     def test_lemma1_brute_force_leg_reads_the_histogram(self, monkeypatch):
         real = enumeration.deg_v1_histogram
