@@ -83,23 +83,6 @@ def _mask_texts(n: int, fmt: str, masks: Iterable[int], start: int = 0) -> Itera
     return _numbered(fmt, map(text, masks), start)
 
 
-def _tree_texts(n: int, fmt: str, words: Iterable[tuple[int, ...]]) -> Iterator[str]:
-    """The text of the tree of each Prufer word on n vertices in the edges,
-    json or csv format; a csv row starts with the tree's index in the
-    stream.  Each word is decoded once, with no per-edge formatting: to
-    its edge mask, written by _mask_texts, on the n with masks, else to
-    the flattened edges that fill one %-template of _MASK_FORMATS' parts
-    made for the run (the template alone on one vertex)."""
-    if enumeration._has_masks(n):
-        return _mask_texts(n, fmt, map(enumeration._decode_mask, repeat(n), words))
-    piece, head, cut, tail = _MASK_FORMATS[fmt]
-    template = (head and head % n) + (piece * (n - 1))[cut:] + tail
-    if n == 1:
-        return (template for _ in words)
-    edges = map(chain.from_iterable, map(enumeration._decode_edges, repeat(n), words))
-    return _numbered(fmt, map(template.__mod__, map(tuple, edges)))
-
-
 def _word_texts(n: int, fmt: str, words: Iterable[tuple[int, ...]]) -> Iterator[str]:
     """The text of each Prufer word on n >= 2 vertices from one %-template
     made for the run: its symbols joined by commas (fmt "text") or the record
@@ -117,10 +100,22 @@ def _word_texts(n: int, fmt: str, words: Iterable[tuple[int, ...]]) -> Iterator[
 
 def _texts(n: int, fmt: str, words: Iterable[tuple[int, ...]]) -> Iterator[str]:
     """The lines of a stream of Prufer words on n vertices in a tree format:
-    the prufer format writes each word as it is, the others its tree."""
+    the prufer format writes each word as it is, the others its tree, a csv
+    row starting with the tree's index in the stream.  Each word is decoded
+    once, with no per-edge formatting: to its edge mask, written by
+    _mask_texts, on the n with masks, else to the flattened edges that fill
+    one %-template of _MASK_FORMATS' parts made for the run (the template
+    alone on one vertex)."""
     if fmt == "prufer":
         return _word_texts(n, "text", words)
-    return _tree_texts(n, fmt, words)
+    if enumeration._has_masks(n):
+        return _mask_texts(n, fmt, map(enumeration._decode_mask, repeat(n), words))
+    piece, head, cut, tail = _MASK_FORMATS[fmt]
+    template = (head and head % n) + (piece * (n - 1))[cut:] + tail
+    if n == 1:
+        return (template for _ in words)
+    edges = map(chain.from_iterable, map(enumeration._decode_edges, repeat(n), words))
+    return _numbered(fmt, map(template.__mod__, map(tuple, edges)))
 
 
 # The most trees or words one write holds, as a real stdout pays for each
@@ -140,10 +135,10 @@ def _plain_chunks(n: int, fmt: str, stop: int) -> Iterator[tuple[int, str]]:
     """(number, text) of each chunk of at most _CHUNK of the first stop lines
     of plain enumerate on n with edge masks (enumeration._has_masks): the
     tree formats from the edge masks of enumeration._sweep_chunks, the
-    prufer format from shared texts.  The lines of the words' last n - 4
-    symbols are formatted once, and a run of them with a prefix's text
-    after each line feed is the lines of that prefix's words; a word of
-    fewer than 3 symbols has no prefix and rest, and is formatted alone."""
+    prufer format from shared texts.  The lines of the words' symbols after
+    their first min(2, n - 2), the rest, are formatted once, and a run of
+    them with a prefix's text after each line feed is the lines of that
+    prefix's words; with no rest (n <= 4) each line is the prefix's alone."""
     if fmt != "prufer":
         start = 0
         for masks in enumeration._sweep_chunks(n, stop):
@@ -151,17 +146,14 @@ def _plain_chunks(n: int, fmt: str, stop: int) -> Iterator[tuple[int, str]]:
             start += len(masks)
         return
     symbols = range(1, n + 1)
-    if n < 5:
-        yield from _chunks(_word_texts(n, "text", product(symbols, repeat=n - 2)), stop)
-        return
-    lead = 2  # the symbols of a prefix
+    lead = min(2, n - 2)  # the symbols of a prefix
     rest, size = n - 2 - lead, n ** (n - 2 - lead)  # the symbols and words after it
     tails = _word_texts(rest + 2, "text", product(symbols, repeat=rest))
     tails = "".join(text for _, text in _chunks(tails, stop))  # with no list of every line
     heads = _word_texts(lead + 2, "text", product(symbols, repeat=lead))
     # left counts the lines still to write, so zip formats no prefix past them
     for left, head in zip(range(stop, 0, -size), heads):
-        head = head[:-1] + ","  # its line feed becomes the comma before a tail
+        head = head[:-1] + "," * (rest > 0)  # its line feed, the comma before a tail
         for lo in range(0, min(left, size), _CHUNK):
             hi = min(lo + _CHUNK, left, size)
             # a line of the rest is 2 * rest characters: one digit per symbol
@@ -242,8 +234,7 @@ def cmd_enumerate(args, stdin: IO[str], stdout: IO[str]) -> int:
             raise OutOfRange(f"--deg-v1 needs n >= 2, got n={n}")
         if not 1 <= k <= n - 1:
             raise OutOfRange(f"--deg-v1 must lie in 1..{n - 1}, got {k}")
-        # deg(1) = (occurrences of 1 in the word) + 1
-        words = (w for w in enumeration.enumerate_sequences(n) if w.count(1) == k - 1)
+        words = enumeration._sequences_with_deg_v1(n, k)
     else:
         words = enumeration.enumerate_sequences(n)  # checks n and the sweep cap
         if enumeration._has_masks(n):
@@ -282,7 +273,7 @@ def cmd_prufer(args, stdin: IO[str], stdout: IO[str]) -> int:
         write, fmt = _word_texts, args.format
     else:
         words = read_prufer_lines(stdin)
-        write, fmt = _tree_texts, "json" if args.format == "json" else "edges"
+        write, fmt = _texts, "json" if args.format == "json" else "edges"
     # a word on n vertices has n - 2 symbols
     out = [text for length, run in groupby(words, len) for text in write(length + 2, fmt, run)]
     _write(stdout, fmt, _chunks(out))

@@ -14,9 +14,11 @@ bit per pair (u, v), u < v, in lexicographic order: a suffix's row is its
 decode without its smallest absent vertices, and the step makes the rows
 one symbol longer, from the empty suffix's up.  ``_sweep_chunks`` applies
 it to whole levels, in chunks, and walks no word; ``_decode_mask``
-applies it along one word.  ``deg_v1_histogram`` counts the 1s of every
-word the same way, one byte a word, and makes no word
-(``_ones_per_word``).  One predicate, ``_has_masks``, sends the CLI's
+applies it along one word.  A vertex's degree is one more than its
+count in the word, so ``_ones_per_word`` composes vertex 1's degree less
+one for every word the same way, one byte a word, and makes no word;
+``deg_v1_histogram`` counts its bytes, and ``_sequences_with_deg_v1``
+keeps the words it selects.  One predicate, ``_has_masks``, sends the CLI's
 plain enumerate, ``enumerate_all_trees`` and ``_degree_histogram`` to the
 sweep for every 2 <= n <= 9.  A mask is read through ``_mask_tables``,
 one lookup per chunk of its bits, each entry the sum of the pieces its
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations, product, repeat
+from itertools import combinations, compress, product, repeat
 from operator import sub, xor
 from typing import Callable, Iterable, Iterator
 
@@ -454,13 +456,18 @@ def enumerate_trees_with_degrees(degrees: tuple[int, ...]) -> Iterator[LabeledTr
 
 
 def deg_v1_histogram(n: int) -> dict[int, int]:
-    """Tree counts keyed by the degree of vertex 1, derived purely from
-    symbol occurrences (degree = occurrences + 1), without decoding: one
+    """Tree counts keyed by the degree of vertex 1, without decoding: one
     bytes.count per k over _ones_per_word(n)."""
     if n < 2:
         raise OutOfRange(f"need n >= 2, got {n}")
     ones = _ones_per_word(n)
     return {k: ones.count(k - 1) for k in range(1, n)}
+
+
+def _sequences_with_deg_v1(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """The words of enumerate_sequences(n), in its order, whose trees give
+    vertex 1 degree k: those with k - 1 ones, kept by _ones_per_word(n)."""
+    return compress(enumerate_sequences(n), map((k - 1).__eq__, _ones_per_word(n)))
 
 
 # each count of 1s, one more: the first symbol 1 prefixed to a suffix

@@ -199,12 +199,39 @@ class TestEnumerate:
             # the words, three rows in block 1
             assert pulled == [] and built == [1, 1, 1, 3, 3, 3]
 
+    def test_deg_v1_reads_the_composed_ones_once(self, monkeypatch):
+        # the words kept are selected by enumeration's count of 1s of every
+        # word, made once, not by a count in the CLI
+        argv = ["enumerate", "-n", "6", "--deg-v1", "2"]
+        expected = run_cli(argv)
+        ones, calls = enumeration._ones_per_word, []
+        monkeypatch.setattr(enumeration, "_ones_per_word", lambda n: calls.append(n) or ones(n))
+        assert run_cli(argv) == expected and calls == [6]
+
+    @pytest.mark.parametrize("fmt", ["edges", "prufer", "json", "csv"])
+    def test_deg_v1_limit_pulls_no_word_past_it(self, monkeypatch, fmt):
+        argv = ["enumerate", "-n", "6", "--deg-v1", "2", "--format", fmt, "--limit", "3", "--count"]
+        expected = run_cli(argv)
+        assert expected[0] == 0
+        words = list(enumeration.enumerate_sequences(6))
+        third = [i for i, w in enumerate(words) if w.count(1) == 1][2]
+        pulled = []
+
+        def noting(*args, **kwargs):
+            for word in product(*args, **kwargs):
+                pulled.append(word)
+                yield word
+
+        monkeypatch.setattr(enumeration, "product", noting)
+        assert run_cli(argv) == expected
+        assert pulled == words[: third + 1]
+
     @pytest.mark.parametrize("n", range(2, 10))
     def test_plain_prufer_chunks_are_the_word_texts(self, n):
         # the shared texts of cli._plain_chunks against each word's own
         # line, at stops either side of the n^(n-3) words of a first symbol
-        # and unlimited (at n = 9 a limit past two first symbols); words of
-        # fewer than 3 symbols have no prefix and rest to share
+        # and unlimited (at n = 9 a limit past two first symbols); at n <= 4
+        # a word is all prefix, with no rest, and each line is its prefix's
         run = n ** max(n - 3, 0)
         for stop in (0, 1, 7, run - 1, run + 1, sys.maxsize if n < 9 else 2 * run + 3):
             chunks = list(cli._plain_chunks(n, "prufer", stop))

@@ -215,6 +215,11 @@ class TestEnumerateAllTrees:
             ),
             (lambda: deg_v1_histogram(10), "n=10 beyond the sweep cap 9", "sweep"),
             (
+                lambda: enumeration._sequences_with_deg_v1(10, 3),
+                "n=10 beyond the sweep cap 9",
+                "sweep",
+            ),
+            (
                 lambda: enumerate_all_trees_by_edges(7),
                 "n=7 beyond the edge-subset cap 6",
                 "edge-subset",
@@ -492,6 +497,29 @@ class TestDegV1Histogram:
     def test_level_is_each_words_count_of_ones(self, n):
         ones = enumeration._ones_per_word(n)
         assert list(ones) == [w.count(1) for w in enumerate_sequences(n)]
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_words_with_deg_v1_are_the_word_filter(self, n):
+        words = list(enumerate_sequences(n))
+        for k in range(1, n):
+            kept = enumeration._sequences_with_deg_v1(n, k)
+            assert list(kept) == [w for w in words if w.count(1) == k - 1], k
+
+    def test_words_with_deg_v1_are_lazy(self, monkeypatch):
+        # a kept word is pulled with the words before it, and no word after
+        words, pulled = list(enumerate_sequences(8)), []
+
+        def noting(*args, **kwargs):
+            for word in product(*args, **kwargs):
+                pulled.append(word)
+                yield word
+
+        monkeypatch.setattr(enumeration, "product", noting)
+        kept = enumeration._sequences_with_deg_v1(8, 2)
+        assert not isinstance(kept, (list, tuple)) and pulled == []
+        first = next(kept)
+        assert first == (1, 2, 2, 2, 2, 2)
+        assert pulled == words[: words.index(first) + 1]
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_equals_oracle_sizes(self, n):
