@@ -104,16 +104,14 @@ def _texts(n: int, fmt: str, words: Iterable[tuple[int, ...]]) -> Iterator[str]:
     row starting with the tree's index in the stream.  Each word is decoded
     once, with no per-edge formatting: to its edge mask, written by
     _mask_texts, on the n with masks, else to the flattened edges that fill
-    one %-template of _MASK_FORMATS' parts made for the run (the template
-    alone on one vertex)."""
+    one %-template of _MASK_FORMATS' parts made for the run (on one vertex,
+    its head and tail alone, filled with no edge)."""
     if fmt == "prufer":
         return _word_texts(n, "text", words)
     if enumeration._has_masks(n):
         return _mask_texts(n, fmt, map(enumeration._decode_mask, repeat(n), words))
     piece, head, cut, tail = _MASK_FORMATS[fmt]
     template = (head and head % n) + (piece * (n - 1))[cut:] + tail
-    if n == 1:
-        return (template for _ in words)
     edges = map(chain.from_iterable, map(enumeration._decode_edges, repeat(n), words))
     return _numbered(fmt, map(template.__mod__, map(tuple, edges)))
 

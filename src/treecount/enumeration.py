@@ -7,12 +7,15 @@ against.  Streams are lazy generators with a deterministic
 golden tests stay stable.  The sweeps are streams of Prufer words
 (tuples of symbols); the tree streams are their decode, so a caller
 that only needs the words, or their symbol counts, decodes nothing.
-The decode is one pointer walk, ``_decode_edges``, which gives the sorted
-edge pairs that ``decode_sequences`` and ``prufer_decode`` wrap, plus one
-level step, ``_compose``, which gives for n <= 9 a tree's edge mask, one
-bit per pair (u, v), u < v, in lexicographic order: a suffix's row is its
-decode without its smallest absent vertices, and the step makes the rows
-one symbol longer, from the empty suffix's up.  ``_sweep_chunks`` applies
+A degree vector's words are the distinct arrangements of its sorted
+symbols (``_degree_symbols``), each the next permutation of the one
+before (``_arrangements``).  The decode is one pointer walk,
+``_decode_edges``, which gives the sorted edge pairs that
+``decode_sequences`` and ``prufer_decode`` wrap (none on one vertex),
+plus one level step, ``_compose``, which gives for n <= 9 a tree's edge
+mask, one bit per pair (u, v), u < v, in lexicographic order: a
+suffix's row is its decode without its smallest absent vertices, and
+the step makes the rows one symbol longer, from the empty suffix's up.  ``_sweep_chunks`` applies
 it to whole levels, in chunks, and walks no word; ``_decode_mask``
 applies it along one word.  A vertex's degree is one more than its
 count in the word, so ``_ones_per_word`` composes vertex 1's degree less
@@ -72,8 +75,9 @@ PAIR_ENUM_CAP = 6
 
 
 def _decode_edges(n: int, symbols: Iterable[int]) -> tuple[Edge, ...]:
-    # pointer-based decode, n >= 2; the smallest current leaf is tracked in
-    # leaf, the scan frontier in ptr
+    # pointer-based decode, n >= 1; the smallest current leaf is tracked in
+    # leaf, the scan frontier in ptr.  The last leaf is joined to n, and on
+    # one vertex it is n itself, with no edge
     deg = [1] * (n + 1)
     for s in symbols:
         deg[s] += 1
@@ -92,7 +96,8 @@ def _decode_edges(n: int, symbols: Iterable[int]) -> tuple[Edge, ...]:
             while deg[ptr] != 1:
                 ptr += 1
             leaf = ptr
-    edges.append((leaf, n))
+    if leaf < n:
+        edges.append((leaf, n))
     edges.sort()
     return tuple(edges)
 
@@ -185,24 +190,20 @@ def _mask_sum(chunks) -> Callable[[int], object]:
 
 
 def _set_tables() -> list[tuple[bytes, bytes]]:
-    # (keys, drops) of _steps for v = 1..9 at index v - 1, made at import
+    # (keys, drops) of _steps for v = 1..9 at index v - 1, made at import:
+    # a set that holds v and a larger vertex goes to its turn key 10 + f and
+    # drops v, any other set to its second largest vertex e and drops f
     plain = bytes(range(256))  # each set as itself
     tops = bytes(map(int.bit_length, plain))  # each set's largest vertex
     rests = bytes(1) + b"".join(plain[: 1 << u] for u in range(8))  # the set less it
-    seconds, turns = rests.translate(tops), bytes(map((10).__add__, tops))
+    seconds = rests.translate(tops)
     tables = []
     for v in range(1, 10):
         keys, drops, h = bytearray(seconds), bytearray(rests), 1 << v >> 1
-        # the sets that hold v and a larger vertex, the upper half of each run
-        # of 2h sets after the first: a slice a run or a step slice a place
-        runs = range(3 * h, 256, 2 * h)
-        if h <= len(runs):
-            cuts = [slice(j, 256, 2 * h) for j in range(3 * h, 4 * h)]
-        else:
-            cuts = [slice(a, a + h) for a in runs]
-        for cut in cuts:
-            keys[cut] = turns[cut]
-            drops[cut] = plain[cut.start - h : cut.stop - h : cut.step]
+        for s in range(3 * h, 256):  # a set that holds v holds a larger vertex from 3h up
+            if s & h:
+                keys[s] = 10 + tops[s]
+                drops[s] = s - h
         tables.append((bytes(keys), bytes(drops)))
     return tables
 
@@ -300,8 +301,6 @@ def _has_masks(n: int) -> bool:
 
 def prufer_decode(n: int, symbols: tuple[int, ...]) -> LabeledTree:
     """The unique tree on n vertices whose encoding is ``symbols``."""
-    if n == 1:
-        return LabeledTree(1, ())
     return LabeledTree(n, _decode_edges(n, symbols))
 
 
@@ -380,38 +379,38 @@ def enumerate_sequences(n: int) -> Iterator[tuple[int, ...]]:
 
 def enumerate_sequences_with_degrees(degrees: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """The words of the trees whose degree vector equals ``degrees``: every
-    distinct arrangement of the symbol multiset in which vertex i occurs
-    d_i - 1 times, in lexicographic order."""
+    distinct arrangement of _degree_symbols(degrees), in lexicographic order."""
     validate_degrees(degrees)
-    n = len(degrees)
-    _check_cap("n", n, "sweep", PRUFER_ENUM_CAP)
-    pool = [[v, c - 1] for v, c in enumerate(degrees, start=1) if c > 1]
-    return _multiset_sequences(pool, n - 2)
+    _check_cap("n", len(degrees), "sweep", PRUFER_ENUM_CAP)
+    return _arrangements(_degree_symbols(degrees))
 
 
-def _multiset_sequences(pool: list[list[int]], length: int) -> Iterator[tuple[int, ...]]:
-    # pool entries are [symbol, remaining] in ascending symbol order, so
-    # output is lexicographic and free of duplicates
-    buf = [0] * length
+def _degree_symbols(degrees: tuple[int, ...]) -> list[int]:
+    """The symbols of a degree vector's words, sorted: vertex i occurs
+    d_i - 1 times."""
+    return [v for v, d in enumerate(degrees, start=1) for _ in range(d - 1)]
 
-    def rec(pos: int) -> Iterator[tuple[int, ...]]:
-        if pos == length:
-            yield tuple(buf)
+
+def _arrangements(word: list[int]) -> Iterator[tuple[int, ...]]:
+    # each distinct arrangement of the sorted word, by next permutation
+    # (Knuth's Algorithm L): after the last ascent i, swap word[i] with the
+    # last larger symbol and reverse the tail
+    while True:
+        yield tuple(word)
+        i = len(word) - 2
+        while i >= 0 and word[i] >= word[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        for entry in pool:
-            if entry[1]:
-                entry[1] -= 1
-                buf[pos] = entry[0]
-                yield from rec(pos + 1)
-                entry[1] += 1
-
-    return rec(0)
+        j = len(word) - 1
+        while word[j] <= word[i]:
+            j -= 1
+        word[i], word[j] = word[j], word[i]
+        word[i + 1 :] = word[:i:-1]
 
 
 def decode_sequences(n: int, words: Iterable[tuple[int, ...]]) -> Iterator[LabeledTree]:
     """The tree of each word on n vertices, lazily and in stream order."""
-    if n == 1:
-        return (LabeledTree(1, ()) for _ in words)
     return (LabeledTree(n, _decode_edges(n, symbols)) for symbols in words)
 
 

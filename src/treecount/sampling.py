@@ -24,7 +24,7 @@ from itertools import islice, repeat
 from typing import Iterator
 
 from treecount.core import LabeledTree, OutOfRange, _check_cap, validate_degrees
-from treecount.enumeration import decode_sequences
+from treecount.enumeration import _degree_symbols, decode_sequences
 
 # Largest vertex count a sampler draws for, -n or the length of a degree
 # vector: one tree at the cap draws, decodes and prints in about a second.
@@ -84,7 +84,7 @@ def sample_sequence_with_degrees(
 
 def _degree_words(degrees: tuple[int, ...], seed: int, count: int) -> Iterator[tuple[int, ...]]:
     rng = random.Random(seed)
-    base = [v for v, deg in enumerate(degrees, start=1) for _ in range(deg - 1)]
+    base = _degree_symbols(degrees)
     for _ in range(count):
         symbols = base[:]
         _shuffle(rng, symbols)

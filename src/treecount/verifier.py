@@ -17,8 +17,7 @@ plain tuple of the same fields.
 from __future__ import annotations
 
 import math
-from collections import deque
-from itertools import count, repeat, zip_longest
+from itertools import repeat, zip_longest
 from time import perf_counter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
@@ -148,14 +147,6 @@ def _run_totals(identity_id: str, n_max: int, legs: Callable[[int], tuple]) -> I
     return _run(identity_id, lambda n: f"n={n}", cases)
 
 
-def _ilen(stream: Iterable) -> int:
-    # zip draws the stream and the counter in step inside C, and the deque
-    # keeps nothing: the counter's next value is the number of items drawn
-    counter = count()
-    deque(zip(stream, counter), maxlen=0)
-    return next(counter)
-
-
 def _parts_label(m: int, parts: tuple[int, ...]) -> str:
     return f"m={m},a={','.join(map(str, parts))}"
 
@@ -227,7 +218,7 @@ def verify_double_count(
     cases = (
         (
             (m, k),
-            _ilen(enumeration.enumerate_edge_subsets_pairs(m, k)),
+            sum(1 for _ in enumeration.enumerate_edge_subsets_pairs(m, k)),
             (
                 (",closed form", counting.count_total_trees(m) * binomial(m - 1, k - 1)),
                 (",assembly", fn(m, k)),

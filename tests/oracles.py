@@ -15,7 +15,8 @@ edge-list reader that checks one line at a time, `prufer encode` as that
 reader followed by that encode, the Prufer line reader that converts
 every symbol with int(), `prufer decode` as that reader followed by the
 textbook heap decode, the deg(vertex 1) histogram as one count of 1s
-per Prufer word, the per-edge text of the json and csv tree formats,
+per Prufer word, a degree vector's words as the distinct permutations
+of its symbols, the per-edge text of the json and csv tree formats,
 the samplers' one-draw-per-call word generators, and the command
 line's parser as a chain of add_argument calls, which the package
 replaced with faster equivalents or with a table.
@@ -30,7 +31,7 @@ import json
 import random
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations, product, repeat
+from itertools import combinations, permutations, product, repeat
 from math import comb, factorial, prod
 
 from treecount.cli import (
@@ -95,6 +96,13 @@ def trees_with_deg_v1(n: int, k: int) -> set[tuple[Edge, ...]]:
     return {
         t for t in spanning_trees(n) if degree_vector(n, t)[0] == k
     }
+
+
+def degree_arrangements(degrees: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The words of a degree vector, vertex i d_i - 1 times, as the distinct
+    permutations of its symbols, sorted: every permutation is made."""
+    symbols = [v for v, deg in enumerate(degrees, start=1) for _ in range(deg - 1)]
+    return sorted(set(permutations(symbols)))
 
 
 def deg_v1_histogram_by_word(n: int) -> dict[int, int]:

@@ -226,6 +226,23 @@ class TestEnumerate:
         assert run_cli(argv) == expected
         assert pulled == words[: third + 1]
 
+    @pytest.mark.parametrize("fmt", ["edges", "prufer", "json", "csv"])
+    def test_degrees_limit_pulls_no_word_past_it(self, monkeypatch, fmt):
+        degrees = (2, 2, 1, 2, 2, 2, 1, 2)
+        argv = ["enumerate", "-n", "8", "--degrees", "2,2,1,2,2,2,1,2", "--format", fmt, "--limit", "3", "--count"]
+        expected = run_cli(argv)
+        assert expected[0] == 0
+        arrangements, pulled = enumeration._arrangements, []
+
+        def noting(word):
+            for w in arrangements(word):
+                pulled.append(w)
+                yield w
+
+        monkeypatch.setattr(enumeration, "_arrangements", noting)
+        assert run_cli(argv) == expected
+        assert pulled == oracles.degree_arrangements(degrees)[:3]
+
     @pytest.mark.parametrize("n", range(2, 10))
     def test_plain_prufer_chunks_are_the_word_texts(self, n):
         # the shared texts of cli._plain_chunks against each word's own
@@ -1122,7 +1139,7 @@ ENUMERATE_CASES = {
     ),
     "n9-degrees": (
         ["-n", "9", "--degrees", "2,1,3,1,1,2,1,2,3"],
-        lambda: enumeration.enumerate_sequences_with_degrees((2, 1, 3, 1, 1, 2, 1, 2, 3)),
+        lambda: oracles.degree_arrangements((2, 1, 3, 1, 1, 2, 1, 2, 3)),
     ),
 }
 

@@ -55,6 +55,10 @@ class TestCodec:
         assert prufer_decode(2, ()).edges == ((1, 2),)
         assert prufer_decode(1, ()).edges == ()
 
+    def test_walk_gives_one_vertex_no_edge(self):
+        # the last leaf is joined to n only below n: on one vertex it is n
+        assert enumeration._decode_edges(1, ()) == ()
+
     def test_encode_rejects_single_vertex(self):
         with pytest.raises(OutOfRange):
             prufer_encode(LabeledTree(1, ()))
@@ -260,6 +264,14 @@ class TestSequenceStreams:
                 if all(w.count(v) == c[v - 1] - 1 for v in range(1, n + 1))
             ]
             assert list(enumerate_sequences_with_degrees(c)) == want
+
+    @pytest.mark.parametrize("n", [7, 8, 9])
+    def test_degree_words_are_the_distinct_permutations(self, n):
+        compositions = list(enumerate_compositions(2 * n - 2, n))
+        for c in random.Random(n).sample(compositions, 20):
+            words = enumerate_sequences_with_degrees(c)
+            assert not isinstance(words, (list, tuple))
+            assert list(words) == oracles.degree_arrangements(c), c
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_trees_are_the_decode_of_the_words(self, n):

@@ -157,14 +157,6 @@ def _cold(check, top: int):
     return report, time.perf_counter() - start
 
 
-class TestIlen:
-    def test_counts_every_item(self):
-        assert verifier._ilen(iter(())) == 0
-        assert verifier._ilen([]) == 0
-        assert verifier._ilen(x for x in range(5)) == 5
-        assert verifier._ilen(enumeration.enumerate_edge_subsets_pairs(4, 2)) == 16 * 3
-
-
 class TestFormulaGridReach:
     def test_recursion_to_100(self):
         report, elapsed = _cold(verify_recursion_and_collapse, 100)
