@@ -136,7 +136,8 @@ def _plain_chunks(n: int, fmt: str, stop: int) -> Iterator[tuple[int, str]]:
     prufer format from shared texts.  The lines of the words' symbols after
     their first min(2, n - 2), the rest, are formatted once, and a run of
     them with a prefix's text after each line feed is the lines of that
-    prefix's words; with no rest (n <= 4) each line is the prefix's alone."""
+    prefix's words; with no rest (n <= 4) each line is the prefix's alone.
+    A chunk joins the runs of consecutive prefixes up to _CHUNK lines."""
     if fmt != "prufer":
         start = 0
         for masks in enumeration._sweep_chunks(n, stop):
@@ -146,16 +147,22 @@ def _plain_chunks(n: int, fmt: str, stop: int) -> Iterator[tuple[int, str]]:
     symbols = range(1, n + 1)
     lead = min(2, n - 2)  # the symbols of a prefix
     rest, size = n - 2 - lead, n ** (n - 2 - lead)  # the symbols and words after it
+    total = min(stop, n ** (n - 2))
     tails = _word_texts(rest + 2, "text", product(symbols, repeat=rest))
     tails = "".join(text for _, text in _chunks(tails, stop))  # with no list of every line
+    # the texts of the prefixes of the lines to write, each with the comma
+    # before a tail in place of its line feed
     heads = _word_texts(lead + 2, "text", product(symbols, repeat=lead))
-    # left counts the lines still to write, so zip formats no prefix past them
-    for left, head in zip(range(stop, 0, -size), heads):
-        head = head[:-1] + "," * (rest > 0)  # its line feed, the comma before a tail
-        for lo in range(0, min(left, size), _CHUNK):
-            hi = min(lo + _CHUNK, left, size)
-            # a line of the rest is 2 * rest characters: one digit per symbol
-            yield hi - lo, head + tails[2 * rest * lo : 2 * rest * hi - 1].replace("\n", "\n" + head) + "\n"
+    heads = [head[:-1] + "," * (rest > 0) for head in islice(heads, -(-total // size))]
+    for lo in range(0, total, _CHUNK):
+        hi = min(lo + _CHUNK, total)
+        runs = []
+        for p in range(lo // size, (hi - 1) // size + 1):
+            # lines a..b of the rest, those of prefix p in lines lo..hi; a
+            # line of the rest is 2 * rest characters: one digit per symbol
+            a, b, head = max(lo - p * size, 0), min(hi - p * size, size), heads[p]
+            runs.append(head + tails[2 * rest * a : 2 * rest * b - 1].replace("\n", "\n" + head) + "\n")
+        yield hi - lo, "".join(runs)
 
 
 def _write(stdout: IO[str], fmt: str, chunks: Iterable[tuple[int, str]], want_count: bool = False) -> None:

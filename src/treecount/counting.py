@@ -30,9 +30,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate, repeat, starmap
 from math import comb, prod
 from operator import mul
+from typing import Sequence
 
 from treecount.core import (
     CompositionSumMismatch,
@@ -168,10 +169,10 @@ def expand_L3(parts: tuple[int, ...], m: int) -> int:
 
 @lru_cache(maxsize=256, typed=True)
 def _join_weight(*degrees: int) -> int:
-    # (k-2)!/prod((d_i - 1)!), the factor of count_supervertex_trees that
-    # depends on the degree vector alone, once per vector.  typed keys the
-    # memo on each entry's type as well, so (1.0, 1.0) never reads the
-    # entry of (1, 1) and still fails in multinomial as it always did
+    # (k-2)!/prod((d_i - 1)!), the factor of a join count that depends on
+    # the degree vector alone, once per vector.  typed keys the memo on
+    # each entry's type as well, so (1.0, 1.0) never reads the entry of
+    # (1, 1) and still fails in multinomial as it always did
     validate_degrees(degrees)
     return multinomial([d - 1 for d in degrees])
 
@@ -180,23 +181,33 @@ def count_supervertex_trees(degrees: tuple[int, ...], sizes: tuple[int, ...]) ->
     """Ways to join k components of sizes (a_1..a_k) into one tree where
     component i sends out d_i edges, each startable at any of its a_i
     vertices: (k-2)!/prod((d_i-1)!) * prod(a_i^(d_i))."""
+    return _join_sum((degrees,), sizes)
+
+
+def _join_sum(vectors: Sequence[tuple[int, ...]], sizes: tuple[int, ...]) -> int:
+    # count_supervertex_trees(d, sizes) summed over the degree vectors d,
+    # all of one length k, with sizes checked once: the degrees are checked
+    # first, vector by vector, then the sizes, then the weights that failed
+    # in the memo are computed
     try:
-        weight = _join_weight(*degrees)
+        weights = list(starmap(_join_weight, vectors))
     except (InvalidDegreeSequence, TypeError):
         # a failure is never memoized: the unmemoized checks run on the
-        # caller's own degrees, so the error, its order after the checks of
-        # sizes and its message (a list shown as a list) are as they were
-        validate_degrees(degrees)
-        weight = None
-    k = len(degrees)
+        # caller's own degrees, so the error and its message (a list shown
+        # as a list) are as they were, and a vector they pass (floats)
+        # fails in multinomial after the checks of sizes
+        for d in vectors:
+            validate_degrees(d)
+        weights = None
+    k = len(vectors[0])
     if len(sizes) != k:
         raise CompositionSumMismatch(f"need {k} component sizes, got {len(sizes)}")
     # validate_degrees has seen at least 2 degrees, so sizes is not empty
     if min(sizes) < 1:
         raise CompositionSumMismatch(f"component sizes must be positive: {sizes}")
-    if weight is None:
-        weight = multinomial([d - 1 for d in degrees])
-    return weight * prod(map(pow, sizes, degrees))
+    if weights is None:
+        weights = [multinomial([d - 1 for d in degrees]) for degrees in vectors]
+    return sum(w * prod(map(pow, sizes, d)) for w, d in zip(weights, vectors))
 
 
 def assemble_double_count(m: int, k: int) -> int:

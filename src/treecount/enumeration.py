@@ -300,8 +300,26 @@ def _has_masks(n: int) -> bool:
 
 
 def prufer_decode(n: int, symbols: tuple[int, ...]) -> LabeledTree:
-    """The unique tree on n vertices whose encoding is ``symbols``."""
+    """The unique tree on n vertices whose encoding is ``symbols``.  Raises
+    OutOfRange unless n >= 1 and the word has max(n - 2, 0) symbols, each
+    in 1..n."""
+    if symbols:  # then its length n - 2 is at least 1
+        valid = len(symbols) == n - 2 and min(symbols) >= 1 and max(symbols) <= n
+    else:
+        valid = 0 < n < 3
+    if not valid:
+        raise _word_error(n, symbols)
     return LabeledTree(n, _decode_edges(n, symbols))
+
+
+def _word_error(n: int, symbols: tuple[int, ...]) -> OutOfRange:
+    # why prufer_decode refuses (n, symbols): the first of its checks to fail
+    if n < 1:
+        return OutOfRange(f"vertex count must be >= 1, got {n}")
+    if len(symbols) != max(n - 2, 0):
+        return OutOfRange(f"need a word of length {max(n - 2, 0)} for n={n}, got length {len(symbols)}")
+    bad = next(s for s in symbols if not 1 <= s <= n)
+    return OutOfRange(f"symbol {bad} outside 1..{n}")
 
 
 def _encode_walk(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...] | None:

@@ -55,8 +55,9 @@ DEFAULT_LIMITS: dict[str, int] = {
 # CPU.  Best of 3 with time.process_time, in five processes, on a 2-vCPU
 # VM with Python 3.11.7: EQ_20 0.41-0.60 s, LEMMA_1 0.022-0.036 s (its
 # brute force to n = 9 reads one byte a word, enumeration._ones_per_word),
-# L3 0.35-0.55 s, SUPERVERTEX 0.28-0.47 s (with the joiner's memo of
-# counting._join_weight), DEG_V1_TOTALITY 0.84-1.19 s and
+# L3 0.35-0.55 s, SUPERVERTEX 0.20-0.22 s (each composition's sizes
+# checked once by counting._join_sum; 0.25-0.28 s in the same runs with
+# a check per degree vector), DEG_V1_TOTALITY 0.84-1.19 s and
 # BINOMIAL_COLLAPSE 0.75-1.10 s.
 EQ_20_CAP = 175
 LEMMA_1_CAP = 30
@@ -113,8 +114,9 @@ class IdentityReport(NamedTuple):
 
 
 # A case of an identity check is (where, expected, legs): legs is a tuple
-# of (suffix, got) pairs, each of which must equal expected.
-_Case = tuple[tuple, object, tuple[tuple[str, object], ...]]
+# of (suffix, got) pairs, each of which must equal expected.  A check may
+# also yield an int, the number of cases it found passing with no record.
+_Case = tuple[tuple, object, tuple[tuple[str, object], ...]] | int
 
 
 def _check_top(name: str, top: int, kind: str, cap: int) -> None:
@@ -127,12 +129,17 @@ def _check_top(name: str, top: int, kind: str, cap: int) -> None:
 
 def _run(identity_id: str, label: Callable[..., str], cases: Iterable[_Case]) -> IdentityReport:
     """Walk every case, timing the walk.  A case counts once in checked
-    however many legs it has; a failing leg is reported under
-    label(*where) + suffix, which is built only on failure."""
+    however many legs it has, and an int counts as that many passing
+    cases; a failing leg is reported under label(*where) + suffix, which
+    is built only on failure."""
     start = perf_counter()
     failures = []
     checked = 0
-    for where, expected, legs in cases:
+    for case in cases:
+        if case.__class__ is int:
+            checked += case
+            continue
+        where, expected, legs = case
         checked += 1
         for suffix, got in legs:
             if got != expected:
@@ -279,7 +286,6 @@ def verify_supervertex_marginal(m_max: int, *, joiner=None) -> IdentityReport:
     super vertices must reproduce the multinomial expansion, for every
     composition with 2 <= k <= 5 parts and total m <= m_max."""
     _check_top("m_max", m_max, "SUPERVERTEX work", SUPERVERTEX_CAP)
-    fn = joiner if joiner is not None else counting.count_supervertex_trees
 
     def cases() -> Iterator[_Case]:
         degree_choices: dict[int, list[tuple[int, ...]]] = {}
@@ -287,7 +293,10 @@ def verify_supervertex_marginal(m_max: int, *, joiner=None) -> IdentityReport:
             k = len(sizes)
             if k not in degree_choices:
                 degree_choices[k] = list(enumeration.enumerate_compositions(2 * k - 2, k))
-            got = sum(map(fn, degree_choices[k], repeat(sizes)))
+            if joiner is None:
+                got = counting._join_sum(degree_choices[k], sizes)  # sizes checked once
+            else:
+                got = sum(map(joiner, degree_choices[k], repeat(sizes)))
             yield (m, sizes), counting.expand_L3(sizes, m), (("", got),)
 
     return _run("SUPERVERTEX_MARGINAL", _parts_label, cases())
@@ -300,9 +309,10 @@ def verify_prufer_roundtrip(n_max: int) -> IdentityReport:
     (enumeration.enumerate_all_trees), paired in order with the sequences.
     A pair costs one decode and one encode: the s side reuses encode(t)
     when decode(s) = t, and the t side reuses decode(s) when encode(t) = s.
-    A refused codec call fails its side with got "<ErrorClass>: <message>".
-    A tree source that yields more or fewer trees than sequences fails the
-    case "n=N,trees"."""
+    A pair whose two sides pass is only counted; the others yield a case
+    per side.  A refused codec call fails its side with got
+    "<ErrorClass>: <message>".  A tree source that yields more or fewer
+    trees than sequences fails the case "n=N,trees"."""
     _check_top("n_max", n_max, "sweep", enumeration.PRUFER_ENUM_CAP)
     decode, encode = enumeration.prufer_decode, enumeration.prufer_encode
 
@@ -316,11 +326,15 @@ def verify_prufer_roundtrip(n_max: int) -> IdentityReport:
 
     def cases() -> Iterator[_Case]:
         for n in range(2, n_max + 1):
-            sizes = [0, 0]  # sequences and trees drawn
+            passed = 0  # pairs whose two sides pass
+            sizes = [0, 0]  # sequences and trees drawn in the other pairs
             for s, t in zip_longest(enumeration.enumerate_sequences(n), enumeration.enumerate_all_trees(n)):
                 try:
                     tree = None if s is None else decode(n, s)
                     back = None if t is None else encode(t)
+                    if tree == t and back == s:  # neither is None
+                        passed += 1
+                        continue
                     s_got = None if s is None else back if tree == t else encode(tree)
                     t_got = None if t is None else tree if back == s else decode(n, back)
                 except TreeCountError:
@@ -332,8 +346,9 @@ def verify_prufer_roundtrip(n_max: int) -> IdentityReport:
                 if t is not None:
                     sizes[1] += 1
                     yield (n, "t", t.edges), t, (("", t_got),)
+            yield 2 * passed
             if sizes[0] != sizes[1]:
-                yield (n, "trees", None), sizes[0], (("", sizes[1]),)
+                yield (n, "trees", None), passed + sizes[0], (("", passed + sizes[1]),)
 
     def label(n: int, side: str, x) -> str:
         return f"n={n},{side}" if x is None else f"n={n},{side}={x}"

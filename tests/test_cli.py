@@ -248,13 +248,17 @@ class TestEnumerate:
         # the shared texts of cli._plain_chunks against each word's own
         # line, at stops either side of the n^(n-3) words of a first symbol
         # and unlimited (at n = 9 a limit past two first symbols); at n <= 4
-        # a word is all prefix, with no rest, and each line is its prefix's
+        # a word is all prefix, with no rest, and each line is its prefix's.
+        # A chunk joins prefixes: each holds _CHUNK lines but the last, so
+        # the last stop is written in as many writes as the dict says
         run = n ** max(n - 3, 0)
         for stop in (0, 1, 7, run - 1, run + 1, sys.maxsize if n < 9 else 2 * run + 3):
             chunks = list(cli._plain_chunks(n, "prufer", stop))
             want = list(cli._word_texts(n, "text", islice(enumeration.enumerate_sequences(n), stop)))
             assert "".join(text for _, text in chunks) == "".join(want), stop
-            assert sum(number for number, _ in chunks) == len(want), stop
+            full = [min(cli._CHUNK, len(want) - lo) for lo in range(0, len(want), cli._CHUNK)]
+            assert [number for number, _ in chunks] == full, stop
+        assert len(chunks) == {2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 5, 8: 64, 9: 260}[n]
 
     def test_json_records_parse(self):
         code, out, _ = run_cli(["enumerate", "-n", "3", "--format", "json"])

@@ -15,7 +15,7 @@ from math import comb, factorial
 import pytest
 
 import oracles
-from treecount import counting
+from treecount import counting, verifier
 from treecount.core import (
     CompositionSumMismatch,
     InvalidDegreeSequence,
@@ -335,6 +335,15 @@ class TestSupervertex:
                         count_supervertex_trees(d, sizes) for d in degree_choices
                     )
                     assert total == expand_L3(sizes, m)
+
+    def test_join_sum_is_the_literal_sum_to_the_cap(self):
+        # the verifier's joined count on every composition of its grid at
+        # the work cap: the k-part degree vectors summed in the oracle
+        vectors = {k: list(enumerate_compositions(2 * k - 2, k)) for k in range(2, 6)}
+        for _, sizes in verifier._composition_grid(verifier.SUPERVERTEX_CAP):
+            k = len(sizes)
+            want = sum(oracles.supervertex_count(d, sizes) for d in vectors[k])
+            assert counting._join_sum(vectors[k], sizes) == want, sizes
 
     def test_two_components_joined_by_one_edge(self):
         # oracle: a 1-vertex and a 2-vertex component join in exactly

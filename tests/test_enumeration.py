@@ -55,6 +55,26 @@ class TestCodec:
         assert prufer_decode(2, ()).edges == ((1, 2),)
         assert prufer_decode(1, ()).edges == ()
 
+    @pytest.mark.parametrize(
+        "n, symbols, message",
+        [
+            (3, (1, 2), "need a word of length 1 for n=3, got length 2"),  # the walk alone gives a cycle
+            (4, (1,), "need a word of length 2 for n=4, got length 1"),  # the walk alone gives two edges
+            (4, (0, 1), "symbol 0 outside 1..4"),  # the walk alone gives vertex 0 an edge
+            (3, (5,), "symbol 5 outside 1..3"),  # the walk alone raises IndexError
+            (1, (1,), "need a word of length 0 for n=1, got length 1"),  # the walk alone raises IndexError
+        ],
+    )
+    def test_decode_refuses_words_of_no_tree(self, n, symbols, message):
+        with pytest.raises(OutOfRange) as info:
+            prufer_decode(n, symbols)
+        assert type(info.value) is OutOfRange
+        assert str(info.value) == message
+
+    def test_decode_refuses_fewer_than_one_vertex(self):
+        with pytest.raises(OutOfRange, match=r"^vertex count must be >= 1, got 0$"):
+            prufer_decode(0, ())
+
     def test_walk_gives_one_vertex_no_edge(self):
         # the last leaf is joined to n only below n: on one vertex it is n
         assert enumeration._decode_edges(1, ()) == ()

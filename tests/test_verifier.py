@@ -109,6 +109,13 @@ class TestIndividualChecks:
         # two directions per sequence: 1 + 3 + 16 + 125 sequences
         assert report.checked == 2 * (1 + 3 + 16 + 125)
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_prufer_roundtrip_counts_every_passing_pair(self, n):
+        # a pair whose two sides pass is counted with no case of its own
+        report = verify_prufer_roundtrip(n)
+        assert report.failures == ()
+        assert report.checked == 2 * sum(m ** (m - 2) for m in range(2, n + 1))
+
     def test_range_validation(self):
         for fn in (
             verify_theorem1,
@@ -439,6 +446,43 @@ class TestFaultInjection:
         report = verify_prufer_roundtrip(n)
         got = n ** (n - 2) + (1 if change == "one too many" else -1)
         assert report.failures == (Failure(f"n={n},trees", n ** (n - 2), got),)
+
+    def test_prufer_roundtrip_fault_on_the_first_pair_only(self, monkeypatch):
+        # the encode gives the one tree on 2 vertices a symbol: the empty
+        # word's side fails with it, and the tree's side with the decode's
+        # refusal of a word too long for n = 2; every other pair passes
+        encode = enumeration.prufer_encode
+        edge = LabeledTree(2, ((1, 2),))
+
+        def broken(tree: LabeledTree) -> tuple[int, ...]:
+            return (2,) if tree == edge else encode(tree)
+
+        monkeypatch.setattr(enumeration, "prufer_encode", broken)
+        report = verify_prufer_roundtrip(5)
+        assert report.checked == 2 * (1 + 3 + 16 + 125)
+        assert report.failures == (
+            Failure("n=2,s=()", (), (2,)),
+            Failure("n=2,t=((1, 2),)", edge, "OutOfRange: need a word of length 0 for n=2, got length 1"),
+        )
+
+    def test_prufer_roundtrip_fault_on_the_last_pair_only(self, monkeypatch):
+        # the decode gives the star at 6 for the last word on 7 vertices,
+        # the star at 7's: both sides of the last pair fail, and no other
+        decode = enumeration.prufer_decode
+        last = (7,) * 5
+        star6 = LabeledTree(7, ((1, 6), (2, 6), (3, 6), (4, 6), (5, 6), (6, 7)))
+        star7 = LabeledTree(7, tuple((v, 7) for v in range(1, 7)))
+
+        def broken(n: int, symbols: tuple[int, ...]) -> LabeledTree:
+            return star6 if (n, symbols) == (7, last) else decode(n, symbols)
+
+        monkeypatch.setattr(enumeration, "prufer_decode", broken)
+        report = verify_prufer_roundtrip(7)
+        assert report.checked == 2 * sum(m ** (m - 2) for m in range(2, 8))
+        assert report.failures == (
+            Failure(f"n=7,s={last}", last, (6,) * 5),
+            Failure(f"n=7,t={star7.edges}", star7, star6),
+        )
 
     def test_prufer_roundtrip_calls_the_codec_once_each_way_per_swept_word(self, monkeypatch):
         calls = {"decode": 0, "encode": 0}
