@@ -24,20 +24,21 @@ are labelled products, m! [x^m] of a product of exponential generating
 functions, so each is computed as repeated binomial convolution in time
 polynomial in n.  lemma1_lhs and recursion_T share one memo of Lemma 1
 rows, Eq. 20 being a row's sum; the tests keep the literal sums as oracle.
+A join of k super vertices is weighed by Theorem 1 itself,
+count_trees_with_degrees on the k super vertices, with no memo: the
+verifier's SUPERVERTEX grid asks for each k's weights once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, repeat, starmap
+from itertools import accumulate, repeat
 from math import comb, prod
 from operator import mul
-from typing import Sequence
 
 from treecount.core import (
     CompositionSumMismatch,
-    InvalidDegreeSequence,
     OutOfRange,
     binomial,
     exact_div,
@@ -167,47 +168,33 @@ def expand_L3(parts: tuple[int, ...], m: int) -> int:
     return sum(map(mul, map(mul, rows[top], f), reversed(g)))
 
 
-@lru_cache(maxsize=256, typed=True)
-def _join_weight(*degrees: int) -> int:
-    # (k-2)!/prod((d_i - 1)!), the factor of a join count that depends on
-    # the degree vector alone, once per vector.  typed keys the memo on
-    # each entry's type as well, so (1.0, 1.0) never reads the entry of
-    # (1, 1) and still fails in multinomial as it always did
-    validate_degrees(degrees)
-    return multinomial([d - 1 for d in degrees])
-
-
 def count_supervertex_trees(degrees: tuple[int, ...], sizes: tuple[int, ...]) -> int:
     """Ways to join k components of sizes (a_1..a_k) into one tree where
     component i sends out d_i edges, each startable at any of its a_i
     vertices: (k-2)!/prod((d_i-1)!) * prod(a_i^(d_i))."""
-    return _join_sum((degrees,), sizes)
+    return _join_counts([degrees], [sizes])[0]
 
 
-def _join_sum(vectors: Sequence[tuple[int, ...]], sizes: tuple[int, ...]) -> int:
-    # count_supervertex_trees(d, sizes) summed over the degree vectors d,
-    # all of one length k, with sizes checked once: the degrees are checked
-    # first, vector by vector, then the sizes, then the weights that failed
-    # in the memo are computed
-    try:
-        weights = list(starmap(_join_weight, vectors))
-    except (InvalidDegreeSequence, TypeError):
-        # a failure is never memoized: the unmemoized checks run on the
-        # caller's own degrees, so the error and its message (a list shown
-        # as a list) are as they were, and a vector they pass (floats)
-        # fails in multinomial after the checks of sizes
-        for d in vectors:
-            validate_degrees(d)
-        weights = None
+def _join_counts(vectors: list[tuple[int, ...]], size_list: list[tuple[int, ...]]) -> list[int]:
+    # for each size vector, count_supervertex_trees(d, sizes) summed over
+    # the degree vectors d, all of one length k.  Every degree vector is
+    # checked, then every size vector, and only then is each vector's
+    # weight, Theorem 1's count of trees on the k super vertices, computed
+    # once: a float vector the checks pass fails in multinomial last
+    for d in vectors:
+        validate_degrees(d)
     k = len(vectors[0])
-    if len(sizes) != k:
-        raise CompositionSumMismatch(f"need {k} component sizes, got {len(sizes)}")
-    # validate_degrees has seen at least 2 degrees, so sizes is not empty
-    if min(sizes) < 1:
-        raise CompositionSumMismatch(f"component sizes must be positive: {sizes}")
-    if weights is None:
-        weights = [multinomial([d - 1 for d in degrees]) for degrees in vectors]
-    return sum(w * prod(map(pow, sizes, d)) for w, d in zip(weights, vectors))
+    for sizes in size_list:
+        if len(sizes) != k:
+            raise CompositionSumMismatch(f"need {k} component sizes, got {len(sizes)}")
+        # validate_degrees has seen at least 2 degrees, so sizes is not empty
+        if min(sizes) < 1:
+            raise CompositionSumMismatch(f"component sizes must be positive: {sizes}")
+    weights = list(map(count_trees_with_degrees, vectors))
+    return [
+        sum(w * prod(map(pow, sizes, d)) for w, d in zip(weights, vectors))
+        for sizes in size_list
+    ]
 
 
 def assemble_double_count(m: int, k: int) -> int:

@@ -2,7 +2,7 @@
 
 Everything here enumerates or transforms concrete trees, providing the
 brute-force reference paths that the closed-form counters are checked
-against.  Streams are lazy generators with a deterministic
+against.  Streams are lazy iterators with a deterministic
 (lexicographic) order, so callers may count without materializing and
 golden tests stay stable.  The sweeps are streams of Prufer words
 (tuples of symbols); the tree streams are their decode, so a caller
@@ -11,7 +11,8 @@ A degree vector's words are the distinct arrangements of its sorted
 symbols (``_degree_symbols``), each the next permutation of the one
 before (``_arrangements``).  The decode is one pointer walk,
 ``_decode_edges``, which gives the sorted edge pairs that
-``decode_sequences`` and ``prufer_decode`` wrap (none on one vertex),
+``prufer_decode`` wraps once it has checked the word, and
+``decode_sequences`` maps over a word stream (none on one vertex),
 plus one level step, ``_compose``, which gives for n <= 9 a tree's edge
 mask, one bit per pair (u, v), u < v, in lexicographic order: a
 suffix's row is its decode without its smallest absent vertices, and
@@ -428,8 +429,9 @@ def _arrangements(word: list[int]) -> Iterator[tuple[int, ...]]:
 
 
 def decode_sequences(n: int, words: Iterable[tuple[int, ...]]) -> Iterator[LabeledTree]:
-    """The tree of each word on n vertices, lazily and in stream order."""
-    return (LabeledTree(n, _decode_edges(n, symbols)) for symbols in words)
+    """The tree of each word on n vertices, lazily and in stream order: the
+    prufer_decode of each, so a word it refuses raises when pulled."""
+    return map(prufer_decode, repeat(n), words)
 
 
 def enumerate_all_trees(n: int) -> Iterator[LabeledTree]:
@@ -448,9 +450,9 @@ def enumerate_all_trees(n: int) -> Iterator[LabeledTree]:
 
 
 def _swept_trees(n: int) -> Iterator[LabeledTree]:
-    # a generator, as decode_sequences gives, so that perfbench's tracer
-    # counts its trees; tuple.__new__ makes each tree of its (n, edges)
-    # pair in C, as LabeledTree._make does behind a Python call
+    # a generator, so that perfbench's tracer counts its trees;
+    # tuple.__new__ makes each tree of its (n, edges) pair in C, as
+    # LabeledTree._make does behind a Python call
     edges = _mask_sum(_mask_tables(n, "pairs"))
     for masks in _sweep_chunks(n, n ** (n - 2)):
         yield from map(tuple.__new__, repeat(LabeledTree), zip(repeat(n), map(edges, masks)))

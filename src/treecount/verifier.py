@@ -17,7 +17,7 @@ plain tuple of the same fields.
 from __future__ import annotations
 
 import math
-from itertools import repeat, zip_longest
+from itertools import groupby, repeat, zip_longest
 from time import perf_counter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
@@ -55,10 +55,9 @@ DEFAULT_LIMITS: dict[str, int] = {
 # CPU.  Best of 3 with time.process_time, in five processes, on a 2-vCPU
 # VM with Python 3.11.7: EQ_20 0.41-0.60 s, LEMMA_1 0.022-0.036 s (its
 # brute force to n = 9 reads one byte a word, enumeration._ones_per_word),
-# L3 0.35-0.55 s, SUPERVERTEX 0.20-0.22 s (each composition's sizes
-# checked once by counting._join_sum; 0.25-0.28 s in the same runs with
-# a check per degree vector), DEG_V1_TOTALITY 0.84-1.19 s and
-# BINOMIAL_COLLAPSE 0.75-1.10 s.
+# L3 0.35-0.55 s, SUPERVERTEX 0.18-0.30 s (measured after the others; one
+# counting._join_counts call per k, which weighs each degree vector once),
+# DEG_V1_TOTALITY 0.84-1.19 s and BINOMIAL_COLLAPSE 0.75-1.10 s.
 EQ_20_CAP = 175
 LEMMA_1_CAP = 30
 L3_CAP = 20
@@ -288,16 +287,15 @@ def verify_supervertex_marginal(m_max: int, *, joiner=None) -> IdentityReport:
     _check_top("m_max", m_max, "SUPERVERTEX work", SUPERVERTEX_CAP)
 
     def cases() -> Iterator[_Case]:
-        degree_choices: dict[int, list[tuple[int, ...]]] = {}
-        for m, sizes in _composition_grid(m_max):
-            k = len(sizes)
-            if k not in degree_choices:
-                degree_choices[k] = list(enumeration.enumerate_compositions(2 * k - 2, k))
-            if joiner is None:
-                got = counting._join_sum(degree_choices[k], sizes)  # sizes checked once
+        for k, grid in groupby(_composition_grid(m_max), lambda case: len(case[1])):
+            grid = list(grid)
+            vectors = list(enumeration.enumerate_compositions(2 * k - 2, k))
+            if joiner is None:  # each vector's weight once per k
+                joined = counting._join_counts(vectors, [sizes for _, sizes in grid])
             else:
-                got = sum(map(joiner, degree_choices[k], repeat(sizes)))
-            yield (m, sizes), counting.expand_L3(sizes, m), (("", got),)
+                joined = (sum(map(joiner, vectors, repeat(sizes))) for _, sizes in grid)
+            for (m, sizes), got in zip(grid, joined):
+                yield (m, sizes), counting.expand_L3(sizes, m), (("", got),)
 
     return _run("SUPERVERTEX_MARGINAL", _parts_label, cases())
 

@@ -336,14 +336,38 @@ class TestSupervertex:
                     )
                     assert total == expand_L3(sizes, m)
 
-    def test_join_sum_is_the_literal_sum_to_the_cap(self):
-        # the verifier's joined count on every composition of its grid at
-        # the work cap: the k-part degree vectors summed in the oracle
-        vectors = {k: list(enumerate_compositions(2 * k - 2, k)) for k in range(2, 6)}
-        for _, sizes in verifier._composition_grid(verifier.SUPERVERTEX_CAP):
-            k = len(sizes)
-            want = sum(oracles.supervertex_count(d, sizes) for d in vectors[k])
-            assert counting._join_sum(vectors[k], sizes) == want, sizes
+    def test_join_counts_are_the_literal_sums_to_the_cap(self):
+        # the verifier's joined counts on the whole grid at the work cap, one
+        # call per k: the k-part degree vectors summed in the oracle
+        grid = [sizes for _, sizes in verifier._composition_grid(verifier.SUPERVERTEX_CAP)]
+        for k in range(2, 6):
+            vectors = list(enumerate_compositions(2 * k - 2, k))
+            size_list = [sizes for sizes in grid if len(sizes) == k]
+            want = [sum(oracles.supervertex_count(d, sizes) for d in vectors) for sizes in size_list]
+            assert counting._join_counts(vectors, size_list) == want, k
+
+    def test_join_counts_check_degrees_then_sizes_then_weigh(self, monkeypatch):
+        # every degree vector is checked before any size vector, and every
+        # size vector before any weight is computed
+        bad_degrees = [(1, 1), (2, 2)]
+        bad_sizes = [(1, 2), (1, 2, 3)]
+        with pytest.raises(InvalidDegreeSequence, match=r"^degree sum must be 2 for n=2, got 4$"):
+            counting._join_counts(bad_degrees, bad_sizes)
+        with pytest.raises(CompositionSumMismatch, match=r"^need 2 component sizes, got 3$"):
+            counting._join_counts([(1, 1), (1.0, 1.0)], bad_sizes)
+        weighed = []
+
+        def weight(degrees):
+            weighed.append(degrees)
+            return count_trees_with_degrees(degrees)
+
+        monkeypatch.setattr(counting, "count_trees_with_degrees", weight)
+        with pytest.raises(CompositionSumMismatch, match=r"^component sizes must be positive: \(0, 3\)$"):
+            counting._join_counts([(1, 1)], [(1, 2), (0, 3)])
+        assert weighed == []
+        vectors = list(enumerate_compositions(4, 3))
+        assert counting._join_counts(vectors, [(1, 1, 1), (1, 2, 3)]) == [3, 6 * 6]
+        assert weighed == vectors  # each weight once, for all the size vectors
 
     def test_two_components_joined_by_one_edge(self):
         # oracle: a 1-vertex and a 2-vertex component join in exactly
@@ -363,7 +387,6 @@ class TestSupervertex:
         ],
     )
     def test_errors_are_not_memoized(self, degrees, sizes):
-        counting._join_weight.cache_clear()
         count_supervertex_trees((1, 1), (1, 2))  # the int twin of (1.0, 1.0)
         raised = []
         for _ in range(2):
@@ -371,10 +394,10 @@ class TestSupervertex:
                 count_supervertex_trees(degrees, sizes)
             raised.append((type(info.value), str(info.value)))
         assert raised[0] == raised[1]
-        assert counting._join_weight.cache_info().currsize == 1
 
     def test_float_vector_fails_after_its_int_twin_is_memoized(self):
-        # equal tuples of ints and floats hash alike; the memo keys on types
+        # a float vector passes the degree checks and fails in multinomial,
+        # after its int twin has been counted
         assert count_supervertex_trees((1, 2, 1), (2, 2, 2)) == 16
         with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
             count_supervertex_trees((1, 2.0, 1), (2, 2, 2))
@@ -383,7 +406,7 @@ class TestSupervertex:
             count_supervertex_trees((1, 2.0, 1), (2, 2))
 
     def test_list_degrees(self):
-        for _ in range(2):  # cold and with the tuple's entry memoized
+        for _ in range(2):  # a second call counts the same
             assert count_supervertex_trees([1, 2, 1], (2, 3, 4)) == 2 * 9 * 4
             assert count_supervertex_trees((1, 2, 1), (2, 3, 4)) == 2 * 9 * 4
         with pytest.raises(InvalidDegreeSequence) as info:
@@ -393,16 +416,12 @@ class TestSupervertex:
             count_supervertex_trees([1, 2, 2], (1, 1, 1))
         assert str(info.value) == "degree sum must be 4 for n=3, got 5"
 
-    def test_join_weight_memo_is_bounded(self):
-        info = counting._join_weight.cache_info()
-        assert info.maxsize is not None and info.maxsize >= 49  # the k <= 5 vectors
-
 
 class TestMemos:
     def test_package_memos_are_the_known_caches(self):
         # the benchmark clears every cache_clear callable of the package's
         # modules before each op; a memo outside this list would stay warm.
-        # Besides the three counting caches, enumeration keeps the chunk
+        # Besides the two counting caches, enumeration keeps the chunk
         # tables of the edge masks of each n <= 9 and kind it has summed (the
         # CLI's text formats among the kinds, heads and tails edited in), and
         # the step tables of each n it has swept or decoded a word to a mask on
@@ -420,7 +439,6 @@ class TestMemos:
             "treecount.enumeration._steps",
             "treecount.counting._eq20",
             "treecount.counting._pascal_rows",
-            "treecount.counting._join_weight",
         }
 
 

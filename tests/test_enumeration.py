@@ -71,6 +71,27 @@ class TestCodec:
         assert type(info.value) is OutOfRange
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "n, symbols", [(3, (1, 2)), (4, (1,)), (4, (0, 1)), (3, (5,)), (1, (1,))]
+    )
+    def test_decode_sequences_refuses_what_decode_refuses(self, n, symbols):
+        with pytest.raises(OutOfRange) as want:
+            prufer_decode(n, symbols)
+        with pytest.raises(OutOfRange) as got:
+            list(decode_sequences(n, [symbols]))
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+    def test_decode_sequences_raises_when_the_bad_word_is_pulled(self):
+        trees = decode_sequences(3, [(1,), (2,), (3,), (1, 2)])
+        assert [next(trees).edges for _ in range(3)] == [
+            ((1, 2), (1, 3)),
+            ((1, 2), (2, 3)),
+            ((1, 3), (2, 3)),
+        ]
+        with pytest.raises(OutOfRange, match=r"^need a word of length 1 for n=3, got length 2$"):
+            next(trees)
+
     def test_decode_refuses_fewer_than_one_vertex(self):
         with pytest.raises(OutOfRange, match=r"^vertex count must be >= 1, got 0$"):
             prufer_decode(0, ())

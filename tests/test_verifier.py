@@ -246,6 +246,22 @@ class TestFaultInjection:
         assert default.status == "PASS"
         assert oracle._replace(elapsed=0) == default._replace(elapsed=0)
 
+    def test_supervertex_joiner_is_called_per_vector_and_composition(self):
+        # an injected joiner is called once per (d, sizes), composition by
+        # composition in grid order and, within one, d in lexicographic order
+        calls = []
+
+        def recording(degrees, sizes):
+            calls.append((degrees, sizes))
+            return counting.count_supervertex_trees(degrees, sizes)
+
+        assert verify_supervertex_marginal(6, joiner=recording).status == "PASS"
+        assert calls == [
+            (d, sizes)
+            for _, sizes in verifier._composition_grid(6)
+            for d in enumeration.enumerate_compositions(2 * len(sizes) - 2, len(sizes))
+        ]
+
     def test_collects_all_failures(self):
         report = verify_recursion_and_collapse(6, recursion=lambda n: 0)
         assert report.status == "FAIL"
